@@ -10,15 +10,22 @@ markets).  Every outcome carries an exact certificate:
                     the constraints into an impossible ``0 > 0`` inequality.
 * ``Unbounded``  -- a feasible point plus an improving feasible ray.
 
-All arithmetic is `fractions.Fraction`; there are no tolerances anywhere.
-Results are deterministic: identical programs yield identical outcomes.
+The kernel pivots on Python integers: the standard form is scaled to
+integer data, the tableau carries one common positive denominator, and each
+pivot is Bareiss's exact fraction-free update.  Points, duals, Farkas
+vectors and rays are converted to `fractions.Fraction` once, at the end.
+There are no tolerances anywhere.  Results are deterministic: identical
+programs yield identical outcomes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Optional, Union
+
+from .errors import InternalInvariantError
 
 LE = "<="
 EQ = "=="
@@ -156,93 +163,110 @@ LPOutcome = Union[Optimal, Infeasible, Unbounded]
 
 
 class _Tableau:
-    """Dense tableau with one artificial variable per row.
+    """Dense integer tableau with one artificial column per row.
 
-    Artificial columns double as a running copy of the basis inverse, which
-    is what makes exact duals and Farkas vectors cheap to read off.
+    The rows are ``[L*A | I | L*b]``: the standard form scaled to integers
+    by one positive factor ``L``, the lcm of the denominators of ``A`` and
+    ``b``.  The artificial columns stay the identity and double as a
+    running copy of the basis inverse, which is what makes exact duals and
+    Farkas vectors cheap to read off.  Every entry is held over one common
+    denominator ``den > 0``, the basis determinant, and a pivot on ``p``
+    updates each other row by ``a' = (a*p - f*b) // den`` (exact: Bareiss's
+    fraction-free elimination) before ``den`` becomes ``p``.  The cost row
+    ``zrow`` holds the reduced costs of the scaled columns times ``K*den``,
+    where ``K`` makes the costs integral.  Since ``L``, ``K`` and ``den``
+    are positive, every sign test and ratio comparison agrees with the
+    exact rational tableau, so Bland's rule makes the same pivots.
     """
 
     def __init__(self, A, b, ncols):
-        self.m = len(A)
+        self.m = m = len(A)
         self.n = ncols
-        self.rows = [list(A[r]) + [ONE if i == r else ZERO for i in range(self.m)] + [b[r]]
-                     for r in range(self.m)]
-        self.basis = [self.n + r for r in range(self.m)]
-        self.orig_index = list(range(self.m))  # tableau row -> input row
+        dens = {v.denominator for row in A for v in row}
+        dens.update(v.denominator for v in b)
+        self.scale = L = lcm(*dens)
+        self.rows = [[v.numerator * (L // v.denominator) for v in A[r]]
+                     + [1 if i == r else 0 for i in range(m)]
+                     + [b[r].numerator * (L // b[r].denominator)]
+                     for r in range(m)]
+        self.den = 1
+        self.basis = [self.n + r for r in range(m)]
+        self.orig_index = list(range(m))  # tableau row -> input row
         self.zrow = None
 
+    def set_phase1_costs(self):
+        # cost 1 on every artificial, all of them basic at den = 1: the
+        # reduced costs are minus the column sums, zero on the identity
+        n, m = self.n, self.m
+        z = [-sum(col) for col in zip(*self.rows)] if m else [0] * (n + 1)
+        z[n:n + m] = [0] * m
+        self.zrow = z
+
     def set_costs(self, costs):
-        # costs over the n + m columns; rebuild reduced costs from scratch
-        width = self.n + self.m + 1
-        z = [costs[j] if j < self.n + self.m else ZERO for j in range(width - 1)] + [ZERO]
+        # integer costs over the n structural columns, artificials cost 0
+        den, n = self.den, self.n
+        z = [den * v for v in costs] + [0] * (self.m + 1)
         for r, row in enumerate(self.rows):
-            cb = costs[self.basis[r]]
+            bj = self.basis[r]
+            cb = costs[bj] if bj < n else 0
             if cb:
-                for j in range(width):
-                    z[j] -= cb * row[j]
+                z = [a - cb * v for a, v in zip(z, row)]
         self.zrow = z
 
     def pivot(self, r, j):
-        prow = self.rows[r]
-        piv = prow[j]
-        if piv != ONE:
-            inv = ONE / piv
-            for k, v in enumerate(prow):
-                if v:
-                    prow[k] = v * inv
-        nz = [k for k, v in enumerate(prow) if v]
-        for rr, other in enumerate(self.rows):
+        rows = self.rows
+        prow = rows[r]
+        p = prow[j]
+        if p < 0:
+            # negating the pivot row negates the whole updated tableau and
+            # its denominator, which keeps den positive
+            prow = rows[r] = [-v for v in prow]
+            p = -p
+        den = self.den
+        for rr, row in enumerate(rows):
             if rr == r:
                 continue
-            f = other[j]
+            f = row[j]
             if f:
-                for k in nz:
-                    other[k] -= f * prow[k]
+                rows[rr] = [(a * p - f * v) // den for a, v in zip(row, prow)]
+            elif p != den:
+                rows[rr] = [a * p // den for a in row]
         f = self.zrow[j]
         if f:
-            z = self.zrow
-            for k in nz:
-                z[k] -= f * prow[k]
+            self.zrow = [(a * p - f * v) // den for a, v in zip(self.zrow, prow)]
+        elif p != den:
+            self.zrow = [a * p // den for a in self.zrow]
+        self.den = p
         self.basis[r] = j
 
-    def run(self, enterable):
-        """Bland's rule; returns 'optimal' or ('unbounded', entering col)."""
+    def run(self):
+        """Bland's rule over the structural columns; returns 'optimal' or
+        ('unbounded', entering col)."""
+        n = self.n
         while True:
             z = self.zrow
-            enter = -1
-            for j in range(self.n + self.m):
-                if z[j] < 0 and enterable(j):
-                    enter = j
-                    break
+            enter = next((j for j in range(n) if z[j] < 0), -1)
             if enter < 0:
                 return "optimal", -1
-            leave, best = -1, None
+            # min ratio rhs/a over a > 0 by cross-multiplication; ties go
+            # to the smallest basic variable
+            leave, best_rhs, best_a = -1, 0, 1
             for r, row in enumerate(self.rows):
                 a = row[enter]
                 if a > 0:
-                    ratio = row[-1] / a
-                    if best is None or ratio < best or (
-                            ratio == best and self.basis[r] < self.basis[leave]):
-                        leave, best = r, ratio
+                    lhs, rhs = row[-1] * best_a, best_rhs * a
+                    if leave < 0 or lhs < rhs or (
+                            lhs == rhs and self.basis[r] < self.basis[leave]):
+                        leave, best_rhs, best_a = r, row[-1], a
             if leave < 0:
                 return "unbounded", enter
             self.pivot(leave, enter)
 
-    def value(self):
-        return -self.zrow[-1]
-
-    def duals(self, costs):
-        # y_r = cost of artificial r minus its reduced cost, per live row
-        y = {}
-        for orig in self.orig_index:
-            col = self.n + orig
-            y[orig] = costs[col] - self.zrow[col]
-        return y
-
     def point(self):
-        x = [ZERO] * (self.n + self.m)
+        x = [ZERO] * self.n
         for r, bj in enumerate(self.basis):
-            x[bj] = self.rows[r][-1]
+            if bj < self.n:
+                x[bj] = Fraction(self.rows[r][-1], self.den)
         return x
 
     def drop_row(self, r):
@@ -257,19 +281,22 @@ def _solve_standard(A, b, c, n):
     m = len(A)
     tab = _Tableau(A, b, n)
 
-    phase1 = [ZERO] * n + [ONE] * m
-    tab.set_costs(phase1)
-    status, _ = tab.run(lambda j: j < n)
-    assert status == "optimal"
-    if tab.value() != 0:
-        y = tab.duals(phase1)
-        return {"status": "infeasible", "farkas": [y.get(r, ZERO) for r in range(m)]}
+    tab.set_phase1_costs()
+    status, _ = tab.run()
+    if status != "optimal":
+        raise InternalInvariantError(f"phase 1 ended {status!r}, not optimal")
+    if tab.zrow[-1] != 0:
+        # y_r = 1 - (reduced cost of artificial r); every row is still live
+        den, z = tab.den, tab.zrow
+        return {"status": "infeasible",
+                "farkas": [Fraction(den - z[n + r], den) for r in range(m)]}
 
     # drive artificials out of the basis; drop redundant rows
     r = 0
     while r < len(tab.rows):
         if tab.basis[r] >= n:
-            assert tab.rows[r][-1] == 0
+            if tab.rows[r][-1] != 0:
+                raise InternalInvariantError("basic artificial with nonzero value after phase 1")
             for j in range(n):
                 if tab.rows[r][j] != 0:
                     tab.pivot(r, j)
@@ -279,24 +306,27 @@ def _solve_standard(A, b, c, n):
                 continue
         r += 1
 
-    phase2 = list(c) + [ZERO] * m
-    tab.set_costs(phase2)
-    status, enter = tab.run(lambda j: j < n)
+    K = lcm(*(v.denominator for v in c))
+    tab.set_costs([v.numerator * (K // v.denominator) for v in c])
+    status, enter = tab.run()
     if status == "unbounded":
         ray = [ZERO] * n
         ray[enter] = ONE
         for r, bj in enumerate(tab.basis):
             if bj < n:
-                ray[bj] = -tab.rows[r][enter]
-        point = tab.point()[:n]
-        return {"status": "unbounded", "point": point, "ray": ray}
+                ray[bj] = Fraction(-tab.rows[r][enter], tab.den)
+        return {"status": "unbounded", "point": tab.point(), "ray": ray}
 
-    y = tab.duals(phase2)
+    # y_r = -(reduced cost of artificial r), unscaled by L/(K*den)
+    kd, z = K * tab.den, tab.zrow
+    duals = [ZERO] * m
+    for orig in tab.orig_index:
+        duals[orig] = Fraction(-tab.scale * z[n + orig], kd)
     return {
         "status": "optimal",
-        "point": tab.point()[:n],
-        "duals": [y.get(r, ZERO) for r in range(m)],
-        "value": tab.value(),
+        "point": tab.point(),
+        "duals": duals,
+        "value": Fraction(-z[-1], kd),
     }
 
 
@@ -489,18 +519,20 @@ def _solve_general(lp: LinearProgram) -> LPOutcome:
             if a and w[j]:
                 tau += w[j] * frac(a)
         if kind == _FREE:
-            assert tau == 0
+            ok = tau == 0
         elif kind == _LO:
             zlo[i] = -tau
-            assert zlo[i] >= 0
+            ok = zlo[i] >= 0
         elif kind == _UP:
             zup[i] = -tau
-            assert zup[i] <= 0
+            ok = zup[i] <= 0
         else:
             zup[i] = range_dual.get(i, ZERO)
-            assert zup[i] <= 0
             zlo[i] = -tau - zup[i]
-            assert zlo[i] >= 0
+            ok = zup[i] <= 0 and zlo[i] >= 0
+        if not ok:
+            raise InternalInvariantError(
+                f"Farkas multiplier of the bounds of variable {i} has the wrong sign")
     return Infeasible(farkas_rows=tuple(w), farkas_lower=tuple(zlo), farkas_upper=tuple(zup))
 
 

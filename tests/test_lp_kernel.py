@@ -1,0 +1,131 @@
+"""Differential tests: the integer (fraction-free) simplex kernel against the
+exact-Fraction reference kernel in ``fraction_kernel.py``.
+
+Both kernels use Bland's rule, and scaling the tableau by positive integers
+changes no sign or ratio comparison, so they must make the same pivots and
+return equal result dicts: status, point, duals, value, Farkas vector, ray.
+"""
+
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from unittest import mock
+
+from hypothesis import given, settings, strategies as st
+
+import fraction_kernel
+from collective_arb import lp
+from test_lp import small_lp
+
+F = Fraction
+
+
+def both(A, b, c):
+    A = [[F(v) for v in row] for row in A]
+    b = [F(v) for v in b]
+    c = [F(v) for v in c]
+    new = lp._solve_standard(A, b, c, len(c))
+    old = fraction_kernel._solve_standard(A, b, c, len(c))
+    assert repr(new) == repr(old)
+    return new
+
+
+def standard_forms(program):
+    """The standard-form programs that solving ``program`` hands the kernel."""
+    seen = []
+
+    def record(A, b, c, n):
+        seen.append((A, b, c, n))
+        return real(A, b, c, n)
+
+    real = lp._solve_standard
+    with mock.patch.object(lp, "_solve_standard", record):
+        lp.solve(program)
+    return seen
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_lp())
+def test_general_programs_agree_with_fraction_kernel(program):
+    for A, b, c, n in standard_forms(program):
+        assert lp._solve_standard(A, b, c, n) == fraction_kernel._solve_standard(A, b, c, n)
+
+
+mixed = st.one_of(st.just(F(0)),
+                  st.builds(F, st.integers(-5, 5), st.sampled_from([1, 2, 3, 4, 6])))
+
+
+@st.composite
+def standard_form(draw):
+    m = draw(st.integers(0, 4))
+    n = draw(st.integers(1, 5))
+    A = [[draw(mixed) for _ in range(n)] for _ in range(m)]
+    b = [abs(draw(mixed)) for _ in range(m)]
+    c = [draw(mixed) for _ in range(n)]
+    return A, b, c
+
+
+@settings(max_examples=400, deadline=None)
+@given(standard_form())
+def test_rational_standard_forms_agree_with_fraction_kernel(data):
+    both(*data)
+
+
+def test_redundant_rows_are_dropped_alike():
+    res = both([[1, 1, 0], [2, 2, 0], [0, 1, 1]], [2, 4, 1], [1, 2, 0])
+    assert res["status"] == "optimal" and res["duals"][1] == 0
+
+
+def test_negative_drive_out_pivot():
+    # phase 1 leaves the second artificial basic at zero; the only nonzero
+    # of its row is -4, so driving it out pivots on a negative entry
+    real = lp._Tableau.pivot
+    pivots = []
+
+    def spy(tab, r, j):
+        pivots.append(tab.rows[r][j])
+        real(tab, r, j)
+
+    with mock.patch.object(lp._Tableau, "pivot", spy):
+        res = both([[2, -2], [0, -2]], [2, 0], [2, 0])
+    assert any(p < 0 for p in pivots)
+    assert res == {"status": "optimal", "point": [1, 0], "duals": [1, -1], "value": 2}
+
+
+def test_mixed_denominators():
+    res = both([[F(1, 2), F(2, 3), 0], [F(3, 4), 0, F(-5, 6)]], [F(5, 6), F(1, 3)],
+               [F(1, 3), F(-1, 2), F(1, 4)])
+    assert res["status"] == "optimal"
+
+
+def test_infeasible_farkas_vector():
+    res = both([[1, 1], [1, 1]], [1, 2], [0, 0])
+    assert res["status"] == "infeasible"
+
+
+def test_unbounded_ray():
+    res = both([[1, -1, 0], [0, 1, -1]], [1, 0], [-1, 0, 0])
+    assert res["status"] == "unbounded" and res["ray"] == [1, 1, 1]
+
+
+_PHASE1_NOT_OPTIMAL = """
+from collective_arb import lp
+from collective_arb.errors import InternalInvariantError
+lp._Tableau.run = lambda self: ("unbounded", 0)
+program = lp.LinearProgram(sense=lp.MIN, objective=(lp.ONE,), row_coeffs=((lp.ONE,),),
+                           row_rels=(lp.GE,), row_rhs=(lp.ONE,), lower=(lp.ZERO,),
+                           upper=(None,))
+try:
+    lp.solve(program)
+except InternalInvariantError as e:
+    print("raised:", e)
+"""
+
+
+def test_invariant_checks_survive_python_O():
+    src = os.path.dirname(os.path.dirname(lp.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", _PHASE1_NOT_OPTIMAL],
+                         capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.startswith("raised: phase 1"), out.stdout + out.stderr
