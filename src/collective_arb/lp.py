@@ -286,7 +286,8 @@ def _solve_standard(A, b, c, n):
     if status != "optimal":
         raise InternalInvariantError(f"phase 1 ended {status!r}, not optimal")
     if tab.zrow[-1] != 0:
-        # y_r = 1 - (reduced cost of artificial r); every row is still live
+        # y_r = 1 - (reduced cost of artificial r), which zrow holds times
+        # den; every row is still live
         den, z = tab.den, tab.zrow
         return {"status": "infeasible",
                 "farkas": [Fraction(den - z[n + r], den) for r in range(m)]}
@@ -317,7 +318,8 @@ def _solve_standard(A, b, c, n):
                 ray[bj] = Fraction(-tab.rows[r][enter], tab.den)
         return {"status": "unbounded", "point": tab.point(), "ray": ray}
 
-    # y_r = -(reduced cost of artificial r), unscaled by L/(K*den)
+    # y_r = -(reduced cost of artificial r), which zrow holds times K*den/L;
+    # dropped rows keep y_r = 0
     kd, z = K * tab.den, tab.zrow
     duals = [ZERO] * m
     for orig in tab.orig_index:
