@@ -1,9 +1,14 @@
-"""Golden reports: the full JSON report of every built-in model, pinned
-byte for byte.
+"""Golden files: the full JSON report of every built-in model, and the
+listing of every LP its analysis solves, pinned byte for byte.
 
-The files under ``tests/golden/`` hold ``render_json(analyze(...))`` with
-all sections.  A change that moves any reported number, optimizer or
-certificate fails here.  To regenerate after an intended change:
+``tests/golden/<name>.json`` holds ``render_json(analyze(...))`` with all
+sections.  A change that moves any reported number, optimizer or
+certificate fails there.  ``tests/golden/<name>.lp.txt`` holds the
+``lp.set_dump_sink`` listing of the same analysis: every program in solve
+order, with its variable and row order.  The simplex uses Bland's rule, so
+column order alone can change a reported optimizer; the listing catches such
+a change even where the report happens to stay the same.  To regenerate both
+kinds after an intended change:
 
     PYTHONPATH=src python3 tests/test_golden.py
 """
@@ -12,6 +17,7 @@ import pathlib
 
 import pytest
 
+from collective_arb import lp
 from collective_arb.examples_builtin import example_document, example_names
 from collective_arb.model_io import parse_model
 from collective_arb.report import analyze, render_json
@@ -23,8 +29,19 @@ def report_text(name: str) -> str:
     return render_json(analyze(parse_model(example_document(name))))
 
 
+def lp_listing(name: str) -> str:
+    sink = []
+    lp.set_dump_sink(sink)
+    try:
+        analyze(parse_model(example_document(name)))
+    finally:
+        lp.set_dump_sink(None)
+    return "".join(f"--- LP {k + 1} ---\n{text}\n" for k, text in enumerate(sink))
+
+
 def test_every_builtin_model_has_a_golden_file():
     assert sorted(p.stem for p in GOLDEN.glob("*.json")) == example_names()
+    assert sorted(p.name[:-len(".lp.txt")] for p in GOLDEN.glob("*.lp.txt")) == example_names()
 
 
 @pytest.mark.parametrize("name", example_names())
@@ -33,7 +50,14 @@ def test_report_matches_golden(name):
     assert report_text(name) == expected
 
 
+@pytest.mark.parametrize("name", example_names())
+def test_lp_listing_matches_golden(name):
+    expected = (GOLDEN / f"{name}.lp.txt").read_text(encoding="utf-8")
+    assert lp_listing(name) == expected
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for model_name in example_names():
         (GOLDEN / f"{model_name}.json").write_text(report_text(model_name), encoding="utf-8")
+        (GOLDEN / f"{model_name}.lp.txt").write_text(lp_listing(model_name), encoding="utf-8")
