@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .cones import ExchangeCone, combination_rows
+from .cones import ExchangeCone, Positions, polarity_functionals
 from .errors import InternalInvariantError, ValidationError
 from .lp import EQ, GE, LE, LPBuilder, MAX, MIN, ZERO
 from .market import (MarketModel, PayoffMatrix, full_gains_basis,
@@ -53,15 +53,6 @@ class ArbitrageCertificate:
     dual_witness: Optional[tuple] = None
 
 
-def _gains_row(gens, coeffs, n_atoms) -> tuple:
-    row = [ZERO] * n_atoms
-    for g, c in zip(gens, coeffs):
-        if c:
-            for w in range(n_atoms):
-                row[w] += c * g.vector[w]
-    return tuple(row)
-
-
 # ---------------------------------------------------------------------------
 # primal side: search for an arbitrage
 # ---------------------------------------------------------------------------
@@ -71,32 +62,12 @@ def _search_arbitrage(market: MarketModel, gens_per_row, cone: Optional[Exchange
     """Feasibility of: each row's gains plus exchange nonnegative everywhere,
     with total payoff at least one unit.  Gains and exchanges scale, so the
     unit normalisation is equivalent to 'positive somewhere'."""
-    n = market.n_atoms
     b = LPBuilder(MIN)
-    for i, gens in enumerate(gens_per_row):
-        for k in range(len(gens)):
-            b.var(f"h{i}_{k}")
-    nrays = len(cone.rays) if cone else 0
-    nlins = len(cone.lineality) if cone else 0
-    for k in range(nrays):
-        b.var(f"mu{k}", lo=0)
-    for k in range(nlins):
-        b.var(f"nu{k}")
-
+    pos = Positions(b, market.n_atoms, gens_per_row, cone)
     total = {}
-    for i, gens in enumerate(gens_per_row):
-        for w in range(n):
-            coeffs = {}
-            for k, g in enumerate(gens):
-                if g.vector[w]:
-                    coeffs[f"h{i}_{k}"] = g.vector[w]
-            if cone:
-                for k, r in enumerate(cone.rays):
-                    if r.rows[i][w]:
-                        coeffs[f"mu{k}"] = r.rows[i][w]
-                for k, l in enumerate(cone.lineality):
-                    if l.rows[i][w]:
-                        coeffs[f"nu{k}"] = l.rows[i][w]
+    for i in range(len(gens_per_row)):
+        for w in range(market.n_atoms):
+            coeffs = pos.payoff(i, w)
             b.row(f"pos{i}_{w}", coeffs, GE, 0)
             for v, c in coeffs.items():
                 total[v] = total.get(v, ZERO) + c
@@ -104,16 +75,8 @@ def _search_arbitrage(market: MarketModel, gens_per_row, cone: Optional[Exchange
     sol = b.solve()
     if sol.status != "optimal":
         return None
-    p = sol.primal()
-    strat = tuple(tuple(p[f"h{i}_{k}"] for k in range(len(gens)))
-                  for i, gens in enumerate(gens_per_row))
-    rows = tuple(_gains_row(gens, strat[i], n) for i, gens in enumerate(gens_per_row))
-    exchange = None
-    if cone:
-        mu = tuple(p[f"mu{k}"] for k in range(nrays))
-        nu = tuple(p[f"nu{k}"] for k in range(nlins))
-        exchange = ExchangePart(ray_coeffs=mu, lin_coeffs=nu,
-                                rows=combination_rows(cone, mu, nu))
+    strat, rows, mu, nu, ex_rows = pos.read(sol.primal())
+    exchange = None if cone is None else ExchangePart(mu, nu, ex_rows)
     return strat, rows, exchange
 
 
@@ -166,24 +129,20 @@ def _max_equivalent_member(poly: MartingalePolytope):
 def install_emm_system(b: LPBuilder, market: MarketModel, cone: ExchangeCone):
     """Variables and rows for vectors of martingale measures satisfying the
     exchange-cone polarity: <= 0 against rays, = 0 against lineality."""
-    names = []
-    for i in range(market.n_agents):
-        names.append(martingale_polytope(market, i).install(b, f"q{i}"))
-    for k, r in enumerate(cone.rays):
-        coeffs = {}
-        for i in range(market.n_agents):
-            for w in range(market.n_atoms):
-                if r.rows[i][w]:
-                    coeffs[names[i][w]] = coeffs.get(names[i][w], ZERO) + r.rows[i][w]
-        b.row(f"polar_ray{k}", coeffs, LE, 0)
-    for k, l in enumerate(cone.lineality):
-        coeffs = {}
-        for i in range(market.n_agents):
-            for w in range(market.n_atoms):
-                if l.rows[i][w]:
-                    coeffs[names[i][w]] = coeffs.get(names[i][w], ZERO) + l.rows[i][w]
-        b.row(f"polar_lin{k}", coeffs, EQ, 0)
+    names = [martingale_polytope(market, i).install(b, f"q{i}")
+             for i in range(market.n_agents)]
+    _polar_rows(b, names, cone, (Fraction(1),) * market.n_atoms)
     return names
+
+
+def _polar_rows(b: LPBuilder, names, cone: ExchangeCone, weight) -> None:
+    """Rows making the variables ``names[i][w]`` polar to the cone under the
+    atom weights: <= 0 against each ray, = 0 against each lineality."""
+    rays, lins = polarity_functionals(cone, weight)
+    for k, f in enumerate(rays):
+        b.row(f"polar_ray{k}", {names[i][w]: c for (i, w), c in f.items()}, LE, 0)
+    for k, f in enumerate(lins):
+        b.row(f"polar_lin{k}", {names[i][w]: c for (i, w), c in f.items()}, EQ, 0)
 
 
 def find_emm_vector(market: MarketModel, cone: ExchangeCone) -> Optional[MeasureVector]:
@@ -218,20 +177,7 @@ def polar_witness(market: MarketModel, cone: ExchangeCone) -> Optional[PayoffMat
         for k, g in enumerate(gains_basis(market, i)):
             coeffs = {names[i][w]: P[w] * g.vector[w] for w in range(n) if g.vector[w]}
             b.row(f"orth{i}_{k}", coeffs, EQ, 0)
-    for k, r in enumerate(cone.rays):
-        coeffs = {}
-        for i in range(N):
-            for w in range(n):
-                if r.rows[i][w]:
-                    coeffs[names[i][w]] = coeffs.get(names[i][w], ZERO) + P[w] * r.rows[i][w]
-        b.row(f"polar_ray{k}", coeffs, LE, 0)
-    for k, l in enumerate(cone.lineality):
-        coeffs = {}
-        for i in range(N):
-            for w in range(n):
-                if l.rows[i][w]:
-                    coeffs[names[i][w]] = coeffs.get(names[i][w], ZERO) + P[w] * l.rows[i][w]
-        b.row(f"polar_lin{k}", coeffs, EQ, 0)
+    _polar_rows(b, names, cone, P)
     b.row("mass", {names[i][w]: P[w] for i in range(N) for w in range(n)}, EQ, 1)
     sol = b.solve()
     if sol.status != "optimal" or sol.value <= 0:

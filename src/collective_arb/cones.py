@@ -13,10 +13,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import ValidationError
+from .errors import InternalInvariantError, ValidationError
 from .lp import EQ, LPBuilder, MIN, ZERO
 from .market import (MarketModel, PayoffMatrix, agents_join_partition,
-                     constant_on, payoff_matrix)
+                     constant_on, gains_row, payoff_matrix)
 
 
 @dataclass(frozen=True)
@@ -58,29 +58,16 @@ def cone_contains(cone: ExchangeCone, y: PayoffMatrix) -> Membership:
     if y.n_agents != cone.n_agents or len(y.rows[0]) != cone.n_atoms:
         raise ValidationError("membership", "shape mismatch between cone and payoff")
     b = LPBuilder(MIN)
-    for k in range(len(cone.rays)):
-        b.var(f"mu{k}", lo=0)
-    for k in range(len(cone.lineality)):
-        b.var(f"nu{k}")
+    pos = Positions(b, cone.n_atoms, (), cone)
     for i in range(cone.n_agents):
         for w in range(cone.n_atoms):
-            coeffs = {}
-            for k, r in enumerate(cone.rays):
-                if r.rows[i][w]:
-                    coeffs[f"mu{k}"] = r.rows[i][w]
-            for k, l in enumerate(cone.lineality):
-                if l.rows[i][w]:
-                    coeffs[f"nu{k}"] = l.rows[i][w]
-            b.row(f"c{i}_{w}", coeffs, EQ, y.rows[i][w])
+            b.row(f"c{i}_{w}", pos.exchange(i, w), EQ, y.rows[i][w])
     sol = b.solve()
     if sol.status == "optimal":
-        p = sol.primal()
-        return Membership(
-            contains=True,
-            ray_coeffs=tuple(p[f"mu{k}"] for k in range(len(cone.rays))),
-            lin_coeffs=tuple(p[f"nu{k}"] for k in range(len(cone.lineality))),
-        )
-    assert sol.status == "infeasible"
+        mu, nu = pos.cone_coeffs(sol.primal())
+        return Membership(contains=True, ray_coeffs=mu, lin_coeffs=nu)
+    if sol.status != "infeasible":
+        raise InternalInvariantError(f"membership LP ended {sol.status}")
     w = sol.outcome.farkas_rows
     n = cone.n_atoms
     sep = tuple(tuple(w[i * n + a] for a in range(n)) for i in range(cone.n_agents))
@@ -102,6 +89,76 @@ def combination_rows(cone: ExchangeCone, ray_coeffs, lin_coeffs) -> tuple:
                 for w in range(n):
                     rows[i][w] += c * g.rows[i][w]
     return tuple(tuple(r) for r in rows)
+
+
+class Positions:
+    """The LP variables of "each agent trades, plus one exchange from the
+    cone": ``h{i}_{k}`` for agent i's gains generator k, then ``mu{k} >= 0``
+    per ray and free ``nu{k}`` per lineality generator of ``cone``, declared
+    on ``b`` in that order (the simplex breaks ties by column order).
+    ``cone`` may be None: trading alone."""
+
+    def __init__(self, b: LPBuilder, n_atoms: int, gens_per_agent,
+                 cone: Optional[ExchangeCone]):
+        self.n_atoms = n_atoms
+        self.gens = tuple(gens_per_agent)
+        self.cone = cone
+        self.rays = cone.rays if cone is not None else ()
+        self.lineality = cone.lineality if cone is not None else ()
+        for i, gens in enumerate(self.gens):
+            for k in range(len(gens)):
+                b.var(f"h{i}_{k}")
+        for k in range(len(self.rays)):
+            b.var(f"mu{k}", lo=0)
+        for k in range(len(self.lineality)):
+            b.var(f"nu{k}")
+
+    def exchange(self, i: int, w: int) -> dict:
+        """Coefficients of agent i's exchange payoff at atom w."""
+        coeffs = {}
+        for k, r in enumerate(self.rays):
+            if r.rows[i][w]:
+                coeffs[f"mu{k}"] = r.rows[i][w]
+        for k, l in enumerate(self.lineality):
+            if l.rows[i][w]:
+                coeffs[f"nu{k}"] = l.rows[i][w]
+        return coeffs
+
+    def payoff(self, i: int, w: int) -> dict:
+        """Coefficients of agent i's gains plus exchange at atom w."""
+        coeffs = {f"h{i}_{k}": g.vector[w] for k, g in enumerate(self.gens[i]) if g.vector[w]}
+        coeffs.update(self.exchange(i, w))
+        return coeffs
+
+    def cone_coeffs(self, point) -> tuple:
+        """(mu, nu) at a name-indexed point."""
+        return (tuple(point[f"mu{k}"] for k in range(len(self.rays))),
+                tuple(point[f"nu{k}"] for k in range(len(self.lineality))))
+
+    def read(self, point) -> tuple:
+        """(strategies, gains rows, mu, nu, exchange rows) at a name-indexed
+        point; the exchange rows are None without a cone."""
+        strat = tuple(tuple(point[f"h{i}_{k}"] for k in range(len(gens)))
+                      for i, gens in enumerate(self.gens))
+        gains = tuple(gains_row(gens, strat[i], self.n_atoms)
+                      for i, gens in enumerate(self.gens))
+        mu, nu = self.cone_coeffs(point)
+        rows = combination_rows(self.cone, mu, nu) if self.cone is not None else None
+        return strat, gains, mu, nu, rows
+
+
+def polarity_functionals(cone: ExchangeCone, weight) -> tuple:
+    """The functionals z -> sum_{i,w} weight[w] * g.rows[i][w] * z[i][w], one
+    per ray and one per lineality generator g, as {(i, w): coefficient} maps
+    without zeros.  A z is polar to the cone when the ray functionals are
+    <= 0 and the lineality functionals = 0 at z."""
+
+    def functional(g):
+        return {(i, w): weight[w] * v for i, row in enumerate(g.rows)
+                for w, v in enumerate(row) if v}
+
+    return ([functional(r) for r in cone.rays],
+            [functional(l) for l in cone.lineality])
 
 
 # ---------------------------------------------------------------------------

@@ -330,7 +330,8 @@ def _generators(market: MarketModel, asset_ids, filtration: Filtration, agent):
         for t in range(1, market.T + 1):
             diff = tuple(X[t][w] - X[t - 1][w] for w in range(market.n_atoms))
             for block in filtration.at(t - 1):
-                vec = tuple(diff[w] if w in set(block) else ZERO
+                inside = set(block)
+                vec = tuple(diff[w] if w in inside else ZERO
                             for w in range(market.n_atoms))
                 gens.append(GainsGenerator(agent=agent, asset=j, t=t,
                                            block=block, vector=vec))
@@ -343,6 +344,17 @@ def gains_basis(market: MarketModel, agent: int):
         raise ValidationError("agent", f"no agent {agent}")
     spec = market.agents[agent]
     return _generators(market, spec.asset_ids, spec.filtration, agent)
+
+
+def gains_row(gens, coeffs, n_atoms: int) -> tuple:
+    """Terminal payoff of the strategy holding ``coeffs[k]`` units of each
+    gains generator ``gens[k]``."""
+    row = [ZERO] * n_atoms
+    for g, c in zip(gens, coeffs):
+        if c:
+            for w in range(n_atoms):
+                row[w] += c * g.vector[w]
+    return tuple(row)
 
 
 def full_gains_basis(market: MarketModel):

@@ -16,11 +16,11 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .arbitrage import MeasureVector, install_emm_system
-from .cones import ExchangeCone, combination_rows
+from .cones import ExchangeCone, Positions, polarity_functionals
 from .errors import FairnessUnavailable, InternalInvariantError, ValidationError
 from .ext import Ext, ext_max, ext_sum
 from .lp import EQ, GE, LE, LPBuilder, MAX, MIN, ZERO, frac
-from .market import (MarketModel, PayoffMatrix, constant_on, gains_basis,
+from .market import (MarketModel, PayoffMatrix, constant_on, gains_basis, gains_row,
                      payoff_matrix, synthetic_full_agent)
 
 ClaimVector = PayoffMatrix  # one claim row per agent, measurable per row
@@ -59,6 +59,11 @@ class FairnessResult:
     per_agent_prices: tuple     # individual replication cost under q_hat_i
 
 
+def _expect_optimal(sol, what: str) -> None:
+    if sol.status != "optimal":
+        raise InternalInvariantError(f"{what} LP ended {sol.status}")
+
+
 # ---------------------------------------------------------------------------
 # classical single-market prices
 # ---------------------------------------------------------------------------
@@ -87,12 +92,11 @@ def rho_agent_plus(market: MarketModel, agent: int, claim_row):
     sol = b.solve()
     if sol.status == "unbounded":
         return Ext.neg_inf(), None
-    assert sol.status == "optimal"
+    _expect_optimal(sol, "single-market super-replication")
     p = sol.primal()
     coeffs = tuple(p[f"h{k}"] for k in range(len(gens)))
-    gains = tuple(sum((c * g.vector[w] for c, g in zip(coeffs, gens)), ZERO)
-                  for w in range(market.n_atoms))
-    return Ext.of(sol.value), {"m": p["m"], "strategy": coeffs, "gains_row": gains}
+    return Ext.of(sol.value), {"m": p["m"], "strategy": coeffs,
+                               "gains_row": gains_row(gens, coeffs, market.n_atoms)}
 
 
 def rho_agent_plus_dual(market: MarketModel, agent: int, claim_row) -> Ext:
@@ -109,7 +113,7 @@ def rho_agent_plus_dual(market: MarketModel, agent: int, claim_row) -> Ext:
     sol = b.solve()
     if sol.status == "infeasible":
         return Ext.neg_inf()
-    assert sol.status == "optimal"
+    _expect_optimal(sol, "single-market dual")
     return Ext.of(sol.value)
 
 
@@ -126,17 +130,11 @@ def pi_N_plus(market: MarketModel, g: ClaimVector) -> Ext:
                         for i in range(market.n_agents))
     b = LPBuilder(MIN)
     b.var("m", obj=1)
+    gens_per_agent = [gains_basis(market, i) for i in range(market.n_agents)]
+    pos = Positions(b, market.n_atoms, gens_per_agent, None)
     for i in range(market.n_agents):
-        for k in range(len(gains_basis(market, i))):
-            b.var(f"h{i}_{k}")
-    for i in range(market.n_agents):
-        gens = gains_basis(market, i)
         for w in range(market.n_atoms):
-            coeffs = {"m": Fraction(1)}
-            for k, gen in enumerate(gens):
-                if gen.vector[w]:
-                    coeffs[f"h{i}_{k}"] = gen.vector[w]
-            b.row(f"dom{i}_{w}", coeffs, GE, g.rows[i][w])
+            b.row(f"dom{i}_{w}", {"m": Fraction(1), **pos.payoff(i, w)}, GE, g.rows[i][w])
     sol = b.solve()
     direct = Ext.neg_inf() if sol.status == "unbounded" else Ext.of(sol.value)
     if direct != per_agent:
@@ -149,75 +147,39 @@ def pi_N_plus(market: MarketModel, g: ClaimVector) -> Ext:
 # ---------------------------------------------------------------------------
 
 
-def _collective_lp(market: MarketModel, cone: ExchangeCone, g: ClaimVector,
-                   shared_m: bool) -> LPBuilder:
+def _collective_price(market: MarketModel, cone: ExchangeCone, g: ClaimVector,
+                      shared_m: bool):
     b = LPBuilder(MIN)
     if shared_m:
-        b.var("m", obj=1)
+        cash = [b.var("m", obj=1)] * market.n_agents
     else:
-        for i in range(market.n_agents):
-            b.var(f"m{i}", obj=1)
+        cash = [b.var(f"m{i}", obj=1) for i in range(market.n_agents)]
+    gens_per_agent = [gains_basis(market, i) for i in range(market.n_agents)]
+    pos = Positions(b, market.n_atoms, gens_per_agent, cone)
     for i in range(market.n_agents):
-        for k in range(len(gains_basis(market, i))):
-            b.var(f"h{i}_{k}")
-    for k in range(len(cone.rays)):
-        b.var(f"mu{k}", lo=0)
-    for k in range(len(cone.lineality)):
-        b.var(f"nu{k}")
-    for i in range(market.n_agents):
-        gens = gains_basis(market, i)
         for w in range(market.n_atoms):
-            coeffs = {"m" if shared_m else f"m{i}": Fraction(1)}
-            for k, gen in enumerate(gens):
-                if gen.vector[w]:
-                    coeffs[f"h{i}_{k}"] = gen.vector[w]
-            for k, r in enumerate(cone.rays):
-                if r.rows[i][w]:
-                    coeffs[f"mu{k}"] = r.rows[i][w]
-            for k, l in enumerate(cone.lineality):
-                if l.rows[i][w]:
-                    coeffs[f"nu{k}"] = l.rows[i][w]
-            b.row(f"dom{i}_{w}", coeffs, GE, g.rows[i][w])
-    return b
-
-
-def _extract_optimizer(market, cone, sol, shared_m) -> PrimalOptimizer:
+            b.row(f"dom{i}_{w}", {cash[i]: Fraction(1), **pos.payoff(i, w)}, GE, g.rows[i][w])
+    sol = b.solve()
+    if sol.status == "unbounded":
+        return Ext.neg_inf(), None
+    _expect_optimal(sol, "collective super-replication")
     p = sol.primal()
-    if shared_m:
-        m = tuple(p["m"] for _ in range(market.n_agents))
-    else:
-        m = tuple(p[f"m{i}"] for i in range(market.n_agents))
-    strat, rows = [], []
-    for i in range(market.n_agents):
-        gens = gains_basis(market, i)
-        coeffs = tuple(p[f"h{i}_{k}"] for k in range(len(gens)))
-        strat.append(coeffs)
-        rows.append(tuple(sum((c * gen.vector[w] for c, gen in zip(coeffs, gens)), ZERO)
-                          for w in range(market.n_atoms)))
-    mu = tuple(p[f"mu{k}"] for k in range(len(cone.rays)))
-    nu = tuple(p[f"nu{k}"] for k in range(len(cone.lineality)))
-    return PrimalOptimizer(m=m, strategy_coeffs=tuple(strat), gains_rows=tuple(rows),
-                           ray_coeffs=mu, lin_coeffs=nu,
-                           exchange_rows=combination_rows(cone, mu, nu))
+    strat, gains, mu, nu, exchange_rows = pos.read(p)
+    opt = PrimalOptimizer(m=tuple(p[v] for v in cash), strategy_coeffs=strat,
+                          gains_rows=gains, ray_coeffs=mu, lin_coeffs=nu,
+                          exchange_rows=exchange_rows)
+    return Ext.of(sol.value), opt
 
 
 def rho_Y_plus(market: MarketModel, cone: ExchangeCone, g: ClaimVector):
     """Collective super-replication: least total cash so that, with trading
     and one exchange from the cone, every agent dominates its claim."""
-    sol = _collective_lp(market, cone, g, shared_m=False).solve()
-    if sol.status == "unbounded":
-        return Ext.neg_inf(), None
-    assert sol.status == "optimal"
-    return Ext.of(sol.value), _extract_optimizer(market, cone, sol, shared_m=False)
+    return _collective_price(market, cone, g, shared_m=False)
 
 
 def pi_Y_plus(market: MarketModel, cone: ExchangeCone, g: ClaimVector):
     """Least single amount covering any one of the claims with cooperation."""
-    sol = _collective_lp(market, cone, g, shared_m=True).solve()
-    if sol.status == "unbounded":
-        return Ext.neg_inf(), None
-    assert sol.status == "optimal"
-    return Ext.of(sol.value), _extract_optimizer(market, cone, sol, shared_m=True)
+    return _collective_price(market, cone, g, shared_m=True)
 
 
 def rho_Y_minus(market: MarketModel, cone: ExchangeCone, g: ClaimVector) -> Ext:
@@ -257,7 +219,7 @@ def _dual_emm_route(market: MarketModel, cone: ExchangeCone, g: ClaimVector):
     sol = b.solve()
     if sol.status == "infeasible":
         return Ext.neg_inf(), None
-    assert sol.status == "optimal"
+    _expect_optimal(sol, "compatible-measure dual")
     value = sol.value
 
     b2 = LPBuilder(MAX)
@@ -271,7 +233,7 @@ def _dual_emm_route(market: MarketModel, cone: ExchangeCone, g: ClaimVector):
             b2.row(f"int{i}_{w}", {names[i][w]: Fraction(1), eps: Fraction(-1)}, GE, 0)
     b2.row("opt_face", goal, EQ, value)
     sol2 = b2.solve()
-    assert sol2.status == "optimal"
+    _expect_optimal(sol2, "optimal-face interior point")
     p = sol2.primal()
     mv = MeasureVector(densities=tuple(tuple(p[v] for v in row) for row in names))
     return Ext.of(value), mv
@@ -284,11 +246,10 @@ def _polar_description(market: MarketModel, cone: ExchangeCone):
     N, n = market.n_agents, market.n_atoms
     rows = []
 
-    def embed(i, vec):
+    def dense(functional):
         out = [ZERO] * (N * n)
-        for w in range(n):
-            if vec[w]:
-                out[i * n + w] = P[w] * vec[w]
+        for (i, w), c in functional.items():
+            out[i * n + w] = c
         return out
 
     for i in range(N):
@@ -298,22 +259,13 @@ def _polar_description(market: MarketModel, cone: ExchangeCone):
             rows.append(row)
     for i in range(N):
         for gen in gains_basis(market, i):
-            e = embed(i, gen.vector)
+            e = dense({(i, w): P[w] * v for w, v in enumerate(gen.vector) if v})
             rows.append(e)
             rows.append([-v for v in e])
-    for r in cone.rays:
-        acc = [ZERO] * (N * n)
-        for i in range(N):
-            for w in range(n):
-                if r.rows[i][w]:
-                    acc[i * n + w] += P[w] * r.rows[i][w]
-        rows.append(acc)
-    for l in cone.lineality:
-        acc = [ZERO] * (N * n)
-        for i in range(N):
-            for w in range(n):
-                if l.rows[i][w]:
-                    acc[i * n + w] += P[w] * l.rows[i][w]
+    ray_fs, lin_fs = polarity_functionals(cone, P)
+    rows.extend(dense(f) for f in ray_fs)
+    for f in lin_fs:
+        acc = dense(f)
         rows.append(acc)
         rows.append([-v for v in acc])
     return rows
@@ -343,7 +295,7 @@ def _dual_polar_route(market: MarketModel, cone: ExchangeCone, g: ClaimVector):
     sol = b.solve()
     if sol.status == "unbounded":
         return Ext.neg_inf(), None
-    assert sol.status == "optimal"
+    _expect_optimal(sol, "polar dual")
     return Ext.of(sol.value), None
 
 
@@ -445,37 +397,15 @@ def _minimal_transfer_optimizer(market, cone, g, m_tilde, q_hat):
     the exchange rows); canonical and reproducible."""
     N, n = market.n_agents, market.n_atoms
     b = LPBuilder(MIN)
-    for i in range(N):
-        for k in range(len(gains_basis(market, i))):
-            b.var(f"h{i}_{k}")
-    for k in range(len(cone.rays)):
-        b.var(f"mu{k}", lo=0)
-    for k in range(len(cone.lineality)):
-        b.var(f"nu{k}")
+    pos = Positions(b, n, [gains_basis(market, i) for i in range(N)], cone)
     for i in range(N):
         for w in range(n):
             b.var(f"abs{i}_{w}", lo=0, obj=1)
-
-    def exchange_coeffs(i, w):
-        coeffs = {}
-        for k, r in enumerate(cone.rays):
-            if r.rows[i][w]:
-                coeffs[f"mu{k}"] = r.rows[i][w]
-        for k, l in enumerate(cone.lineality):
-            if l.rows[i][w]:
-                coeffs[f"nu{k}"] = l.rows[i][w]
-        return coeffs
-
     for i in range(N):
-        gens = gains_basis(market, i)
         zero_cost = {}
         for w in range(n):
-            ex = exchange_coeffs(i, w)
-            dom = dict(ex)
-            for k, gen in enumerate(gens):
-                if gen.vector[w]:
-                    dom[f"h{i}_{k}"] = dom.get(f"h{i}_{k}", ZERO) + gen.vector[w]
-            b.row(f"dom{i}_{w}", dom, GE, g.rows[i][w] - m_tilde[i])
+            ex = pos.exchange(i, w)
+            b.row(f"dom{i}_{w}", pos.payoff(i, w), GE, g.rows[i][w] - m_tilde[i])
             plus = dict(ex)
             plus[f"abs{i}_{w}"] = Fraction(-1)
             b.row(f"absp{i}_{w}", plus, LE, 0)
@@ -490,13 +420,8 @@ def _minimal_transfer_optimizer(market, cone, g, m_tilde, q_hat):
     sol = b.solve()
     if sol.status != "optimal":
         raise InternalInvariantError("minimal-transfer canonicalisation failed")
-    p = sol.primal()
-    mu = tuple(p[f"mu{k}"] for k in range(len(cone.rays)))
-    nu = tuple(p[f"nu{k}"] for k in range(len(cone.lineality)))
-    k_coeffs = tuple(tuple(p[f"h{i}_{k}"]
-                           for k in range(len(gains_basis(market, i))))
-                     for i in range(N))
-    return mu, nu, k_coeffs, combination_rows(cone, mu, nu)
+    k_coeffs, _, mu, nu, rows = pos.read(sol.primal())
+    return mu, nu, k_coeffs, rows
 
 
 # ---------------------------------------------------------------------------
@@ -530,30 +455,14 @@ def price_compatibility(market: MarketModel, cone: ExchangeCone, g: ClaimVector,
     p = tuple(frac(v) for v in prices)
     if len(p) != market.n_agents:
         raise ValidationError("prices", "need one price per agent")
-    n = market.n_atoms
     b = LPBuilder(MAX)
-    for i in range(market.n_agents):
-        for k in range(len(gains_basis(market, i))):
-            b.var(f"h{i}_{k}")
-    for k in range(len(cone.rays)):
-        b.var(f"mu{k}", lo=0)
-    for k in range(len(cone.lineality)):
-        b.var(f"nu{k}")
+    pos = Positions(b, market.n_atoms, [gains_basis(market, i) for i in range(market.n_agents)],
+                    cone)
     total_obj = {}
     offset = ZERO
     for i in range(market.n_agents):
-        gens = gains_basis(market, i)
-        for w in range(n):
-            coeffs = {}
-            for k, gen in enumerate(gens):
-                if gen.vector[w]:
-                    coeffs[f"h{i}_{k}"] = gen.vector[w]
-            for k, r in enumerate(cone.rays):
-                if r.rows[i][w]:
-                    coeffs[f"mu{k}"] = r.rows[i][w]
-            for k, l in enumerate(cone.lineality):
-                if l.rows[i][w]:
-                    coeffs[f"nu{k}"] = l.rows[i][w]
+        for w in range(market.n_atoms):
+            coeffs = pos.payoff(i, w)
             b.row(f"pos{i}_{w}", coeffs, GE, g.rows[i][w] - p[i])
             offset += p[i] - g.rows[i][w]
             for v, c in coeffs.items():
@@ -582,17 +491,15 @@ def price_compatibility(market: MarketModel, cone: ExchangeCone, g: ClaimVector,
         ray = sol.ray()
         base = sum((c * point[v] for v, c in total_obj.items()), ZERO) + offset
         slope = sum((c * ray[v] for v, c in total_obj.items()), ZERO)
-        assert slope > 0
+        if slope <= 0:
+            raise InternalInvariantError("improving ray does not raise the total gain")
         tau = (Fraction(1) - base) / slope
         if tau < 0:
             tau = ZERO
         point = {v: point[v] + tau * ray[v] for v in point}
-    strat = tuple(tuple(point[f"h{i}_{k}"] for k in range(len(gains_basis(market, i))))
-                  for i in range(market.n_agents))
-    mu = tuple(point[f"mu{k}"] for k in range(len(cone.rays)))
-    nu = tuple(point[f"nu{k}"] for k in range(len(cone.lineality)))
+    strat, _, mu, nu, exchange_rows = pos.read(point)
     witness = {"strategies": strat, "ray_coeffs": mu, "lin_coeffs": nu,
-               "exchange_rows": combination_rows(cone, mu, nu)}
+               "exchange_rows": exchange_rows}
     return PriceCompatibility(compatible=False, scalar_cost_compatible=scalar_ok,
                               witness=witness)
 

@@ -16,7 +16,7 @@ from .arbitrage import detect_NA_agent, detect_NA_global, detect_NCA, find_emm_v
 from .cones import ExchangeCone, cone_add, make_Y0
 from .errors import FairnessUnavailable, InternalInvariantError
 from .ext import Ext
-from .market import MarketModel, gains_basis
+from .market import MarketModel, full_gains_basis, gains_basis
 from .model_io import ModelFile
 from .pricing import (dual_rho_Y, fairness_allocation, pi_N_plus, pi_Y_minus,
                       pi_Y_plus, rho_agent_plus, rho_agent_plus_dual, rho_N_minus,
@@ -57,7 +57,7 @@ def _arbitrage_obj(market, cert, cone=None) -> dict:
     for idx, i in enumerate(agents):
         if i is None:
             labels = [{"position": g.label(market), "coefficient": _val(c)}
-                      for g, c in zip(_global_gens(market), cert.strategy_coeffs[0]) if c]
+                      for g, c in zip(full_gains_basis(market), cert.strategy_coeffs[0]) if c]
         else:
             labels = _strategy_obj(market, i, cert.strategy_coeffs[idx])
         strategies.append(labels)
@@ -66,12 +66,6 @@ def _arbitrage_obj(market, cert, cone=None) -> dict:
     if cone is not None and cert.exchange is not None:
         out["exchange"] = _rows_obj(market, cert.exchange.rows)
     return out
-
-
-def _global_gens(market):
-    from .market import full_gains_basis
-
-    return full_gains_basis(market)
 
 
 def _flags_obj(cone: ExchangeCone) -> dict:
@@ -119,7 +113,7 @@ def analyze(model: ModelFile, sections=None) -> dict:
 
     if "na" in wanted:
         report["na"] = {
-            "agents": [dict(agent=market_agent_name(i), **_arbitrage_obj(market, c))
+            "agents": [dict(agent=f"agent{i + 1}", **_arbitrage_obj(market, c))
                        for i, c in enumerate(na_agent_results)],
             "global": _arbitrage_obj(market, na_global_result),
         }
@@ -199,10 +193,6 @@ def analyze(model: ModelFile, sections=None) -> dict:
                                          na_agent_results, na_global_result,
                                          nca_cert, widened_cert, mv, pricing_data)
     return report
-
-
-def market_agent_name(i: int) -> str:
-    return f"agent{i+1}"
 
 
 def _pricing_section(market, cone, claims) -> dict:
