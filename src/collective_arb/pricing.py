@@ -456,8 +456,8 @@ def price_compatibility(market: MarketModel, cone: ExchangeCone, g: ClaimVector,
     if len(p) != market.n_agents:
         raise ValidationError("prices", "need one price per agent")
     b = LPBuilder(MAX)
-    pos = Positions(b, market.n_atoms, [gains_basis(market, i) for i in range(market.n_agents)],
-                    cone)
+    gens_per_agent = [gains_basis(market, i) for i in range(market.n_agents)]
+    pos = Positions(b, market.n_atoms, gens_per_agent, cone)
     total_obj = {}
     offset = ZERO
     for i in range(market.n_agents):
