@@ -181,14 +181,10 @@ def _verify_flags(market: MarketModel, rays, lineality) -> ConeFlags:
     probe = ExchangeCone(n_agents=market.n_agents, n_atoms=market.n_atoms,
                          rays=tuple(rays), lineality=tuple(lineality),
                          meta=ConeFlags(False, False, None))
-    contains_rn0 = True
-    for i in range(market.n_agents):
-        for j in range(market.n_agents):
-            if i != j and not cone_contains(probe, _unit_transfer(market, i, j)).contains:
-                contains_rn0 = False
-                break
-        if not contains_rn0:
-            break
+    # the transfers +-(e_k - e_{k+1}) between adjacent agents span RN0
+    N = market.n_agents
+    contains_rn0 = all(cone_contains(probe, _unit_transfer(market, i, j)).contains
+                       for i in range(N) for j in (i - 1, i + 1) if 0 <= j < N)
 
     measurable_at = None
     for t in range(market.T + 1):

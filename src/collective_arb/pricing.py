@@ -124,22 +124,10 @@ def rho_N_plus(market: MarketModel, g: ClaimVector) -> Ext:
 
 
 def pi_N_plus(market: MarketModel, g: ClaimVector) -> Ext:
-    """Least single amount covering any one claim without cooperation;
-    computed both as max of the per-agent prices and by its defining LP."""
-    per_agent = ext_max(rho_agent_plus(market, i, g.rows[i])[0]
-                        for i in range(market.n_agents))
-    b = LPBuilder(MIN)
-    b.var("m", obj=1)
-    gens_per_agent = [gains_basis(market, i) for i in range(market.n_agents)]
-    pos = Positions(b, market.n_atoms, gens_per_agent, None)
-    for i in range(market.n_agents):
-        for w in range(market.n_atoms):
-            b.row(f"dom{i}_{w}", {"m": Fraction(1), **pos.payoff(i, w)}, GE, g.rows[i][w])
-    sol = b.solve()
-    direct = Ext.neg_inf() if sol.status == "unbounded" else Ext.of(sol.value)
-    if direct != per_agent:
-        raise InternalInvariantError("single-claim price disagrees with per-agent maximum")
-    return per_agent
+    """Least single amount covering any one claim without cooperation: the
+    maximum of the per-agent prices."""
+    return ext_max(rho_agent_plus(market, i, g.rows[i])[0]
+                   for i in range(market.n_agents))
 
 
 # ---------------------------------------------------------------------------
@@ -348,13 +336,26 @@ def fairness_allocation(market: MarketModel, cone: ExchangeCone,
     """Shift a primal optimizer by a deterministic zero-sum vector so each
     agent's exchange has zero cost under the dual-optimal measure vector;
     the resulting per-agent costs are the fairness allocation."""
+    return fairness_from_prices(market, cone, g,
+                                dual=lambda: dual_rho_Y(market, cone, g),
+                                primal=lambda: rho_Y_plus(market, cone, g),
+                                individual=lambda i: rho_agent_plus(market, i, g.rows[i])[0])
+
+
+def fairness_from_prices(market: MarketModel, cone: ExchangeCone, g: ClaimVector,
+                         dual, primal, individual) -> FairnessResult:
+    """fairness_allocation from its prices, each asked for when needed:
+    ``dual()`` as dual_rho_Y, ``primal()`` as rho_Y_plus and ``individual(i)``
+    as agent i's rho_agent_plus value.  None is asked for when the cone lacks
+    some deterministic zero-sum transfer, so fairness_allocation then solves
+    nothing."""
     if not cone.meta.contains_RN0:
         raise FairnessUnavailable(
             "fairness needs the cone to contain all deterministic zero-sum transfers")
-    dual_value, q_hat = dual_rho_Y(market, cone, g)
+    dual_value, q_hat = dual()
     if not dual_value.finite or q_hat is None:
         raise FairnessUnavailable("collective super-replication price is not finite")
-    primal_value, opt = rho_Y_plus(market, cone, g)
+    primal_value, opt = primal()
     if primal_value != dual_value:
         raise InternalInvariantError("pricing-hedging duality gap detected")
 
@@ -378,8 +379,7 @@ def fairness_allocation(market: MarketModel, cone: ExchangeCone,
 
     per_agent = []
     for i in range(N):
-        individual, _ = rho_agent_plus(market, i, g.rows[i])
-        if not (Ext.of(allocations[i]) <= individual):
+        if not (Ext.of(allocations[i]) <= individual(i)):
             raise InternalInvariantError("allocation exceeds individual price")
         per_agent.append(rho_under_measure(market, i, q_hat.densities[i], g.rows[i]))
         if per_agent[i] != allocations[i]:
@@ -431,11 +431,14 @@ def _minimal_transfer_optimizer(market, cone, g, m_tilde, q_hat):
 
 def value_of_cooperation(market: MarketModel, cone: ExchangeCone, g: ClaimVector):
     """Savings from cooperation on the selling side and in total."""
-    rho_n = rho_N_plus(market, g)
-    rho_y, _ = rho_Y_plus(market, cone, g)
+    return cooperation_from_prices(rho_N_plus(market, g), rho_Y_plus(market, cone, g)[0],
+                                   rho_N_minus(market, g), rho_Y_minus(market, cone, g))
+
+
+def cooperation_from_prices(rho_n: Ext, rho_y: Ext, rho_nm: Ext, rho_ym: Ext) -> dict:
+    """value_of_cooperation from the stand-alone and collective super- and
+    sub-replication prices."""
     selling = Ext.of(0) if rho_n == rho_y else rho_n - rho_y
-    rho_nm = rho_N_minus(market, g)
-    rho_ym = rho_Y_minus(market, cone, g)
     buying = Ext.of(0) if rho_ym == rho_nm else rho_ym - rho_nm
     total = selling + buying
     return {"selling": selling, "buying": buying, "total": total}

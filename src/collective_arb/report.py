@@ -15,12 +15,12 @@ from . import verify
 from .arbitrage import detect_NA_agent, detect_NA_global, detect_NCA, find_emm_vector, polar_witness
 from .cones import ExchangeCone, cone_add, make_Y0
 from .errors import FairnessUnavailable, InternalInvariantError
-from .ext import Ext
+from .ext import Ext, ext_max, ext_sum
 from .market import MarketModel, full_gains_basis, gains_basis
 from .model_io import ModelFile
-from .pricing import (dual_rho_Y, fairness_allocation, pi_N_plus, pi_Y_minus,
-                      pi_Y_plus, rho_agent_plus, rho_agent_plus_dual, rho_N_minus,
-                      rho_N_plus, rho_Y_minus, rho_Y_plus, value_of_cooperation)
+from .pricing import (cooperation_from_prices, dual_rho_Y, fairness_from_prices,
+                      pi_Y_minus, pi_Y_plus, rho_agent_plus, rho_agent_plus_dual,
+                      rho_N_minus, rho_Y_minus, rho_Y_plus)
 
 ALL_SECTIONS = ("na", "nca", "ftap", "price", "fairness")
 
@@ -138,16 +138,13 @@ def analyze(model: ModelFile, sections=None) -> dict:
                 "arbitrage": widened_cert.found}
 
     mv = None
-    zpos = None
     if cone is not None and wanted & {"ftap", "price", "fairness"}:
         mv = find_emm_vector(market, cone)
         if mv is not None:
             verify.verify_measure_vector(market, cone, mv, strict=True)
-        zpos = polar_witness(market, cone)
-        if zpos is not None:
-            verify.verify_polar_witness(market, cone, zpos.rows, strict=True)
-        # two-sided consistency of the finite-market equivalences
-        if (zpos is not None) == nca_cert.found:
+        # two-sided consistency of the finite-market equivalences; without
+        # an arbitrage, detect_NCA's verified dual witness is the polar one
+        if nca_cert.found and polar_witness(market, cone) is not None:
             raise InternalInvariantError("polar witness disagrees with detection")
         if cone.meta.contains_RN0 and (mv is not None) == nca_cert.found:
             raise InternalInvariantError("measure vector disagrees with detection")
@@ -163,8 +160,8 @@ def analyze(model: ModelFile, sections=None) -> dict:
             report["ftap"] = {
                 "measure_vector": ("absent" if mv is None
                                    else _rows_obj(market, mv.densities)),
-                "polar_witness": ("absent" if zpos is None
-                                  else _rows_obj(market, zpos.rows)),
+                "polar_witness": ("absent" if nca_cert.found
+                                  else _rows_obj(market, nca_cert.dual_witness)),
                 "no_collective_arbitrage": not nca_cert.found,
                 "normalization": normalization,
             }
@@ -203,10 +200,8 @@ def _pricing_section(market, cone, claims) -> dict:
         if v != dual_v:
             raise InternalInvariantError("single-market duality gap")
         rho_i.append(v)
-    rho_n = rho_N_plus(market, claims)
-    pi_n = pi_N_plus(market, claims)
-    if rho_n != sum(rho_i[1:], rho_i[0]):
-        raise InternalInvariantError("per-agent prices do not sum")
+    rho_n = ext_sum(rho_i)
+    pi_n = ext_max(rho_i)
 
     out = {
         "rho_i": [_val(v) for v in rho_i],
@@ -229,13 +224,16 @@ def _pricing_section(market, cone, claims) -> dict:
             verify.verify_primal_optimizer(market, cone, claims, opt, rho_y.value)
         if dual_mv is not None:
             verify.verify_measure_vector(market, cone, dual_mv, strict=False)
+        rho_ym = rho_Y_minus(market, cone, claims)
+        pi_ym = pi_Y_minus(market, cone, claims)
+        rho_nm = rho_N_minus(market, claims)
         out.update({
             "rho_Y": _val(rho_y),
             "pi_Y": _val(pi_y),
             "dual_value": _val(dual_v),
-            "rho_Y_minus": _val(rho_Y_minus(market, cone, claims)),
-            "pi_Y_minus": _val(pi_Y_minus(market, cone, claims)),
-            "rho_N_minus": _val(rho_N_minus(market, claims)),
+            "rho_Y_minus": _val(rho_ym),
+            "pi_Y_minus": _val(pi_ym),
+            "rho_N_minus": _val(rho_nm),
             "primal_optimizer": "absent" if opt is None else {
                 "m": [_val(v) for v in opt.m],
                 "strategies": [_strategy_obj(market, i, opt.strategy_coeffs[i])
@@ -245,10 +243,11 @@ def _pricing_section(market, cone, claims) -> dict:
             "dual_optimizer": ("absent" if dual_mv is None
                                else _rows_obj(market, dual_mv.densities)),
         })
-        coop = value_of_cooperation(market, cone, claims)
+        coop = cooperation_from_prices(rho_n, rho_y, rho_nm, rho_ym)
         cooperation = {k: _val(v) for k, v in coop.items()}
         try:
-            fr = fairness_allocation(market, cone, claims)
+            fr = fairness_from_prices(market, cone, claims, dual=lambda: (dual_v, dual_mv),
+                                      primal=lambda: (rho_y, opt), individual=lambda i: rho_i[i])
             verify.verify_fairness(market, cone, claims, fr)
             fairness = {
                 "value": _val(fr.value),

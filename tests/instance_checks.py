@@ -13,7 +13,8 @@ from collective_arb.arbitrage import (detect_NA_agent, detect_NA_global,
                                       find_emm_vector, polar_witness)
 from collective_arb.cones import cone_add, make_Y0
 from collective_arb.ext import Ext
-from collective_arb.market import agents_join_partition
+from collective_arb.lp import GE, LPBuilder, MIN
+from collective_arb.market import agents_join_partition, gains_basis
 from collective_arb.pricing import (claim_vector, dual_rho_Y, fairness_allocation,
                                     pi_N_plus, pi_Y_plus, rho_agent_plus,
                                     rho_agent_plus_dual, rho_full_market,
@@ -21,6 +22,27 @@ from collective_arb.pricing import (claim_vector, dual_rho_Y, fairness_allocatio
                                     rho_Y_plus, value_of_cooperation)
 
 F = Fraction
+
+
+def pi_N_by_its_lp(market, claims):
+    """The single-claim price without cooperation by its defining LP: the
+    least m such that m plus some gain of agent i dominates claim i, for
+    every agent i at once (-inf when the LP is unbounded)."""
+    b = LPBuilder(MIN)
+    b.var("m", obj=1)
+    gens = [gains_basis(market, i) for i in range(market.n_agents)]
+    for i in range(market.n_agents):
+        for k in range(len(gens[i])):
+            b.var(f"h{i}_{k}")
+    for i in range(market.n_agents):
+        for w in range(market.n_atoms):
+            gains = {f"h{i}_{k}": g.vector[w] for k, g in enumerate(gens[i]) if g.vector[w]}
+            b.row(f"dom{i}_{w}", {"m": F(1), **gains}, GE, claims.rows[i][w])
+    sol = b.solve()
+    if sol.status == "unbounded":
+        return Ext.neg_inf()
+    assert sol.status == "optimal"
+    return Ext.of(sol.value)
 
 
 def check_instance(market, cone, info, claims, rng):
@@ -102,7 +124,8 @@ def check_instance(market, cone, info, claims, rng):
         rho_i.append(v)
     rho_n = rho_N_plus(market, claims)
     assert rho_n == sum(rho_i[1:], rho_i[0])
-    pi_n = pi_N_plus(market, claims)  # internally cross-checked
+    pi_n = pi_N_plus(market, claims)
+    assert pi_n == pi_N_by_its_lp(market, claims)
 
     rho_y, opt = rho_Y_plus(market, cone, claims)
     pi_y, _ = pi_Y_plus(market, cone, claims)

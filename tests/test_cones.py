@@ -181,3 +181,34 @@ def test_grouping_mask_property(tree_market):
             masked = tuple(row if i in group else tuple(F(0) for _ in row)
                            for i, row in enumerate(member))
             assert cone_contains(cone, PayoffMatrix(rows=masked)).contains
+
+
+def _transfer(market, i, j):
+    """The deterministic transfer e_i - e_j: one unit from agent j to i."""
+    rows = [["0"] * market.n_atoms for _ in range(market.n_agents)]
+    rows[i], rows[j] = ["1"] * market.n_atoms, ["-1"] * market.n_atoms
+    return payoff_matrix(market, rows)
+
+
+def test_rn0_flag_matches_all_pairs_definition():
+    # the flag probes only +-(e_k - e_{k+1}); it must agree with cone
+    # membership of every e_i - e_j
+    for n_agents in (3, 4):
+        spec = toy_market_spec()
+        spec["agents"] += [{"assets": [f"X{1 + k % 2}"], "filtration": "global"}
+                           for k in range(n_agents - 2)]
+        market = build_market(spec)
+        pairs = [(i, j) for i in range(n_agents) for j in range(n_agents) if i != j]
+        cones = [
+            make_Y0(market, 1),
+            make_grouping(market, [[0, 1], list(range(2, n_agents))], 1),
+            make_span(market, [_transfer(market, k, k + 1) for k in range(n_agents - 1)]),
+            make_span(market, [_transfer(market, 0, 2)]),
+            make_rays(market, [_transfer(market, 0, 1), _transfer(market, 1, 0),
+                               _transfer(market, 1, 2)]),
+        ]
+        flags = [c.meta.contains_RN0 for c in cones]
+        assert flags == [True, False, True, False, False]
+        for cone, flag in zip(cones, flags):
+            assert flag == all(cone_contains(cone, _transfer(market, i, j)).contains
+                               for i, j in pairs)

@@ -14,6 +14,7 @@ kinds after an intended change:
 """
 
 import pathlib
+import re
 
 import pytest
 
@@ -29,14 +30,19 @@ def report_text(name: str) -> str:
     return render_json(analyze(parse_model(example_document(name))))
 
 
-def lp_listing(name: str) -> str:
+def solved_programs(name: str) -> list:
     sink = []
     lp.set_dump_sink(sink)
     try:
         analyze(parse_model(example_document(name)))
     finally:
         lp.set_dump_sink(None)
-    return "".join(f"--- LP {k + 1} ---\n{text}\n" for k, text in enumerate(sink))
+    return sink
+
+
+def lp_listing(name: str) -> str:
+    return "".join(f"--- LP {k + 1} ---\n{text}\n"
+                   for k, text in enumerate(solved_programs(name)))
 
 
 def test_every_builtin_model_has_a_golden_file():
@@ -54,6 +60,20 @@ def test_report_matches_golden(name):
 def test_lp_listing_matches_golden(name):
     expected = (GOLDEN / f"{name}.lp.txt").read_text(encoding="utf-8")
     assert lp_listing(name) == expected
+
+
+@pytest.mark.parametrize("name", example_names())
+def test_analysis_solves_each_program_once(name):
+    # One analysis hands its prices and witnesses along instead of solving
+    # them again.  The only repeats left are cone-membership probes: the
+    # Y0(0) that analyze builds for NCA(Y + RN0) verifies its flags with the
+    # same probes as a model cone made of the same generators.
+    seen = set()
+    for text in solved_programs(name):
+        if text in seen:
+            rows = re.findall(r"^  (\S+):", text.split("\nbounds:")[0], flags=re.M)
+            assert rows and all(re.fullmatch(r"c\d+_\d+", r) for r in rows), text
+        seen.add(text)
 
 
 if __name__ == "__main__":

@@ -1,8 +1,10 @@
 """The solver-status guards of the pricing and cone modules raise
-InternalInvariantError, also under ``python -O``, which strips ``assert``.
+InternalInvariantError, also under ``python -O``, which strips ``assert``,
+and the CLI still maps a failed certificate check to exit code 2 there.
 
 A subprocess runs with ``-O`` and with every LP forced to end "unbounded",
-a status the guarded call sites never expect.
+a status the guarded call sites never expect, or with one certificate
+tampered with.
 """
 
 import os
@@ -10,6 +12,7 @@ import subprocess
 import sys
 
 from collective_arb import lp
+from collective_arb.examples_builtin import write_example
 
 _FORCED_UNBOUNDED = """
 import types
@@ -30,13 +33,35 @@ for call in calls:
         print("raised:", e)
 """
 
+# the first agent's single-market witness gets a zero probability
+_TAMPERED_WITNESS = """
+import sys
+from collective_arb import arbitrage, cli
 
-def test_status_guards_survive_python_O():
+assert False, "asserts must be stripped"
+member = arbitrage._max_equivalent_member
+arbitrage._max_equivalent_member = lambda poly: (0,) + member(poly)[1:]
+sys.exit(cli.main(["analyze", sys.argv[1]]))
+"""
+
+
+def _run_O(script, *args):
     src = os.path.dirname(os.path.dirname(lp.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-O", "-c", _FORCED_UNBOUNDED],
-                         capture_output=True, text=True, check=True, env=env)
+    return subprocess.run([sys.executable, "-O", "-c", script, *args],
+                          capture_output=True, text=True, env=env)
+
+
+def test_status_guards_survive_python_O():
+    out = _run_O(_FORCED_UNBOUNDED)
+    assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines() == [
         "raised: single-market dual LP ended unbounded",
         "raised: membership LP ended unbounded",
     ], out.stdout + out.stderr
+
+
+def test_cli_exits_2_on_a_tampered_certificate_under_python_O(tmp_path):
+    out = _run_O(_TAMPERED_WITNESS, write_example("toy71", str(tmp_path)))
+    assert out.returncode == 2, out.stdout + out.stderr
+    assert out.stderr == "internal invariant violation: witness not strictly positive\n"
