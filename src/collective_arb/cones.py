@@ -174,7 +174,9 @@ def _unit_transfer(market: MarketModel, i: int, j: int) -> PayoffMatrix:
     return PayoffMatrix(rows=tuple(tuple(r) for r in rows))
 
 
-def _verify_flags(market: MarketModel, rays, lineality) -> ConeFlags:
+def _verify_flags(market: MarketModel, rays, lineality, rn0: bool) -> ConeFlags:
+    """Flags from the generators; ``rn0`` True means RN0 is already known to
+    lie in the cone, which spares the membership probes."""
     gens = tuple(rays) + tuple(lineality)
     zero_sum = all(all(s == 0 for s in g.column_sums()) for g in gens)
 
@@ -183,8 +185,8 @@ def _verify_flags(market: MarketModel, rays, lineality) -> ConeFlags:
                          meta=ConeFlags(False, False, None))
     # the transfers +-(e_k - e_{k+1}) between adjacent agents span RN0
     N = market.n_agents
-    contains_rn0 = all(cone_contains(probe, _unit_transfer(market, i, j)).contains
-                       for i in range(N) for j in (i - 1, i + 1) if 0 <= j < N)
+    contains_rn0 = rn0 or all(cone_contains(probe, _unit_transfer(market, i, j)).contains
+                              for i in range(N) for j in (i - 1, i + 1) if 0 <= j < N)
 
     measurable_at = None
     for t in range(market.T + 1):
@@ -196,10 +198,10 @@ def _verify_flags(market: MarketModel, rays, lineality) -> ConeFlags:
                      measurable_at=measurable_at)
 
 
-def _make(market: MarketModel, rays, lineality) -> ExchangeCone:
+def _make(market: MarketModel, rays, lineality, rn0: bool = False) -> ExchangeCone:
     return ExchangeCone(n_agents=market.n_agents, n_atoms=market.n_atoms,
                         rays=tuple(rays), lineality=tuple(lineality),
-                        meta=_verify_flags(market, rays, lineality))
+                        meta=_verify_flags(market, rays, lineality, rn0))
 
 
 # ---------------------------------------------------------------------------
@@ -272,10 +274,12 @@ def make_rays(market: MarketModel, generators) -> ExchangeCone:
 
 
 def cone_add(market: MarketModel, a: ExchangeCone, b: ExchangeCone) -> ExchangeCone:
-    """Minkowski sum: concatenated generators, flags recomputed."""
+    """Minkowski sum: concatenated generators, flags recomputed.  The sum
+    contains RN0 whenever a summand does, since each summand lies in it."""
     if (a.n_agents, a.n_atoms) != (b.n_agents, b.n_atoms):
         raise ValidationError("cone_add", "cones have different shapes")
-    return _make(market, a.rays + b.rays, a.lineality + b.lineality)
+    return _make(market, a.rays + b.rays, a.lineality + b.lineality,
+                 rn0=a.meta.contains_RN0 or b.meta.contains_RN0)
 
 
 def spans_equal(a: ExchangeCone, b: ExchangeCone) -> bool:

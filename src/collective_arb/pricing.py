@@ -3,10 +3,9 @@
 All price functionals are exact LPs over the gains generators and the
 exchange-cone generators; -inf and +inf are first-class outcomes mapped
 from LP unboundedness.  The dual of the collective super-replication price
-is computed on an independent formulation: the polytope of martingale
-measure vectors compatible with the exchange cone when the cone contains
-all deterministic zero-sum transfers, and otherwise a program posed over
-the polyhedral description of the polar of the super-replicable set.
+is solved as its own program for every cone: the supremum of the claims'
+expectations over the polytope of martingale measure vectors compatible
+with the exchange cone, which is the LP dual of the price's program.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .arbitrage import MeasureVector, install_emm_system
-from .cones import ExchangeCone, Positions, polarity_functionals
+from .cones import ExchangeCone, Positions
 from .errors import FairnessUnavailable, InternalInvariantError, ValidationError
 from .ext import Ext, ext_max, ext_sum
 from .lp import EQ, GE, LE, LPBuilder, MAX, MIN, ZERO, frac
@@ -194,105 +193,45 @@ def rho_N_minus(market: MarketModel, g: ClaimVector) -> Ext:
 # ---------------------------------------------------------------------------
 
 
-def _dual_emm_route(market: MarketModel, cone: ExchangeCone, g: ClaimVector):
-    """sup of the total claim expectation over compatible measure vectors;
-    the optimizer returned is the canonical interior point of the optimal
-    face (maximal minimum atom probability)."""
+def dual_rho_Y(market: MarketModel, cone: ExchangeCone, g: ClaimVector):
+    """Dual value of the collective super-replication price: the supremum of
+    the total claim expectation over vectors of martingale measures polar to
+    the cone, -inf when there are none.
+
+    This program is the LP dual of rho_Y_plus's: the free cash column m_i
+    gives agent i's row sum(q_i) = 1, the free strategy columns h{i}_k give
+    the martingale rows, each ray column mu >= 0 gives a row <= 0 against
+    that ray and each free lineality column nu a row = 0 against that
+    generator.  When the cone contains all deterministic zero-sum transfers,
+    the maximizing measure vector returned is the canonical interior point
+    of the optimal face (maximal minimum atom probability); otherwise it is
+    None."""
     b = LPBuilder(MAX)
     names = install_emm_system(b, market, cone)
-    for i in range(market.n_agents):
-        for w in range(market.n_atoms):
-            if g.rows[i][w]:
-                b.add_objective(names[i][w], g.rows[i][w])
+    goal = {names[i][w]: g.rows[i][w] for i in range(market.n_agents)
+            for w in range(market.n_atoms) if g.rows[i][w]}
+    for v, c in goal.items():
+        b.add_objective(v, c)
     sol = b.solve()
     if sol.status == "infeasible":
         return Ext.neg_inf(), None
     _expect_optimal(sol, "compatible-measure dual")
     value = sol.value
+    if not cone.meta.contains_RN0:
+        return Ext.of(value), None
 
     b2 = LPBuilder(MAX)
     eps = b2.var("eps", obj=1)
     names = install_emm_system(b2, market, cone)
-    goal = {}
-    for i in range(market.n_agents):
-        for w in range(market.n_atoms):
-            if g.rows[i][w]:
-                goal[names[i][w]] = g.rows[i][w]
-            b2.row(f"int{i}_{w}", {names[i][w]: Fraction(1), eps: Fraction(-1)}, GE, 0)
+    for i, row in enumerate(names):
+        for w, v in enumerate(row):
+            b2.row(f"int{i}_{w}", {v: Fraction(1), eps: Fraction(-1)}, GE, 0)
     b2.row("opt_face", goal, EQ, value)
     sol2 = b2.solve()
     _expect_optimal(sol2, "optimal-face interior point")
     p = sol2.primal()
     mv = MeasureVector(densities=tuple(tuple(p[v] for v in row) for row in names))
     return Ext.of(value), mv
-
-
-def _polar_description(market: MarketModel, cone: ExchangeCone):
-    """Rows M with polar = {z : M z <= 0}, z indexed by (agent, atom);
-    expectations weighted by the reference probabilities."""
-    P = market.space.prob
-    N, n = market.n_agents, market.n_atoms
-    rows = []
-
-    def dense(functional):
-        out = [ZERO] * (N * n)
-        for (i, w), c in functional.items():
-            out[i * n + w] = c
-        return out
-
-    for i in range(N):
-        for w in range(n):
-            row = [ZERO] * (N * n)
-            row[i * n + w] = Fraction(-1)
-            rows.append(row)
-    for i in range(N):
-        for gen in gains_basis(market, i):
-            e = dense({(i, w): P[w] * v for w, v in enumerate(gen.vector) if v})
-            rows.append(e)
-            rows.append([-v for v in e])
-    ray_fs, lin_fs = polarity_functionals(cone, P)
-    rows.extend(dense(f) for f in ray_fs)
-    for f in lin_fs:
-        acc = dense(f)
-        rows.append(acc)
-        rows.append([-v for v in acc])
-    return rows
-
-
-def _dual_polar_route(market: MarketModel, cone: ExchangeCone, g: ClaimVector):
-    """General-cone dual: minimise total cash whose weighted value dominates
-    the claim's against every polar element.  The semi-infinite constraint
-    over the polyhedral polar is reduced by duality to the existence of
-    nonnegative multipliers on the polar's description rows."""
-    P = market.space.prob
-    N, n = market.n_agents, market.n_atoms
-    M = _polar_description(market, cone)
-    b = LPBuilder(MIN)
-    for i in range(N):
-        b.var(f"m{i}", obj=1)
-    for k in range(len(M)):
-        b.var(f"y{k}", lo=0)
-    for i in range(N):
-        for w in range(n):
-            col = i * n + w
-            coeffs = {f"m{i}": P[w]}
-            for k, row in enumerate(M):
-                if row[col]:
-                    coeffs[f"y{k}"] = row[col]
-            b.row(f"eq{i}_{w}", coeffs, EQ, P[w] * g.rows[i][w])
-    sol = b.solve()
-    if sol.status == "unbounded":
-        return Ext.neg_inf(), None
-    _expect_optimal(sol, "polar dual")
-    return Ext.of(sol.value), None
-
-
-def dual_rho_Y(market: MarketModel, cone: ExchangeCone, g: ClaimVector):
-    """Dual value of the collective super-replication price, plus the
-    maximizing measure vector when the polar normalises to probabilities."""
-    if cone.meta.contains_RN0:
-        return _dual_emm_route(market, cone, g)
-    return _dual_polar_route(market, cone, g)
 
 
 # ---------------------------------------------------------------------------

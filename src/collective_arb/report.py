@@ -214,7 +214,7 @@ def _pricing_section(market, cone, claims) -> dict:
         rho_y, opt = rho_Y_plus(market, cone, claims)
         pi_y, _ = pi_Y_plus(market, cone, claims)
         dual_v, dual_mv = dual_rho_Y(market, cone, claims)
-        if rho_y.finite and dual_v != rho_y:
+        if dual_v != rho_y:
             raise InternalInvariantError("collective pricing-hedging duality gap")
         if not (rho_y <= rho_n and pi_y <= pi_n):
             raise InternalInvariantError("cooperative price exceeds stand-alone price")

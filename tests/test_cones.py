@@ -191,14 +191,18 @@ def _transfer(market, i, j):
 
 
 def test_rn0_flag_matches_all_pairs_definition():
-    # the flag probes only +-(e_k - e_{k+1}); it must agree with cone
-    # membership of every e_i - e_j
+    # the flag probes only +-(e_k - e_{k+1}), or none for a sum with a
+    # summand containing RN0; it must agree with cone membership of every
+    # e_i - e_j
     for n_agents in (3, 4):
         spec = toy_market_spec()
         spec["agents"] += [{"assets": [f"X{1 + k % 2}"], "filtration": "global"}
                            for k in range(n_agents - 2)]
         market = build_market(spec)
         pairs = [(i, j) for i in range(n_agents) for j in range(n_agents) if i != j]
+        chain = make_rays(market, [_transfer(market, k, k + 1) for k in range(n_agents - 1)]
+                          + [_transfer(market, n_agents - 1, n_agents - 2)])
+        assert not chain.meta.contains_RN0
         cones = [
             make_Y0(market, 1),
             make_grouping(market, [[0, 1], list(range(2, n_agents))], 1),
@@ -206,9 +210,14 @@ def test_rn0_flag_matches_all_pairs_definition():
             make_span(market, [_transfer(market, 0, 2)]),
             make_rays(market, [_transfer(market, 0, 1), _transfer(market, 1, 0),
                                _transfer(market, 1, 2)]),
+            # RN0 by construction: the Y0(0) summand contains it
+            cone_add(market, make_span(market, [_transfer(market, 0, 2)]), make_Y0(market, 0)),
+            # neither summand contains RN0, so the probes decide
+            cone_add(market, make_span(market, [_transfer(market, 0, 2)]), chain),
+            cone_add(market, make_span(market, [_transfer(market, 0, 2)]), make_zero(market)),
         ]
         flags = [c.meta.contains_RN0 for c in cones]
-        assert flags == [True, False, True, False, False]
+        assert flags == [True, False, True, False, False, True, True, False]
         for cone, flag in zip(cones, flags):
             assert flag == all(cone_contains(cone, _transfer(market, i, j)).contains
                                for i, j in pairs)

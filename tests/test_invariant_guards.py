@@ -4,15 +4,21 @@ and the CLI still maps a failed certificate check to exit code 2 there.
 
 A subprocess runs with ``-O`` and with every LP forced to end "unbounded",
 a status the guarded call sites never expect, or with one certificate
-tampered with.
+tampered with.  The collective duality check fires in process, so it runs
+under ``-O`` whenever this file does.
 """
 
 import os
 import subprocess
 import sys
 
-from collective_arb import lp
-from collective_arb.examples_builtin import write_example
+import pytest
+
+from collective_arb import lp, report
+from collective_arb.errors import InternalInvariantError
+from collective_arb.examples_builtin import example_document, write_example
+from collective_arb.ext import Ext
+from collective_arb.model_io import parse_model
 
 _FORCED_UNBOUNDED = """
 import types
@@ -65,3 +71,10 @@ def test_cli_exits_2_on_a_tampered_certificate_under_python_O(tmp_path):
     out = _run_O(_TAMPERED_WITNESS, write_example("toy71", str(tmp_path)))
     assert out.returncode == 2, out.stdout + out.stderr
     assert out.stderr == "internal invariant violation: witness not strictly positive\n"
+
+
+def test_duality_check_fires_when_the_price_is_minus_inf(monkeypatch):
+    # toy71-span has rho_Y = -inf; a finite dual value there is a gap too
+    monkeypatch.setattr(report, "dual_rho_Y", lambda *args: (Ext.of(0), None))
+    with pytest.raises(InternalInvariantError, match="duality gap"):
+        report.analyze(parse_model(example_document("toy71-span")))

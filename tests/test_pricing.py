@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from collective_arb.cones import cone_add, make_span, make_Y0, make_zero
+from collective_arb.cones import (cone_add, make_grouping, make_rays, make_span,
+                                  make_Y0, make_zero)
 from collective_arb.errors import FairnessUnavailable
 from collective_arb.ext import Ext
 from collective_arb.market import PayoffMatrix, build_market
@@ -16,7 +17,7 @@ from collective_arb.pricing import (claim_vector, dual_rho_Y, fairness_allocatio
                                     value_of_cooperation)
 from collective_arb.verify import (verify_fairness, verify_primal_optimizer)
 
-from conftest import TREE_CLAIMS, toy_market_spec
+from conftest import TREE_CLAIMS, toy_market_spec, tree_market_spec
 from test_cones import span_cone
 
 F = Fraction
@@ -166,14 +167,29 @@ def test_dual_constant_claims_cash_additivity(tree_market):
     assert primal == Ext.of(1)
 
 
-def test_general_polar_dual_matches_primal_when_finite(toy_market):
-    """The polar-description dual agrees with the primal for a cone without
-    the deterministic transfers whenever the value is finite."""
-    cone = make_span(toy_market, [[["1", "-1"], ["-1", "1"]]])
-    g = claim_vector(toy_market, [["2", "0"], ["1", "3"]])
-    primal, _ = rho_Y_plus(toy_market, cone, g)
-    dual, mv = dual_rho_Y(toy_market, cone, g)
-    assert primal == dual and mv is None
+def test_dual_without_rn0_matches_primal(toy_market, tree_market):
+    """For cones without the deterministic transfers the compatible-measure
+    dual equals the primal value, and no measure vector is reported: a span
+    with price -inf, a two-group grouping and a one-ray cone with finite
+    prices."""
+    spec = tree_market_spec()
+    spec["agents"].append({"assets": ["X1"], "filtration": "global"})
+    market3 = build_market(spec)
+    # agent 2 hands agent 1 one unit on the middle node
+    ray = [["0", "0", "1", "1", "0", "0"], ["0", "0", "-1", "-1", "0", "0"]]
+    cases = [
+        (toy_market, make_span(toy_market, [[["1", "-1"], ["-1", "1"]]]),
+         claim_vector(toy_market, [["2", "0"], ["1", "3"]]), Ext.neg_inf()),
+        (market3, make_grouping(market3, [[0, 1], [2]], 1),
+         claim_vector(market3, TREE_CLAIMS + TREE_CLAIMS[:1]), Ext.of(54)),
+        (tree_market, make_rays(tree_market, [ray]), claim_vector(tree_market, TREE_CLAIMS),
+         Ext.of(32)),
+    ]
+    for market, cone, g, value in cases:
+        assert not cone.meta.contains_RN0
+        primal, _ = rho_Y_plus(market, cone, g)
+        dual, mv = dual_rho_Y(market, cone, g)
+        assert primal == dual == value and mv is None
 
 
 def test_sub_replication_identities(tree_market, tree_claims):
