@@ -1,15 +1,16 @@
 """Exchange cones: finitely generated cones of inter-agent transfers.
 
 A cone is held as conic ray generators plus a basis of its lineality space,
-each generator an N-row payoff matrix.  Structural flags (zero-sum,
-containment of all deterministic zero-sum transfers, measurability date)
-are verified from the generators -- never trusted from the caller -- so
-user-supplied spans get correct metadata.
+each generator an N-row payoff matrix.  Its flags are never taken from the
+caller: zero-sum and the measurability date are read off the generators.
+Containment of RN0 (all deterministic zero-sum transfers) is known by
+construction for Y0, grouping and zero cones and for sums with a summand
+containing RN0; spans, rays and the other sums are probed by membership LPs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -78,12 +79,7 @@ def combination_rows(cone: ExchangeCone, ray_coeffs, lin_coeffs) -> tuple:
     """Payoff rows of  sum mu_k * ray_k + sum nu_k * lin_k."""
     n, N = cone.n_atoms, cone.n_agents
     rows = [[ZERO] * n for _ in range(N)]
-    for c, g in zip(ray_coeffs, cone.rays):
-        if c:
-            for i in range(N):
-                for w in range(n):
-                    rows[i][w] += c * g.rows[i][w]
-    for c, g in zip(lin_coeffs, cone.lineality):
+    for c, g in zip((*ray_coeffs, *lin_coeffs), cone.generators):
         if c:
             for i in range(N):
                 for w in range(n):
@@ -174,34 +170,35 @@ def _unit_transfer(market: MarketModel, i: int, j: int) -> PayoffMatrix:
     return PayoffMatrix(rows=tuple(tuple(r) for r in rows))
 
 
-def _verify_flags(market: MarketModel, rays, lineality, rn0: bool) -> ConeFlags:
-    """Flags from the generators; ``rn0`` True means RN0 is already known to
-    lie in the cone, which spares the membership probes."""
-    gens = tuple(rays) + tuple(lineality)
+def _verify_flags(market: MarketModel, cone: ExchangeCone,
+                  rn0: Optional[bool]) -> ConeFlags:
+    """Flags from the generators (``cone.meta`` is not read).  ``rn0`` is the
+    constructor's answer to "does the cone contain RN0?"; None means it does
+    not know, and 2(N-1) membership probes decide."""
+    gens = cone.generators
     zero_sum = all(all(s == 0 for s in g.column_sums()) for g in gens)
-
-    probe = ExchangeCone(n_agents=market.n_agents, n_atoms=market.n_atoms,
-                         rays=tuple(rays), lineality=tuple(lineality),
-                         meta=ConeFlags(False, False, None))
-    # the transfers +-(e_k - e_{k+1}) between adjacent agents span RN0
-    N = market.n_agents
-    contains_rn0 = rn0 or all(cone_contains(probe, _unit_transfer(market, i, j)).contains
-                              for i in range(N) for j in (i - 1, i + 1) if 0 <= j < N)
-
+    if rn0 is None:
+        # the transfers +-(e_k - e_{k+1}) between adjacent agents span RN0
+        N = market.n_agents
+        rn0 = all(cone_contains(cone, _unit_transfer(market, i, j)).contains
+                  for i in range(N) for j in (i - 1, i + 1) if 0 <= j < N)
     measurable_at = None
     for t in range(market.T + 1):
         part = agents_join_partition(market, t)
         if all(constant_on(row, part) for g in gens for row in g.rows):
             measurable_at = t
             break
-    return ConeFlags(is_zero_sum=zero_sum, contains_RN0=contains_rn0,
-                     measurable_at=measurable_at)
+    return ConeFlags(is_zero_sum=zero_sum, contains_RN0=rn0, measurable_at=measurable_at)
 
 
-def _make(market: MarketModel, rays, lineality, rn0: bool = False) -> ExchangeCone:
-    return ExchangeCone(n_agents=market.n_agents, n_atoms=market.n_atoms,
+def _make(market: MarketModel, rays, lineality,
+          rn0: Optional[bool] = None) -> ExchangeCone:
+    """The cone of these generators; ``rn0`` as in ``_verify_flags``, which
+    each constructor passes when it knows the answer."""
+    cone = ExchangeCone(n_agents=market.n_agents, n_atoms=market.n_atoms,
                         rays=tuple(rays), lineality=tuple(lineality),
-                        meta=_verify_flags(market, rays, lineality, rn0))
+                        meta=ConeFlags(False, False, None))
+    return replace(cone, meta=_verify_flags(market, cone, rn0))
 
 
 # ---------------------------------------------------------------------------
@@ -210,37 +207,33 @@ def _make(market: MarketModel, rays, lineality, rn0: bool = False) -> ExchangeCo
 
 
 def make_zero(market: MarketModel) -> ExchangeCone:
-    """The cone {0}: cooperation disabled."""
-    return _make(market, (), ())
+    """The cone {0}: cooperation disabled.  RN0 = {0} with one agent."""
+    return _make(market, (), (), rn0=market.n_agents == 1)
 
 
 def make_Y0(market: MarketModel, t: int) -> ExchangeCone:
     """All zero-sum transfers settled on time-t information: for every block
     B of the agents' joint time-t partition and every adjacent agent pair,
-    the transfer 1_B * (e_i - e_{i+1})."""
-    if not 0 <= t <= market.T:
-        raise ValidationError("t", f"time {t} outside 0..{market.T}")
-    lineality = []
-    part = agents_join_partition(market, t)
-    for i in range(market.n_agents - 1):
-        for block in part:
-            rows = [[ZERO] * market.n_atoms for _ in range(market.n_agents)]
-            for w in block:
-                rows[i][w] = Fraction(1)
-                rows[i + 1][w] = Fraction(-1)
-            lineality.append(payoff_matrix(market, rows, where=f"Y0(t={t})"))
-    return _make(market, (), lineality)
+    the transfer 1_B * (e_i - e_{i+1}).  The one-group grouping cone."""
+    return make_grouping(market, [range(market.n_agents)], t)
 
 
 def make_grouping(market: MarketModel, groups: Sequence[Sequence[int]],
                   t: int) -> ExchangeCone:
-    """Zero-sum within each agent group, settled on time-t information.
-    The one-group partition reproduces make_Y0."""
+    """Zero-sum within each agent group, settled on time-t information: the
+    transfers 1_B * (e_i - e_j) for each block B of the agents' joint time-t
+    partition and each adjacent pair i < j of a sorted group.  RN0 lies in
+    it exactly when one group holds every agent: the block transfers sum to
+    e_i - e_j, and no generator crosses a group."""
+    if not (isinstance(groups, Sequence)
+            and all(isinstance(g, Sequence) and all(isinstance(i, int) for i in g)
+                    for g in groups)):
+        raise ValidationError("groups", "groups must be lists of agent indices")
     flat = sorted(i for g in groups for i in g)
     if flat != list(range(market.n_agents)):
         raise ValidationError("groups", "groups must partition the agent set")
-    if not 0 <= t <= market.T:
-        raise ValidationError("t", f"time {t} outside 0..{market.T}")
+    if not isinstance(t, int) or not 0 <= t <= market.T:
+        raise ValidationError("t", f"time {t!r} outside 0..{market.T}")
     part = agents_join_partition(market, t)
     lineality = []
     for g in groups:
@@ -252,7 +245,8 @@ def make_grouping(market: MarketModel, groups: Sequence[Sequence[int]],
                     rows[i][w] = Fraction(1)
                     rows[j][w] = Fraction(-1)
                 lineality.append(payoff_matrix(market, rows, where="grouping"))
-    return _make(market, (), lineality)
+    return _make(market, (), lineality,
+                 rn0=any(len(g) == market.n_agents for g in groups))
 
 
 def make_span(market: MarketModel, generators) -> ExchangeCone:
@@ -275,11 +269,12 @@ def make_rays(market: MarketModel, generators) -> ExchangeCone:
 
 def cone_add(market: MarketModel, a: ExchangeCone, b: ExchangeCone) -> ExchangeCone:
     """Minkowski sum: concatenated generators, flags recomputed.  The sum
-    contains RN0 whenever a summand does, since each summand lies in it."""
+    contains RN0 whenever a summand does, since each summand lies in it;
+    otherwise the probes decide."""
     if (a.n_agents, a.n_atoms) != (b.n_agents, b.n_atoms):
         raise ValidationError("cone_add", "cones have different shapes")
     return _make(market, a.rays + b.rays, a.lineality + b.lineality,
-                 rn0=a.meta.contains_RN0 or b.meta.contains_RN0)
+                 rn0=True if a.meta.contains_RN0 or b.meta.contains_RN0 else None)
 
 
 def spans_equal(a: ExchangeCone, b: ExchangeCone) -> bool:
@@ -290,14 +285,7 @@ def spans_equal(a: ExchangeCone, b: ExchangeCone) -> bool:
         return PayoffMatrix(rows=tuple(tuple(-v for v in r) for r in g.rows))
 
     def contained(x: ExchangeCone, y: ExchangeCone) -> bool:
-        for g in x.rays:
-            if not cone_contains(y, g).contains:
-                return False
-        for g in x.lineality:
-            if not cone_contains(y, g).contains:
-                return False
-            if not cone_contains(y, negate(g)).contains:
-                return False
-        return True
+        both_signs = (h for g in x.lineality for h in (g, negate(g)))
+        return all(cone_contains(y, g).contains for g in (*x.rays, *both_signs))
 
     return contained(a, b) and contained(b, a)

@@ -445,27 +445,16 @@ def _solve_general(lp: LinearProgram) -> LPOutcome:
     A = [coeffs + [ZERO] * (total_cols - len(coeffs)) for coeffs, _, _, _ in std_rows]
     b = [rhs for _, rhs, _, _ in std_rows]
 
-    c_std = [ZERO] * total_cols
-    offset = ZERO
-    for i in range(n):
-        kind, j, s = patterns[i]
-        ci = c[i]
-        if kind == _FREE:
-            c_std[j] += ci
-            c_std[j + 1] -= ci
-        elif kind in (_LO, _RANGE):
-            c_std[j] += ci
-            offset += ci * s
-        else:
-            c_std[j] -= ci
-            offset += ci * s
+    c_std, offset = substitute(c)
+    c_std += [ZERO] * (total_cols - std_cols)
 
     res = _solve_standard(A, b, c_std, total_cols)
 
-    def map_point(xs):
+    def map_back(xs, shifted=True):
+        """standard values -> original variables; a ray drops the shifts."""
         out = []
-        for i in range(n):
-            kind, j, s = patterns[i]
+        for kind, j, s in patterns:
+            s = s if shifted else ZERO
             if kind == _FREE:
                 out.append(xs[j] - xs[j + 1])
             elif kind in (_LO, _RANGE):
@@ -474,20 +463,8 @@ def _solve_general(lp: LinearProgram) -> LPOutcome:
                 out.append(s - xs[j])
         return tuple(out)
 
-    def map_direction(xs):
-        out = []
-        for i in range(n):
-            kind, j, _ = patterns[i]
-            if kind == _FREE:
-                out.append(xs[j] - xs[j + 1])
-            elif kind in (_LO, _RANGE):
-                out.append(xs[j])
-            else:
-                out.append(-xs[j])
-        return tuple(out)
-
     if res["status"] == "unbounded":
-        return Unbounded(point=map_point(res["point"]), ray=map_direction(res["ray"]))
+        return Unbounded(point=map_back(res["point"]), ray=map_back(res["ray"], shifted=False))
 
     if res["status"] == "optimal":
         row_duals = [ZERO] * lp.n_rows
@@ -497,7 +474,7 @@ def _solve_general(lp: LinearProgram) -> LPOutcome:
         value = res["value"] + offset
         return Optimal(
             value=value if minimise else -value,
-            point=map_point(res["point"]),
+            point=map_back(res["point"]),
             row_duals=tuple(row_duals),
         )
 

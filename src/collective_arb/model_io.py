@@ -54,6 +54,9 @@ def _reject_floats(node, path="$"):
 def parse_cone(spec, market: MarketModel) -> ExchangeCone:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValidationError("exchange", "cone spec must be an object with 'kind'")
+    for key in ("groups", "generators", "parts"):
+        if not isinstance(spec.get(key, []), list):
+            raise ValidationError(f"exchange.{key}", "must be a list")
     kind = spec["kind"]
     if kind == "zero":
         return make_zero(market)
@@ -97,6 +100,8 @@ def load_model(path: str) -> ModelFile:
             doc = json.load(fh)
     except json.JSONDecodeError as e:
         raise ValidationError(path, f"JSON parse error at line {e.lineno}, column {e.colno}: {e.msg}")
+    except (OSError, UnicodeDecodeError) as e:
+        raise ValidationError(path, f"cannot read the file: {e}")
     if not isinstance(doc, dict):
         raise ValidationError(path, "top-level JSON value must be an object")
     return parse_model(doc)

@@ -11,10 +11,10 @@ from collective_arb import verify
 from collective_arb.arbitrage import (detect_NA_agent, detect_NA_global,
                                       detect_NCA, emm_is_singleton,
                                       find_emm_vector, polar_witness)
-from collective_arb.cones import cone_add, make_Y0
+from collective_arb.cones import cone_add, cone_contains, make_Y0
 from collective_arb.ext import Ext
 from collective_arb.lp import GE, LPBuilder, MIN
-from collective_arb.market import agents_join_partition, gains_basis
+from collective_arb.market import PayoffMatrix, agents_join_partition, gains_basis
 from collective_arb.pricing import (claim_vector, dual_rho_Y, fairness_allocation,
                                     pi_N_plus, pi_Y_plus, rho_agent_plus,
                                     rho_agent_plus_dual, rho_full_market,
@@ -45,11 +45,27 @@ def pi_N_by_its_lp(market, claims):
     return Ext.of(sol.value)
 
 
+def contains_every_transfer(market, cone):
+    """RN0 by its definition: every deterministic e_i - e_j lies in the cone
+    (one membership LP per ordered agent pair)."""
+    N, n = market.n_agents, market.n_atoms
+
+    def transfer(i, j):
+        return PayoffMatrix(rows=tuple((F(1) if k == i else F(-1) if k == j else F(0),) * n
+                                       for k in range(N)))
+
+    return all(cone_contains(cone, transfer(i, j)).contains
+               for i in range(N) for j in range(N) if i != j)
+
+
 def check_instance(market, cone, info, claims, rng):
     """Run the full invariant battery; returns a dict of which theorem-level
     branches were exercised (for coverage accounting)."""
     hit = {"emm_equiv": False, "nca_holds": False, "rho_finite": False,
            "t0_cone": False, "terminal_y0": False, "singleton": False}
+
+    # the stored RN0 flag, known by construction or probed, is the definition
+    assert cone.meta.contains_RN0 == contains_every_transfer(market, cone)
 
     # -- detection with two-sided certificates ------------------------------
     na_agents = []

@@ -191,9 +191,10 @@ def _transfer(market, i, j):
 
 
 def test_rn0_flag_matches_all_pairs_definition():
-    # the flag probes only +-(e_k - e_{k+1}), or none for a sum with a
-    # summand containing RN0; it must agree with cone membership of every
-    # e_i - e_j
+    # Y0, grouping and zero cones know the flag by construction, a sum
+    # knows it when a summand contains RN0, and the rest probe only
+    # +-(e_k - e_{k+1}); every answer must agree with cone membership of
+    # every e_i - e_j
     for n_agents in (3, 4):
         spec = toy_market_spec()
         spec["agents"] += [{"assets": [f"X{1 + k % 2}"], "filtration": "global"}
@@ -203,9 +204,17 @@ def test_rn0_flag_matches_all_pairs_definition():
         chain = make_rays(market, [_transfer(market, k, k + 1) for k in range(n_agents - 1)]
                           + [_transfer(market, n_agents - 1, n_agents - 2)])
         assert not chain.meta.contains_RN0
+        # two groupings without RN0 whose groups together connect every agent
+        halves = [make_grouping(market, [[0, 1], list(range(2, n_agents))], 1),
+                  make_grouping(market, [[0], list(range(1, n_agents))], 1)]
+        assert not any(c.meta.contains_RN0 for c in halves)
         cones = [
             make_Y0(market, 1),
             make_grouping(market, [[0, 1], list(range(2, n_agents))], 1),
+            make_grouping(market, [[2, 0, 1] + list(range(3, n_agents))], 1),
+            make_grouping(market, [list(range(n_agents)), []], 0),
+            make_zero(market),
+            cone_add(market, *halves),
             make_span(market, [_transfer(market, k, k + 1) for k in range(n_agents - 1)]),
             make_span(market, [_transfer(market, 0, 2)]),
             make_rays(market, [_transfer(market, 0, 1), _transfer(market, 1, 0),
@@ -217,7 +226,24 @@ def test_rn0_flag_matches_all_pairs_definition():
             cone_add(market, make_span(market, [_transfer(market, 0, 2)]), make_zero(market)),
         ]
         flags = [c.meta.contains_RN0 for c in cones]
-        assert flags == [True, False, True, False, False, True, True, False]
+        assert flags == [True, False, True, True, False, True,
+                         True, False, False, True, True, False]
         for cone, flag in zip(cones, flags):
             assert flag == all(cone_contains(cone, _transfer(market, i, j)).contains
                                for i, j in pairs)
+
+
+def test_one_agent_cones_contain_rn0_without_probes(monkeypatch):
+    # with one agent RN0 = {0}, which every cone contains
+    from collective_arb import cones
+
+    def no_probe(cone, y):
+        raise AssertionError("membership probe run for a flag known by construction")
+
+    monkeypatch.setattr(cones, "cone_contains", no_probe)
+    spec = toy_market_spec()
+    spec["agents"] = spec["agents"][:1]
+    del spec["assets"]["X2"]
+    market = build_market(spec)
+    for cone in (make_Y0(market, 0), make_Y0(market, 1), make_zero(market)):
+        assert cone.is_trivial() and cone.meta.contains_RN0

@@ -5,10 +5,13 @@ and the CLI still maps a failed certificate check to exit code 2 there.
 A subprocess runs with ``-O`` and with every LP forced to end "unbounded",
 a status the guarded call sites never expect, or with one certificate
 tampered with.  The collective duality check fires in process, so it runs
-under ``-O`` whenever this file does.
+under ``-O`` whenever this file does.  So does the scan that keeps ``assert``
+statements out of the package.
 """
 
+import ast
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -78,3 +81,13 @@ def test_duality_check_fires_when_the_price_is_minus_inf(monkeypatch):
     monkeypatch.setattr(report, "dual_rho_Y", lambda *args: (Ext.of(0), None))
     with pytest.raises(InternalInvariantError, match="duality gap"):
         report.analyze(parse_model(example_document("toy71-span")))
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips assert, so a runtime check in the package must raise
+    package = pathlib.Path(lp.__file__).parent
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(package.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert found == []

@@ -199,6 +199,31 @@ def test_cli_validate_unparsable(tmp_path):
     assert "line" in res.stderr
 
 
+_MALFORMED_CONES = {
+    "y0-t-string": {"kind": "Y0", "t": "1"},
+    "grouping-t-string": {"kind": "grouping", "groups": [[0, 1]], "t": "1"},
+    "groups-int": {"kind": "grouping", "groups": 3},
+    "groups-mixed": {"kind": "grouping", "groups": [[0, "1"]]},
+    "generators-int": {"kind": "span", "generators": 5},
+    "parts-int": {"kind": "sum", "parts": 7},
+}
+
+
+@pytest.mark.parametrize("case", [*_MALFORMED_CONES, "missing-file", "not-utf8"])
+def test_cli_rejects_malformed_model_files(case, tmp_path, capsys):
+    from collective_arb import cli
+
+    path = tmp_path / "model.json"
+    if case == "not-utf8":
+        path.write_bytes(b'{"atoms": ["\xff"]}')
+    elif case != "missing-file":
+        doc = example_document("toy71")
+        doc["exchange"] = _MALFORMED_CONES[case]
+        path.write_text(json.dumps(doc))
+    assert cli.main(["analyze", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("invalid: ")
+
+
 def test_cli_analyze_json_deterministic(tmp_path):
     write_example("toy71", str(tmp_path))
     path = str(tmp_path / "toy71.json")
