@@ -19,8 +19,7 @@ from typing import Optional
 from .cones import ExchangeCone, Positions, polarity_functionals
 from .errors import InternalInvariantError, ValidationError
 from .lp import EQ, GE, LE, LPBuilder, MAX, MIN, ZERO
-from .market import (MarketModel, PayoffMatrix, full_gains_basis,
-                     gains_basis)
+from .market import MarketModel, PayoffMatrix, gains_basis, synthetic_full_agent
 
 
 @dataclass(frozen=True)
@@ -105,11 +104,6 @@ class MartingalePolytope:
 def martingale_polytope(market: MarketModel, agent: int) -> MartingalePolytope:
     return MartingalePolytope(n_atoms=market.n_atoms,
                               generators=tuple(gains_basis(market, agent)))
-
-
-def _full_polytope(market: MarketModel) -> MartingalePolytope:
-    return MartingalePolytope(n_atoms=market.n_atoms,
-                              generators=tuple(full_gains_basis(market)))
 
 
 def _max_equivalent_member(poly: MartingalePolytope):
@@ -206,17 +200,9 @@ def detect_NA_agent(market: MarketModel, agent: int) -> ArbitrageCertificate:
 
 
 def detect_NA_global(market: MarketModel) -> ArbitrageCertificate:
-    """Classical arbitrage in the pooled market of all assets."""
-    gens = full_gains_basis(market)
-    hit = _search_arbitrage(market, [gens], None)
-    if hit is not None:
-        strat, rows, _ = hit
-        return ArbitrageCertificate(found=True, strategy_coeffs=strat, gains_rows=rows)
-    member = _max_equivalent_member(_full_polytope(market))
-    if member is None:
-        raise InternalInvariantError(
-            "no global arbitrage yet no equivalent martingale measure")
-    return ArbitrageCertificate(found=False, dual_witness=(member,))
+    """Classical arbitrage in the pooled market of all assets: the one agent
+    of `synthetic_full_agent`, whose gains basis is `full_gains_basis`."""
+    return detect_NA_agent(synthetic_full_agent(market), 0)
 
 
 def detect_NCA(market: MarketModel, cone: ExchangeCone) -> ArbitrageCertificate:

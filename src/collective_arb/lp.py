@@ -16,6 +16,12 @@ pivot is Bareiss's exact fraction-free update.  Points, duals, Farkas
 vectors and rays are converted to `fractions.Fraction` once, at the end.
 There are no tolerances anywhere.  Results are deterministic: identical
 programs yield identical outcomes.
+
+Every variable is either free or nonnegative.  Those are the two kinds the
+finite duality of the paper needs: cash, strategy and lineality weights are
+free; measures, ray weights and polar elements are nonnegative.  A free
+variable compiles to two standard columns, a nonnegative one to one, and
+any other bound is rejected when the program is built.
 """
 
 from __future__ import annotations
@@ -54,9 +60,12 @@ def frac(x) -> Fraction:
 class LinearProgram:
     """min/max objective.x subject to rows and per-variable bounds.
 
-    Rows are (coefficients, relation, rhs); bounds are (lower, upper) with
-    ``None`` meaning unbounded on that side.  All rows must have the same
-    length as the objective.
+    Rows are (coefficients, relation, rhs).  Each variable's bound pair
+    (lower, upper) is ``(None, None)`` for a free variable or ``(0, None)``
+    for a nonnegative one.  ``upper`` is therefore all ``None``; it is kept
+    so that readers of general bounds, such as the certificate checker in
+    ``verify``, see the usual (lower, upper) shape.  All rows must have the
+    same length as the objective.
     """
 
     sense: str
@@ -83,6 +92,10 @@ class LinearProgram:
             raise ValueError("inconsistent row data")
         if not (len(self.lower) == len(self.upper) == n):
             raise ValueError("bounds length differs from variable count")
+        for i, bounds in enumerate(zip(self.lower, self.upper)):
+            if bounds not in ((None, None), (0, None)):
+                raise ValueError(f"variable {i} has bounds {bounds}; "
+                                 "only free or nonnegative variables are supported")
 
     @property
     def n_vars(self) -> int:
@@ -105,16 +118,8 @@ class LinearProgram:
         for j, coeffs in enumerate(self.row_coeffs):
             out.append(f"  {rnames[j]}: {lin(coeffs)} {self.row_rels[j]} {self.row_rhs[j]}")
         out.append("bounds:")
-        for i in range(self.n_vars):
-            lo, up = self.lower[i], self.upper[i]
-            if lo is None and up is None:
-                out.append(f"  {names[i]} free")
-            elif up is None:
-                out.append(f"  {names[i]} >= {lo}")
-            elif lo is None:
-                out.append(f"  {names[i]} <= {up}")
-            else:
-                out.append(f"  {lo} <= {names[i]} <= {up}")
+        for i, lo in enumerate(self.lower):
+            out.append(f"  {names[i]} free" if lo is None else f"  {names[i]} >= {lo}")
         return "\n".join(out)
 
 
@@ -134,7 +139,8 @@ class Optimal:
 class Infeasible:
     """Farkas certificate: with w over rows (w>=0 on >= rows, w<=0 on <= rows)
     and zlo>=0 / zup<=0 over finite lower/upper bounds,
-    sum_j w_j a_j + zlo + zup = 0 while w.b + zlo.lower + zup.upper > 0."""
+    sum_j w_j a_j + zlo + zup = 0 while w.b + zlo.lower + zup.upper > 0.
+    No variable has an upper bound, so ``farkas_upper`` is all zero."""
 
     farkas_rows: tuple
     farkas_lower: tuple
@@ -336,9 +342,6 @@ def _solve_standard(A, b, c, n):
 # compilation of the general form to the standard form and back
 # ---------------------------------------------------------------------------
 
-_FREE, _LO, _UP, _RANGE = "free", "lo", "up", "range"
-
-
 _dump_sink: Optional[list] = None
 _audit = False
 
@@ -372,147 +375,77 @@ def _solve_general(lp: LinearProgram) -> LPOutcome:
     minimise = lp.sense == MIN
     c = [frac(v) if minimise else -frac(v) for v in lp.objective]
 
-    # variable substitutions onto nonnegative standard variables
-    patterns = []    # (kind, std main col, shift)
+    # a nonnegative variable is one standard column; a free one is the
+    # difference of two, x = x+ - x-
+    free = [lo is None for lo in lp.lower]
+    cols = []           # first standard column of each variable
     std_cols = 0
-    range_vars = []
-    for i in range(n):
-        lo, up = lp.lower[i], lp.upper[i]
-        if lo is None and up is None:
-            patterns.append((_FREE, std_cols, ZERO))
-            std_cols += 2
-        elif lo is not None and up is None:
-            patterns.append((_LO, std_cols, frac(lo)))
-            std_cols += 1
-        elif lo is None:
-            patterns.append((_UP, std_cols, frac(up)))
-            std_cols += 1
-        else:
-            patterns.append((_RANGE, std_cols, frac(lo)))
-            range_vars.append(i)
-            std_cols += 1
+    for f in free:
+        cols.append(std_cols)
+        std_cols += 2 if f else 1
 
     def substitute(coeffs):
-        """original-row coefficients -> (std coefficient list, rhs shift)."""
+        """original coefficients -> standard coefficient list."""
         out = [ZERO] * std_cols
-        shift = ZERO
         for i, a in enumerate(coeffs):
             a = frac(a)
-            if not a:
-                continue
-            kind, j, s = patterns[i]
-            if kind == _FREE:
-                out[j] += a
-                out[j + 1] -= a
-            elif kind in (_LO, _RANGE):
-                out[j] += a
-                shift += a * s
-            else:  # _UP: x = up - s
-                out[j] -= a
-                shift += a * s
-        return out, shift
+            if a:
+                out[cols[i]] += a
+                if free[i]:
+                    out[cols[i] + 1] -= a
+        return out
 
-    # standard rows: the original rows first, then one range row per
-    # two-sided variable (s_i <= up - lo); slacks appended per row.
-    std_rows = []       # (dense coeffs incl slack, rhs, sigma, tag)
-    slack_cols = {}
+    # one standard row per original row, a slack appended per inequality,
+    # and rows with a negative rhs negated (sigma = -1)
+    std_rows = []       # (dense coeffs incl slack, rhs, sigma)
     total_cols = std_cols
-    build = []
     for j in range(lp.n_rows):
-        coeffs, shift = substitute(lp.row_coeffs[j])
-        rhs = frac(lp.row_rhs[j]) - shift
-        build.append((coeffs, lp.row_rels[j], rhs, ("row", j)))
-    for i in range(n):
-        if patterns[i][0] == _RANGE:
-            coeffs = [ZERO] * std_cols
-            coeffs[patterns[i][1]] = ONE
-            rhs = frac(lp.upper[i]) - frac(lp.lower[i])
-            build.append((coeffs, LE, rhs, ("range", i)))
-
-    for coeffs, rel, rhs, tag in build:
-        if rel != EQ:
-            slack_cols[len(std_rows)] = total_cols
-            coeffs = coeffs + [ZERO] * (total_cols - len(coeffs))
-            coeffs.append(ONE if rel == LE else -ONE)
+        coeffs = substitute(lp.row_coeffs[j])
+        rhs = frac(lp.row_rhs[j])
+        if lp.row_rels[j] != EQ:
+            coeffs += [ZERO] * (total_cols - std_cols)
+            coeffs.append(ONE if lp.row_rels[j] == LE else -ONE)
             total_cols += 1
         sigma = ONE
         if rhs < 0:
             sigma = -ONE
             coeffs = [-v for v in coeffs]
             rhs = -rhs
-        std_rows.append((coeffs, rhs, sigma, tag))
+        std_rows.append((coeffs, rhs, sigma))
 
-    A = [coeffs + [ZERO] * (total_cols - len(coeffs)) for coeffs, _, _, _ in std_rows]
-    b = [rhs for _, rhs, _, _ in std_rows]
-
-    c_std, offset = substitute(c)
-    c_std += [ZERO] * (total_cols - std_cols)
+    A = [coeffs + [ZERO] * (total_cols - len(coeffs)) for coeffs, _, _ in std_rows]
+    b = [rhs for _, rhs, _ in std_rows]
+    c_std = substitute(c) + [ZERO] * (total_cols - std_cols)
 
     res = _solve_standard(A, b, c_std, total_cols)
 
-    def map_back(xs, shifted=True):
-        """standard values -> original variables; a ray drops the shifts."""
-        out = []
-        for kind, j, s in patterns:
-            s = s if shifted else ZERO
-            if kind == _FREE:
-                out.append(xs[j] - xs[j + 1])
-            elif kind in (_LO, _RANGE):
-                out.append(s + xs[j])
-            else:
-                out.append(s - xs[j])
-        return tuple(out)
+    def map_back(xs):
+        """standard values -> original variables (points and rays alike)."""
+        return tuple(xs[j] - xs[j + 1] if free[i] else xs[j] for i, j in enumerate(cols))
 
     if res["status"] == "unbounded":
-        return Unbounded(point=map_back(res["point"]), ray=map_back(res["ray"], shifted=False))
+        return Unbounded(point=map_back(res["point"]), ray=map_back(res["ray"]))
 
     if res["status"] == "optimal":
-        row_duals = [ZERO] * lp.n_rows
-        for k, (_, _, sigma, tag) in enumerate(std_rows):
-            if tag[0] == "row":
-                row_duals[tag[1]] = sigma * res["duals"][k]
-        value = res["value"] + offset
         return Optimal(
-            value=value if minimise else -value,
+            value=res["value"] if minimise else -res["value"],
             point=map_back(res["point"]),
-            row_duals=tuple(row_duals),
+            row_duals=tuple(sigma * y for (_, _, sigma), y in zip(std_rows, res["duals"])),
         )
 
     # infeasible: fold the standard-form Farkas vector back onto the
-    # original rows and finite bounds
-    yhat = res["farkas"]
-    w = [ZERO] * lp.n_rows
-    range_dual = {}
-    for k, (_, _, sigma, tag) in enumerate(std_rows):
-        if tag[0] == "row":
-            w[tag[1]] = sigma * yhat[k]
-        else:
-            range_dual[tag[1]] = sigma * yhat[k]
-    zlo = [ZERO] * n
-    zup = [ZERO] * n
+    # original rows; a nonnegative variable's zero bound takes up the rest
+    # of its column, tau, which must vanish on a free variable
+    w = [sigma * y for (_, _, sigma), y in zip(std_rows, res["farkas"])]
+    zlo = []
     for i in range(n):
-        kind, _, _ = patterns[i]
-        tau = ZERO
-        for j in range(lp.n_rows):
-            a = lp.row_coeffs[j][i]
-            if a and w[j]:
-                tau += w[j] * frac(a)
-        if kind == _FREE:
-            ok = tau == 0
-        elif kind == _LO:
-            zlo[i] = -tau
-            ok = zlo[i] >= 0
-        elif kind == _UP:
-            zup[i] = -tau
-            ok = zup[i] <= 0
-        else:
-            zup[i] = range_dual.get(i, ZERO)
-            zlo[i] = -tau - zup[i]
-            ok = zup[i] <= 0 and zlo[i] >= 0
-        if not ok:
+        tau = sum((w[j] * frac(row[i]) for j, row in enumerate(lp.row_coeffs)
+                   if w[j] and row[i]), ZERO)
+        if tau > 0 or (free[i] and tau):
             raise InternalInvariantError(
                 f"Farkas multiplier of the bounds of variable {i} has the wrong sign")
-    return Infeasible(farkas_rows=tuple(w), farkas_lower=tuple(zlo), farkas_upper=tuple(zup))
+        zlo.append(ZERO if free[i] else -tau)
+    return Infeasible(farkas_rows=tuple(w), farkas_lower=tuple(zlo), farkas_upper=(ZERO,) * n)
 
 
 # ---------------------------------------------------------------------------
@@ -529,11 +462,11 @@ class LPBuilder:
         self._obj: dict = {}
         self._rows: list = []
 
-    def var(self, name: str, lo=None, up=None, obj=ZERO) -> str:
+    def var(self, name: str, lo=None, obj=ZERO) -> str:
+        """A free variable, or a nonnegative one with ``lo=0``."""
         if name in self._vars:
             raise ValueError(f"duplicate variable {name!r}")
-        self._vars[name] = (None if lo is None else frac(lo),
-                            None if up is None else frac(up))
+        self._vars[name] = None if lo is None else frac(lo)
         if obj:
             self._obj[name] = self._obj.get(name, ZERO) + frac(obj)
         return name
@@ -562,12 +495,11 @@ class LPBuilder:
             rels.append(rel)
             rhs.append(b)
             rnames.append(rname)
-        lower = tuple(self._vars[v][0] for v in names)
-        upper = tuple(self._vars[v][1] for v in names)
         return LinearProgram(
             sense=self.sense, objective=objective,
             row_coeffs=tuple(coeffs), row_rels=tuple(rels), row_rhs=tuple(rhs),
-            lower=lower, upper=upper, var_names=names, row_names=tuple(rnames),
+            lower=tuple(self._vars.values()), upper=(None,) * len(names),
+            var_names=names, row_names=tuple(rnames),
         )
 
     def solve(self) -> "Solution":

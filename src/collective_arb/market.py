@@ -143,7 +143,8 @@ class PayoffMatrix:
 
 def payoff_matrix(market: MarketModel, rows, where: str = "payoff") -> PayoffMatrix:
     """Build a PayoffMatrix, enforcing per-row terminal measurability."""
-    rows = tuple(tuple(frac(v) for v in r) for r in rows)
+    rows = tuple(tuple(_rational(v, f"{where}[{i}]") for v in _listed(r, f"{where}[{i}]"))
+                 for i, r in enumerate(_listed(rows, where)))
     if len(rows) != market.n_agents:
         raise ValidationError(where, f"expected {market.n_agents} rows, got {len(rows)}")
     for i, r in enumerate(rows):
@@ -177,9 +178,24 @@ class GainsGenerator:
 # ---------------------------------------------------------------------------
 
 
+def _listed(value, where: str):
+    """A list field of a model description (tuples too, from Python)."""
+    if not isinstance(value, (list, tuple)):
+        raise ValidationError(where, "must be a list")
+    return value
+
+
+def _rational(value, where: str) -> Fraction:
+    """An exact rational field of a model description."""
+    try:
+        return frac(value)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise ValidationError(where, f"not a rational: {value!r}")
+
+
 def _parse_filtration(raw, n_atoms: int, T: int, label_index: Mapping[str, int],
                       where: str) -> Filtration:
-    if len(raw) != T + 1:
+    if len(_listed(raw, where)) != T + 1:
         raise ValidationError(where, f"need {T + 1} partitions, got {len(raw)}")
     partitions = []
     for t, blocks in enumerate(raw):
@@ -187,6 +203,8 @@ def _parse_filtration(raw, n_atoms: int, T: int, label_index: Mapping[str, int],
             idx_blocks = [[label_index[a] for a in blk] for blk in blocks]
         except KeyError as e:
             raise ValidationError(f"{where}[t={t}]", f"unknown atom label {e.args[0]!r}")
+        except TypeError:
+            raise ValidationError(f"{where}[t={t}]", "must be a list of lists of atom labels")
         part = _canon_partition(idx_blocks)
         if not is_partition(part, n_atoms):
             raise ValidationError(f"{where}[t={t}]", "blocks do not partition the atoms")
@@ -208,7 +226,7 @@ def build_market(spec: Mapping) -> MarketModel:
     per-atom list), agents (each {"assets": [names], "filtration":
     "global" | partition list}).
     """
-    atoms = tuple(str(a) for a in spec.get("atoms", ()))
+    atoms = tuple(str(a) for a in _listed(spec.get("atoms", ()), "atoms"))
     if len(atoms) < 1:
         raise ValidationError("atoms", "need at least one atom")
     if len(set(atoms)) != len(atoms):
@@ -216,14 +234,11 @@ def build_market(spec: Mapping) -> MarketModel:
     label_index = {a: i for i, a in enumerate(atoms)}
 
     raw_prob = spec.get("prob")
-    if raw_prob is None or len(raw_prob) != len(atoms):
+    if not isinstance(raw_prob, (list, tuple)) or len(raw_prob) != len(atoms):
         raise ValidationError("prob", "need one probability per atom")
     prob = []
     for k, p in enumerate(raw_prob):
-        try:
-            w = frac(p)
-        except (TypeError, ValueError, ZeroDivisionError):
-            raise ValidationError(f"prob[{k}]", f"not a rational: {p!r}")
+        w = _rational(p, f"prob[{k}]")
         if w <= 0:
             raise ValidationError(f"prob[{k}]", "probability must be strictly positive")
         prob.append(w)
@@ -238,12 +253,14 @@ def build_market(spec: Mapping) -> MarketModel:
     global_f = _parse_filtration(spec.get("global_filtration", ()), len(atoms), T,
                                  label_index, "global_filtration")
 
-    raw_assets = spec.get("assets")
+    raw_assets = spec.get("assets", {})
+    if not isinstance(raw_assets, Mapping):
+        raise ValidationError("assets", "must be an object mapping names to value rows")
     if not raw_assets:
         raise ValidationError("assets", "need at least one asset")
     assets = []
     for name, rows in raw_assets.items():
-        if len(rows) != T + 1:
+        if len(_listed(rows, f"assets[{name}]")) != T + 1:
             raise ValidationError(f"assets[{name}]", f"need {T + 1} value rows")
         values = []
         for t, row in enumerate(rows):
@@ -251,9 +268,9 @@ def build_market(spec: Mapping) -> MarketModel:
                 if len(row) != len(atoms):
                     raise ValidationError(f"assets[{name}][t={t}]",
                                           "row length != number of atoms")
-                vals = tuple(frac(v) for v in row)
+                vals = tuple(_rational(v, f"assets[{name}][t={t}]") for v in row)
             else:
-                vals = tuple(frac(row) for _ in atoms)
+                vals = (_rational(row, f"assets[{name}][t={t}]"),) * len(atoms)
             values.append(vals)
         for t, vals in enumerate(values):
             if not constant_on(vals, global_f.at(t)):
@@ -262,15 +279,17 @@ def build_market(spec: Mapping) -> MarketModel:
         assets.append(PriceProcess(name=str(name), values=tuple(values)))
     asset_index = {a.name: j for j, a in enumerate(assets)}
 
-    raw_agents = spec.get("agents")
+    raw_agents = _listed(spec.get("agents", []), "agents")
     if not raw_agents:
         raise ValidationError("agents", "need at least one agent")
     agents = []
     used = set()
     for i, ag in enumerate(raw_agents):
+        if not isinstance(ag, Mapping):
+            raise ValidationError(f"agents[{i}]", "must be an object")
         ids = []
-        for nm in ag.get("assets", ()):
-            if nm not in asset_index:
+        for nm in _listed(ag.get("assets", []), f"agents[{i}].assets"):
+            if not isinstance(nm, str) or nm not in asset_index:
                 raise ValidationError(f"agents[{i}]", f"unknown asset {nm!r}")
             ids.append(asset_index[nm])
         if not ids:

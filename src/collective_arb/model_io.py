@@ -87,10 +87,7 @@ def parse_model(doc: dict) -> ModelFile:
         exchange = parse_cone(doc["exchange"], market)
     claims = None
     if "claims" in doc:
-        rows = doc["claims"]
-        if len(rows) != market.n_agents:
-            raise ValidationError("claims", "need one claim row per agent")
-        claims = claim_vector(market, rows)
+        claims = claim_vector(market, doc["claims"])
     return ModelFile(market=market, exchange=exchange, claims=claims, raw=doc)
 
 

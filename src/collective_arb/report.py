@@ -41,29 +41,22 @@ def _rows_obj(market: MarketModel, rows) -> list:
     return [_row_obj(market, r) for r in rows]
 
 
-def _strategy_obj(market: MarketModel, agent: int, coeffs) -> list:
-    gens = gains_basis(market, agent)
+def _strategy_obj(market: MarketModel, gens, coeffs) -> list:
     return [{"position": g.label(market), "coefficient": _val(c)}
             for g, c in zip(gens, coeffs) if c]
 
 
-def _arbitrage_obj(market, cert, cone=None) -> dict:
+def _arbitrage_obj(market, cert, bases) -> dict:
+    """``bases`` holds the gains basis of each certificate row, in order."""
     if not cert.found:
         out = {"arbitrage": False,
                "dual_witness": _rows_obj(market, cert.dual_witness)}
         return out
-    agents = range(market.n_agents) if cone is not None else [None]
-    strategies = []
-    for idx, i in enumerate(agents):
-        if i is None:
-            labels = [{"position": g.label(market), "coefficient": _val(c)}
-                      for g, c in zip(full_gains_basis(market), cert.strategy_coeffs[0]) if c]
-        else:
-            labels = _strategy_obj(market, i, cert.strategy_coeffs[idx])
-        strategies.append(labels)
-    out = {"arbitrage": True, "strategies": strategies,
+    out = {"arbitrage": True,
+           "strategies": [_strategy_obj(market, gens, coeffs)
+                          for gens, coeffs in zip(bases, cert.strategy_coeffs)],
            "gains": _rows_obj(market, cert.gains_rows)}
-    if cone is not None and cert.exchange is not None:
+    if cert.exchange is not None:
         out["exchange"] = _rows_obj(market, cert.exchange.rows)
     return out
 
@@ -111,11 +104,13 @@ def analyze(model: ModelFile, sections=None) -> dict:
         else:
             verify.verify_single_market_witness(market, na_global_result.dual_witness[0])
 
+    bases = [gains_basis(market, i) for i in range(market.n_agents)]
     if "na" in wanted:
         report["na"] = {
-            "agents": [dict(agent=f"agent{i + 1}", **_arbitrage_obj(market, c))
+            "agents": [dict(agent=f"agent{i + 1}",
+                            **_arbitrage_obj(market, c, [bases[i]]))
                        for i, c in enumerate(na_agent_results)],
-            "global": _arbitrage_obj(market, na_global_result),
+            "global": _arbitrage_obj(market, na_global_result, [full_gains_basis(market)]),
         }
 
     nca_cert = None
@@ -133,7 +128,7 @@ def analyze(model: ModelFile, sections=None) -> dict:
         if cone is None:
             report["nca"] = {"status": "skipped", "reason": "no exchange cone in model"}
         else:
-            report["nca"] = _arbitrage_obj(market, nca_cert, cone=cone)
+            report["nca"] = _arbitrage_obj(market, nca_cert, bases)
             report["nca"]["with_deterministic_transfers"] = {
                 "arbitrage": widened_cert.found}
 
@@ -236,7 +231,8 @@ def _pricing_section(market, cone, claims) -> dict:
             "rho_N_minus": _val(rho_nm),
             "primal_optimizer": "absent" if opt is None else {
                 "m": [_val(v) for v in opt.m],
-                "strategies": [_strategy_obj(market, i, opt.strategy_coeffs[i])
+                "strategies": [_strategy_obj(market, gains_basis(market, i),
+                                             opt.strategy_coeffs[i])
                                for i in range(market.n_agents)],
                 "exchange": _rows_obj(market, opt.exchange_rows),
             },

@@ -14,7 +14,6 @@ kinds after an intended change:
 """
 
 import pathlib
-import re
 
 import pytest
 
@@ -65,15 +64,9 @@ def test_lp_listing_matches_golden(name):
 @pytest.mark.parametrize("name", example_names())
 def test_analysis_solves_each_program_once(name):
     # One analysis hands its prices and witnesses along instead of solving
-    # them again.  The only repeats left are cone-membership probes: the
-    # Y0(0) that analyze builds for NCA(Y + RN0) verifies its flags with the
-    # same probes as a model cone made of the same generators.
-    seen = set()
-    for text in solved_programs(name):
-        if text in seen:
-            rows = re.findall(r"^  (\S+):", text.split("\nbounds:")[0], flags=re.M)
-            assert rows and all(re.fullmatch(r"c\d+_\d+", r) for r in rows), text
-        seen.add(text)
+    # them again.
+    programs = solved_programs(name)
+    assert len(set(programs)) == len(programs)
 
 
 if __name__ == "__main__":

@@ -61,13 +61,22 @@ def test_infeasible_simple():
 
 
 def test_infeasible_bounds_only():
-    out = solve_checked(lp(MIN, [1], [], [(3, 2)]))
+    # the empty box 3 <= x <= 2, written as rows on a free variable
+    out = solve_checked(lp(MIN, [1], [([1], GE, 3), ([1], LE, 2)], [(None, None)]))
     assert isinstance(out, Infeasible)
 
 
 def test_equality_and_range_bounds():
-    out = solve_checked(lp(MIN, [1, 1], [([1, 1], EQ, 3)], [(0, 2), (0, 2)]))
+    # 0 <= x, y <= 2: nonnegative variables with their upper bounds as rows
+    out = solve_checked(lp(MIN, [1, 1], [([1, 1], EQ, 3), ([1, 0], LE, 2), ([0, 1], LE, 2)],
+                           [(0, None), (0, None)]))
     assert isinstance(out, Optimal) and out.value == 3
+
+
+@pytest.mark.parametrize("bounds", [(1, None), (None, 3), (0, 2)])
+def test_only_free_and_nonnegative_variables(bounds):
+    with pytest.raises(ValueError):
+        lp(MIN, [1], [], [bounds])
 
 
 def test_redundant_rows_are_fine():
@@ -78,7 +87,8 @@ def test_redundant_rows_are_fine():
 
 
 def test_max_sense_value_sign():
-    out = solve_checked(lp(MAX, [2, -1], [([1, 1], LE, 4)], [(0, 3), (0, 3)]))
+    out = solve_checked(lp(MAX, [2, -1], [([1, 1], LE, 4), ([1, 0], LE, 3), ([0, 1], LE, 3)],
+                           [(0, None), (0, None)]))
     assert isinstance(out, Optimal) and out.value == 6 and out.point == (F(3), F(0))
 
 
@@ -89,8 +99,9 @@ def test_free_variable_negative_solution():
 
 def test_determinism_bit_for_bit():
     program = lp(MIN, [1, 2, 0],
-                 [([1, 1, 1], GE, 2), ([1, -1, 0], LE, 1), ([0, 1, 1], EQ, 1)],
-                 [(0, None), (None, None), (0, 5)])
+                 [([1, 1, 1], GE, 2), ([1, -1, 0], LE, 1), ([0, 1, 1], EQ, 1),
+                  ([0, 0, 1], LE, 5)],
+                 [(0, None), (None, None), (0, None)])
     assert repr(solve(program)) == repr(solve(program))
 
 
@@ -210,23 +221,25 @@ def small_lp(draw):
         rows.append(tuple(draw(rat) for _ in range(n)))
         rels.append(draw(st.sampled_from([LE, GE, EQ])))
         rhs.append(draw(rat))
-    bounds = []
-    for _ in range(n):
+    # the kernel takes free and nonnegative variables; a box or a sign
+    # bound x <= 0 becomes rows on a free variable
+    lower = []
+    for i in range(n):
         kind = draw(st.sampled_from(["pos", "free", "box", "neg"]))
-        if kind == "pos":
-            bounds.append((F(0), None))
-        elif kind == "free":
-            bounds.append((None, None))
-        elif kind == "neg":
-            bounds.append((None, F(0)))
-        else:
+        lower.append(F(0) if kind == "pos" else None)
+        unit = tuple(F(1) if k == i else F(0) for k in range(n))
+        if kind == "neg":
+            rows.append(unit)
+            rels.append(LE)
+            rhs.append(F(0))
+        elif kind == "box":
             lo = draw(rat)
-            bounds.append((lo, lo + draw(st.integers(0, 5))))
+            rows += [unit, unit]
+            rels += [GE, LE]
+            rhs += [lo, lo + draw(st.integers(0, 5))]
     return LinearProgram(sense=sense, objective=objective,
                          row_coeffs=tuple(rows), row_rels=tuple(rels),
-                         row_rhs=tuple(rhs),
-                         lower=tuple(b[0] for b in bounds),
-                         upper=tuple(b[1] for b in bounds))
+                         row_rhs=tuple(rhs), lower=tuple(lower), upper=(None,) * n)
 
 
 @settings(max_examples=250, deadline=None)

@@ -111,6 +111,25 @@ def test_report_sections_can_be_selected():
     assert "na" in report and "pricing" not in report
 
 
+def test_agent_arbitrage_is_labelled_with_the_agents_positions():
+    # X2 rises in both states, so agent 2 alone has an arbitrage; its
+    # strategy must name X2, not the first asset of the whole market
+    doc = {
+        "atoms": ["u", "d"],
+        "prob": ["1/2", "1/2"],
+        "times": 1,
+        "global_filtration": [[["u", "d"]], [["u"], ["d"]]],
+        "assets": {"X1": ["2", ["3", "1"]], "X2": ["4", ["6", "5"]]},
+        "agents": [{"assets": ["X1"]}, {"assets": ["X2"]}],
+    }
+    na = analyze(parse_model(doc), sections=["na"])["na"]
+    agent1, agent2 = na["agents"]
+    assert not agent1["arbitrage"] and agent2["arbitrage"]
+    assert [p["position"] for p in agent2["strategies"][0]] == ["X2@t1on{u,d}"]
+    assert [p["position"] for p in na["global"]["strategies"][0]] == [
+        "X1@t1on{u,d}", "X2@t1on{u,d}"]
+
+
 def test_report_single_section_variants():
     model = parse_model(example_document("tree72"))
     for section in ("na", "nca", "ftap", "price", "fairness"):
@@ -208,8 +227,21 @@ _MALFORMED_CONES = {
     "parts-int": {"kind": "sum", "parts": 7},
 }
 
+# one top-level field of toy71 replaced
+_MALFORMED_FIELDS = {
+    "claims-int": ("claims", 5),
+    "agents-int": ("agents", 5),
+    "prob-int": ("prob", 5),
+    "atoms-int": ("atoms", 5),
+    "filtration-int": ("global_filtration", 5),
+    "assets-list": ("assets", [1]),
+    "claim-null": ("claims", [["3", None], ["9", "3"]]),
+    "agent-asset-list": ("agents", [{"assets": [["X1"]]}, {"assets": ["X2"]}]),
+}
 
-@pytest.mark.parametrize("case", [*_MALFORMED_CONES, "missing-file", "not-utf8"])
+
+@pytest.mark.parametrize("case", [*_MALFORMED_CONES, *_MALFORMED_FIELDS,
+                                  "missing-file", "not-utf8"])
 def test_cli_rejects_malformed_model_files(case, tmp_path, capsys):
     from collective_arb import cli
 
@@ -218,7 +250,11 @@ def test_cli_rejects_malformed_model_files(case, tmp_path, capsys):
         path.write_bytes(b'{"atoms": ["\xff"]}')
     elif case != "missing-file":
         doc = example_document("toy71")
-        doc["exchange"] = _MALFORMED_CONES[case]
+        if case in _MALFORMED_FIELDS:
+            field, value = _MALFORMED_FIELDS[case]
+            doc[field] = value
+        else:
+            doc["exchange"] = _MALFORMED_CONES[case]
         path.write_text(json.dumps(doc))
     assert cli.main(["analyze", str(path)]) == 1
     assert capsys.readouterr().err.startswith("invalid: ")
