@@ -218,6 +218,11 @@ def make_Y0(market: MarketModel, t: int) -> ExchangeCone:
     return make_grouping(market, [range(market.n_agents)], t)
 
 
+def _is_index(x) -> bool:
+    """An int that is not a bool (JSON true would otherwise read as 1)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def make_grouping(market: MarketModel, groups: Sequence[Sequence[int]],
                   t: int) -> ExchangeCone:
     """Zero-sum within each agent group, settled on time-t information: the
@@ -226,13 +231,13 @@ def make_grouping(market: MarketModel, groups: Sequence[Sequence[int]],
     it exactly when one group holds every agent: the block transfers sum to
     e_i - e_j, and no generator crosses a group."""
     if not (isinstance(groups, Sequence)
-            and all(isinstance(g, Sequence) and all(isinstance(i, int) for i in g)
+            and all(isinstance(g, Sequence) and all(_is_index(i) for i in g)
                     for g in groups)):
         raise ValidationError("groups", "groups must be lists of agent indices")
     flat = sorted(i for g in groups for i in g)
     if flat != list(range(market.n_agents)):
         raise ValidationError("groups", "groups must partition the agent set")
-    if not isinstance(t, int) or not 0 <= t <= market.T:
+    if not _is_index(t) or not 0 <= t <= market.T:
         raise ValidationError("t", f"time {t!r} outside 0..{market.T}")
     part = agents_join_partition(market, t)
     lineality = []
@@ -281,11 +286,8 @@ def spans_equal(a: ExchangeCone, b: ExchangeCone) -> bool:
     """Mutual containment of generators (for lineality generators both
     signs are required)."""
 
-    def negate(g: PayoffMatrix) -> PayoffMatrix:
-        return PayoffMatrix(rows=tuple(tuple(-v for v in r) for r in g.rows))
-
     def contained(x: ExchangeCone, y: ExchangeCone) -> bool:
-        both_signs = (h for g in x.lineality for h in (g, negate(g)))
+        both_signs = (h for g in x.lineality for h in (g, -g))
         return all(cone_contains(y, g).contains for g in (*x.rays, *both_signs))
 
     return contained(a, b) and contained(b, a)

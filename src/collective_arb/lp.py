@@ -10,12 +10,16 @@ markets).  Every outcome carries an exact certificate:
                     the constraints into an impossible ``0 > 0`` inequality.
 * ``Unbounded``  -- a feasible point plus an improving feasible ray.
 
-The kernel pivots on Python integers: the standard form is scaled to
-integer data, the tableau carries one common positive denominator, and each
-pivot is Bareiss's exact fraction-free update.  Points, duals, Farkas
-vectors and rays are converted to `fractions.Fraction` once, at the end.
-There are no tolerances anywhere.  Results are deterministic: identical
-programs yield identical outcomes.
+The kernel pivots on Python integers.  ``_solve_general`` compiles each
+program straight to integer rows ``[L*A | L*b]`` and integer costs ``K*c``,
+with one factor ``L > 0`` for all rows and one ``K > 0`` for the objective,
+and it alone knows them: it divides them back out of the duals and the
+value.  ``_solve_standard`` and ``_Tableau`` see integers only; the tableau
+carries one common positive denominator, and each pivot is Bareiss's exact
+fraction-free update.  Points, duals, Farkas vectors and rays are converted
+to `fractions.Fraction` once, at the end.  There are no tolerances
+anywhere.  Results are deterministic: identical programs yield identical
+outcomes.
 
 Every variable is either free or nonnegative.  Those are the two kinds the
 finite duality of the paper needs: cash, strategy and lineality weights are
@@ -46,12 +50,11 @@ ONE = Fraction(1)
 
 
 def frac(x) -> Fraction:
-    """Coerce ints, strings like '5/6' and Fractions to Fraction."""
+    """Coerce ints, strings like '5/6' and Fractions to Fraction.  A bool is
+    not a number here, although Python makes it an int."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (int, str)) and not isinstance(x, bool):
         return Fraction(x)
     raise TypeError(f"not an exact rational: {x!r}")
 
@@ -65,7 +68,7 @@ class LinearProgram:
     for a nonnegative one.  ``upper`` is therefore all ``None``; it is kept
     so that readers of general bounds, such as the certificate checker in
     ``verify``, see the usual (lower, upper) shape.  All rows must have the
-    same length as the objective.
+    same length as the objective, and every number is an int or a Fraction.
     """
 
     sense: str
@@ -164,57 +167,43 @@ LPOutcome = Union[Optimal, Infeasible, Unbounded]
 
 
 # ---------------------------------------------------------------------------
-# simplex over the standard form  min c.x  s.t.  A x = b, x >= 0, b >= 0
+# simplex over the integer standard form  min c.x  s.t.  A x = b, x >= 0, b >= 0
 # ---------------------------------------------------------------------------
 
 
 class _Tableau:
     """Dense integer tableau with one artificial column per row.
 
-    The rows are ``[L*A | I | L*b]``: the standard form scaled to integers
-    by one positive factor ``L``, the lcm of the denominators of ``A`` and
-    ``b``.  The artificial columns stay the identity and double as a
-    running copy of the basis inverse, which is what makes exact duals and
-    Farkas vectors cheap to read off.  Every entry is held over one common
-    denominator ``den > 0``, the basis determinant, and a pivot on ``p``
-    updates each other row by ``a' = (a*p - f*b) // den`` (exact: Bareiss's
-    fraction-free elimination) before ``den`` becomes ``p``.  The cost row
-    ``zrow`` holds the reduced costs of the scaled columns times ``K*den``,
-    where ``K`` makes the costs integral.  Since ``L``, ``K`` and ``den``
-    are positive, every sign test and ratio comparison agrees with the
-    exact rational tableau, so Bland's rule makes the same pivots.
+    The rows are ``[A | I | b]`` for the integer rows ``[A | b]`` that
+    ``_solve_general`` compiles; the scale factors that made them integral
+    stay in that layer, so this class sees integers only.  The artificial
+    columns stay the identity and double as a running copy of the basis
+    inverse, which is what makes exact duals and Farkas vectors cheap to read
+    off.  Every entry is held over one common denominator ``den > 0``, the
+    basis determinant, and a pivot on ``p`` updates each other row by
+    ``a' = (a*p - f*b) // den`` (exact: Bareiss's fraction-free elimination)
+    before ``den`` becomes ``p``.  The cost row ``zrow`` holds the reduced
+    costs times ``den``.  Since ``den`` is positive, every sign test and
+    ratio comparison agrees with the exact rational tableau, so Bland's rule
+    makes the same pivots.
     """
 
-    def __init__(self, A, b, ncols):
-        self.m = m = len(A)
+    def __init__(self, rows, ncols):
+        m = len(rows)
         self.n = ncols
-        dens = {v.denominator for row in A for v in row}
-        dens.update(v.denominator for v in b)
-        self.scale = L = lcm(*dens)
-        self.rows = [[v.numerator * (L // v.denominator) for v in A[r]]
-                     + [1 if i == r else 0 for i in range(m)]
-                     + [b[r].numerator * (L // b[r].denominator)]
-                     for r in range(m)]
+        self.rows = [row[:ncols] + [1 if i == r else 0 for i in range(m)] + [row[ncols]]
+                     for r, row in enumerate(rows)]
         self.den = 1
-        self.basis = [self.n + r for r in range(m)]
+        self.basis = [ncols + r for r in range(m)]
         self.orig_index = list(range(m))  # tableau row -> input row
         self.zrow = None
 
-    def set_phase1_costs(self):
-        # cost 1 on every artificial, all of them basic at den = 1: the
-        # reduced costs are minus the column sums, zero on the identity
-        n, m = self.n, self.m
-        z = [-sum(col) for col in zip(*self.rows)] if m else [0] * (n + 1)
-        z[n:n + m] = [0] * m
-        self.zrow = z
-
     def set_costs(self, costs):
-        # integer costs over the n structural columns, artificials cost 0
-        den, n = self.den, self.n
-        z = [den * v for v in costs] + [0] * (self.m + 1)
-        for r, row in enumerate(self.rows):
-            bj = self.basis[r]
-            cb = costs[bj] if bj < n else 0
+        # integer costs over the n + m columns, artificials included
+        den = self.den
+        z = [den * v for v in costs] + [0]
+        for row, bj in zip(self.rows, self.basis):
+            cb = costs[bj]
             if cb:
                 z = [a - cb * v for a, v in zip(z, row)]
         self.zrow = z
@@ -281,13 +270,15 @@ class _Tableau:
         del self.orig_index[r]
 
 
-def _solve_standard(A, b, c, n):
-    """min c.x s.t. Ax=b (b>=0), x>=0 over n columns.  Returns a dict with
-    'status' and per-status data: point/duals/value, farkas duals, or ray."""
-    m = len(A)
-    tab = _Tableau(A, b, n)
+def _solve_standard(rows, c, n):
+    """min c.x s.t. Ax=b (b>=0), x>=0 over n columns, for integer rows
+    ``[A | b]`` and integer costs ``c``.  Returns a dict with 'status' and
+    per-status data: point/duals/value, farkas duals, or ray."""
+    m = len(rows)
+    tab = _Tableau(rows, n)
 
-    tab.set_phase1_costs()
+    # phase 1: cost 1 on every artificial
+    tab.set_costs([0] * n + [1] * m)
     status, _ = tab.run()
     if status != "optimal":
         raise InternalInvariantError(f"phase 1 ended {status!r}, not optimal")
@@ -313,8 +304,7 @@ def _solve_standard(A, b, c, n):
                 continue
         r += 1
 
-    K = lcm(*(v.denominator for v in c))
-    tab.set_costs([v.numerator * (K // v.denominator) for v in c])
+    tab.set_costs(c + [0] * m)
     status, enter = tab.run()
     if status == "unbounded":
         ray = [ZERO] * n
@@ -324,22 +314,22 @@ def _solve_standard(A, b, c, n):
                 ray[bj] = Fraction(-tab.rows[r][enter], tab.den)
         return {"status": "unbounded", "point": tab.point(), "ray": ray}
 
-    # y_r = -(reduced cost of artificial r), which zrow holds times K*den/L;
+    # y_r = -(reduced cost of artificial r), which zrow holds times den;
     # dropped rows keep y_r = 0
-    kd, z = K * tab.den, tab.zrow
+    den, z = tab.den, tab.zrow
     duals = [ZERO] * m
     for orig in tab.orig_index:
-        duals[orig] = Fraction(-tab.scale * z[n + orig], kd)
+        duals[orig] = Fraction(-z[n + orig], den)
     return {
         "status": "optimal",
         "point": tab.point(),
         "duals": duals,
-        "value": Fraction(-z[-1], kd),
+        "value": Fraction(-z[-1], den),
     }
 
 
 # ---------------------------------------------------------------------------
-# compilation of the general form to the standard form and back
+# compilation of the general form to the integer standard form and back
 # ---------------------------------------------------------------------------
 
 _dump_sink: Optional[list] = None
@@ -372,52 +362,49 @@ def solve(lp: LinearProgram) -> LPOutcome:
 
 def _solve_general(lp: LinearProgram) -> LPOutcome:
     n = lp.n_vars
-    minimise = lp.sense == MIN
-    c = [frac(v) if minimise else -frac(v) for v in lp.objective]
 
     # a nonnegative variable is one standard column; a free one is the
-    # difference of two, x = x+ - x-
+    # difference of two, x = x+ - x-; each inequality then gets a slack
     free = [lo is None for lo in lp.lower]
     cols = []           # first standard column of each variable
-    std_cols = 0
+    width = 0
     for f in free:
-        cols.append(std_cols)
-        std_cols += 2 if f else 1
+        cols.append(width)
+        width += 2 if f else 1
+    total_cols = width + sum(rel != EQ for rel in lp.row_rels)
 
-    def substitute(coeffs):
-        """original coefficients -> standard coefficient list."""
-        out = [ZERO] * std_cols
+    def compile_row(coeffs, scale, out):
+        """scale * coeffs onto the standard columns of ``out``; scale is a
+        multiple of every denominator, so the entries are integers."""
         for i, a in enumerate(coeffs):
-            a = frac(a)
             if a:
-                out[cols[i]] += a
+                v = a.numerator * (scale // a.denominator)
+                out[cols[i]] = v
                 if free[i]:
-                    out[cols[i] + 1] -= a
+                    out[cols[i] + 1] = -v
         return out
 
-    # one standard row per original row, a slack appended per inequality,
-    # and rows with a negative rhs negated (sigma = -1)
-    std_rows = []       # (dense coeffs incl slack, rhs, sigma)
-    total_cols = std_cols
-    for j in range(lp.n_rows):
-        coeffs = substitute(lp.row_coeffs[j])
-        rhs = frac(lp.row_rhs[j])
-        if lp.row_rels[j] != EQ:
-            coeffs += [ZERO] * (total_cols - std_cols)
-            coeffs.append(ONE if lp.row_rels[j] == LE else -ONE)
-            total_cols += 1
-        sigma = ONE
-        if rhs < 0:
-            sigma = -ONE
-            coeffs = [-v for v in coeffs]
-            rhs = -rhs
-        std_rows.append((coeffs, rhs, sigma))
+    # every row is scaled by one factor L > 0, the lcm of the row and rhs
+    # denominators, and negated where its rhs is negative (sigma = -1);
+    # the objective is scaled by K > 0, and negated for a max
+    L = lcm(*{a.denominator for coeffs in lp.row_coeffs for a in coeffs},
+            *{b.denominator for b in lp.row_rhs})
+    rows, sigma = [], []
+    slack = width
+    for coeffs, rel, rhs in zip(lp.row_coeffs, lp.row_rels, lp.row_rhs):
+        s = -L if rhs < 0 else L
+        row = compile_row(coeffs, s, [0] * (total_cols + 1))
+        if rel != EQ:
+            row[slack] = s if rel == LE else -s
+            slack += 1
+        row[-1] = rhs.numerator * (s // rhs.denominator)
+        rows.append(row)
+        sigma.append(1 if s > 0 else -1)
+    K = lcm(*{a.denominator for a in lp.objective})
+    k = K if lp.sense == MIN else -K
+    c = compile_row(lp.objective, k, [0] * total_cols)
 
-    A = [coeffs + [ZERO] * (total_cols - len(coeffs)) for coeffs, _, _ in std_rows]
-    b = [rhs for _, rhs, _ in std_rows]
-    c_std = substitute(c) + [ZERO] * (total_cols - std_cols)
-
-    res = _solve_standard(A, b, c_std, total_cols)
+    res = _solve_standard(rows, c, total_cols)
 
     def map_back(xs):
         """standard values -> original variables (points and rays alike)."""
@@ -427,16 +414,19 @@ def _solve_general(lp: LinearProgram) -> LPOutcome:
         return Unbounded(point=map_back(res["point"]), ray=map_back(res["ray"]))
 
     if res["status"] == "optimal":
+        # the integer program's value is k times the original one, and its
+        # duals are K / (sigma * L) times the original ones
         return Optimal(
-            value=res["value"] if minimise else -res["value"],
+            value=res["value"] / k,
             point=map_back(res["point"]),
-            row_duals=tuple(sigma * y for (_, _, sigma), y in zip(std_rows, res["duals"])),
+            row_duals=tuple(sg * L * y / K for sg, y in zip(sigma, res["duals"])),
         )
 
-    # infeasible: fold the standard-form Farkas vector back onto the
-    # original rows; a nonnegative variable's zero bound takes up the rest
-    # of its column, tau, which must vanish on a free variable
-    w = [sigma * y for (_, _, sigma), y in zip(std_rows, res["farkas"])]
+    # infeasible: a Farkas vector is invariant under positive scaling, so
+    # only sigma folds back onto the original rows; a nonnegative
+    # variable's zero bound takes up the rest of its column, tau, which
+    # must vanish on a free variable
+    w = [sg * y for sg, y in zip(sigma, res["farkas"])]
     zlo = []
     for i in range(n):
         tau = sum((w[j] * frac(row[i]) for j, row in enumerate(lp.row_coeffs)

@@ -140,6 +140,9 @@ class PayoffMatrix:
     def column_sums(self) -> tuple:
         return tuple(sum(r[w] for r in self.rows) for w in range(len(self.rows[0])))
 
+    def __neg__(self) -> "PayoffMatrix":
+        return PayoffMatrix(rows=tuple(tuple(-v for v in r) for r in self.rows))
+
 
 def payoff_matrix(market: MarketModel, rows, where: str = "payoff") -> PayoffMatrix:
     """Build a PayoffMatrix, enforcing per-row terminal measurability."""
@@ -247,7 +250,7 @@ def build_market(spec: Mapping) -> MarketModel:
     space = ProbSpace(atoms=atoms, prob=tuple(prob))
 
     T = spec.get("times")
-    if not isinstance(T, int) or T < 1:
+    if not isinstance(T, int) or isinstance(T, bool) or T < 1:
         raise ValidationError("times", "need an integer number of periods >= 1")
 
     global_f = _parse_filtration(spec.get("global_filtration", ()), len(atoms), T,

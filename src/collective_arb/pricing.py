@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .arbitrage import MeasureVector, install_emm_system
+from .arbitrage import MeasureVector, install_emm_system, martingale_polytope
 from .cones import ExchangeCone, Positions
 from .errors import FairnessUnavailable, InternalInvariantError, ValidationError
 from .ext import Ext, ext_max, ext_sum
@@ -101,8 +101,6 @@ def rho_agent_plus(market: MarketModel, agent: int, claim_row):
 def rho_agent_plus_dual(market: MarketModel, agent: int, claim_row) -> Ext:
     """Classical dual: supremum of the claim's expectation over the agent's
     martingale polytope (empty polytope reads as -inf)."""
-    from .arbitrage import martingale_polytope
-
     row = tuple(frac(v) for v in claim_row)
     b = LPBuilder(MAX)
     names = martingale_polytope(market, agent).install(b, "q")
@@ -172,20 +170,17 @@ def pi_Y_plus(market: MarketModel, cone: ExchangeCone, g: ClaimVector):
 def rho_Y_minus(market: MarketModel, cone: ExchangeCone, g: ClaimVector) -> Ext:
     """Collective sub-replication via the reflection identity rho_-(g) =
     -rho_+(-g)."""
-    neg = PayoffMatrix(rows=tuple(tuple(-v for v in r) for r in g.rows))
-    value, _ = rho_Y_plus(market, cone, neg)
+    value, _ = rho_Y_plus(market, cone, -g)
     return -value
 
 
 def pi_Y_minus(market: MarketModel, cone: ExchangeCone, g: ClaimVector) -> Ext:
-    neg = PayoffMatrix(rows=tuple(tuple(-v for v in r) for r in g.rows))
-    value, _ = pi_Y_plus(market, cone, neg)
+    value, _ = pi_Y_plus(market, cone, -g)
     return -value
 
 
 def rho_N_minus(market: MarketModel, g: ClaimVector) -> Ext:
-    neg = PayoffMatrix(rows=tuple(tuple(-v for v in r) for r in g.rows))
-    return -rho_N_plus(market, neg)
+    return -rho_N_plus(market, -g)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from fractions import Fraction
 from .errors import InternalInvariantError
 from .lp import (GE, LE, MIN, Infeasible, LinearProgram, Optimal, Unbounded,
                  ZERO, frac)
+from .market import full_gains_basis, gains_basis
 
 
 def _fail(msg: str):
@@ -179,8 +180,6 @@ def _exchange_rows(cone, ray_coeffs, lin_coeffs):
 def verify_arbitrage_found(market, cert, cone=None, agent=None) -> None:
     """Recompute the gains (and exchange) from the reported coefficients and
     check: every row nonnegative, total strictly positive."""
-    from .market import full_gains_basis, gains_basis
-
     if agent is None and cone is None:
         bases = [full_gains_basis(market)]
     elif cone is None:
@@ -214,8 +213,6 @@ def verify_arbitrage_found(market, cert, cone=None, agent=None) -> None:
 
 def verify_single_market_witness(market, q_row, agent=None) -> None:
     """Strictly positive probability row killing every gains generator."""
-    from .market import full_gains_basis, gains_basis
-
     gens = full_gains_basis(market) if agent is None else gains_basis(market, agent)
     if len(q_row) != market.n_atoms:
         _fail("witness length mismatch")
@@ -232,8 +229,6 @@ def verify_polar_witness(market, cone, rows, strict=True) -> None:
     """Element of the polar of the super-replicable set: nonnegative (or
     strictly positive) rows, zero value against every agent's gains
     generators, nonpositive against rays, zero against lineality."""
-    from .market import gains_basis
-
     P = market.space.prob
     N, n = market.n_agents, market.n_atoms
     if len(rows) != N:
@@ -262,8 +257,6 @@ def verify_polar_witness(market, cone, rows, strict=True) -> None:
 
 def verify_measure_vector(market, cone, mv, strict=True) -> None:
     """Vector of martingale measures satisfying the cone polarity."""
-    from .market import gains_basis
-
     N, n = market.n_agents, market.n_atoms
     rows = mv.densities
     if len(rows) != N:
@@ -295,8 +288,6 @@ def verify_measure_vector(market, cone, mv, strict=True) -> None:
 def verify_primal_optimizer(market, cone, g, opt, value) -> None:
     """Recompute every row of m + gains + exchange and check domination of
     the claims and the reported total cost."""
-    from .market import gains_basis
-
     N, n = market.n_agents, market.n_atoms
     if sum(map(frac, opt.m), ZERO) != frac(value):
         _fail("optimizer cost does not match the reported value")
@@ -315,8 +306,6 @@ def verify_primal_optimizer(market, cone, g, opt, value) -> None:
 
 def verify_fairness(market, cone, g, fr) -> None:
     """Re-check every fairness identity from raw data."""
-    from .market import gains_basis
-
     N, n = market.n_agents, market.n_atoms
     verify_measure_vector(market, cone, fr.q_hat, strict=False)
     verify_primal_optimizer(market, cone, g, fr.raw, fr.value)

@@ -2,15 +2,18 @@
 
 This is the dense ``Fraction`` tableau with Bland's rule that
 ``collective_arb.lp`` used before its kernel moved to integer
-(fraction-free) pivoting.  ``tests/test_lp_kernel.py`` runs both kernels on
-the same standard-form programs and requires equal result dicts: the same
-status, point, duals, value, Farkas vector and ray.
+(fraction-free) pivoting, and ``solve``, the ``Fraction`` standard form
+that ``collective_arb.lp`` compiled every program to before it compiled
+straight to integer rows.  ``tests/test_lp_kernel.py`` runs both kernels on
+the same programs and requires equal outcomes: the same status, point,
+duals, value, Farkas vector and ray.
 """
 
 from fractions import Fraction
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+from collective_arb.errors import InternalInvariantError
+from collective_arb.lp import (EQ, LE, MIN, ONE, ZERO, Infeasible, LinearProgram, LPOutcome,
+                               Optimal, Unbounded, frac)
 
 
 class _Tableau:
@@ -156,3 +159,83 @@ def _solve_standard(A, b, c, n):
         "duals": [y.get(r, ZERO) for r in range(m)],
         "value": tab.value(),
     }
+
+
+def solve(lp: LinearProgram) -> LPOutcome:
+    """Compile ``lp`` to the ``Fraction`` standard form, solve it with this
+    kernel and map the result back onto the program's variables and rows."""
+    n = lp.n_vars
+    minimise = lp.sense == MIN
+    c = [frac(v) if minimise else -frac(v) for v in lp.objective]
+
+    # a nonnegative variable is one standard column; a free one is the
+    # difference of two, x = x+ - x-
+    free = [lo is None for lo in lp.lower]
+    cols = []           # first standard column of each variable
+    std_cols = 0
+    for f in free:
+        cols.append(std_cols)
+        std_cols += 2 if f else 1
+
+    def substitute(coeffs):
+        """original coefficients -> standard coefficient list."""
+        out = [ZERO] * std_cols
+        for i, a in enumerate(coeffs):
+            a = frac(a)
+            if a:
+                out[cols[i]] += a
+                if free[i]:
+                    out[cols[i] + 1] -= a
+        return out
+
+    # one standard row per original row, a slack appended per inequality,
+    # and rows with a negative rhs negated (sigma = -1)
+    std_rows = []       # (dense coeffs incl slack, rhs, sigma)
+    total_cols = std_cols
+    for j in range(lp.n_rows):
+        coeffs = substitute(lp.row_coeffs[j])
+        rhs = frac(lp.row_rhs[j])
+        if lp.row_rels[j] != EQ:
+            coeffs += [ZERO] * (total_cols - std_cols)
+            coeffs.append(ONE if lp.row_rels[j] == LE else -ONE)
+            total_cols += 1
+        sigma = ONE
+        if rhs < 0:
+            sigma = -ONE
+            coeffs = [-v for v in coeffs]
+            rhs = -rhs
+        std_rows.append((coeffs, rhs, sigma))
+
+    A = [coeffs + [ZERO] * (total_cols - len(coeffs)) for coeffs, _, _ in std_rows]
+    b = [rhs for _, rhs, _ in std_rows]
+    c_std = substitute(c) + [ZERO] * (total_cols - std_cols)
+
+    res = _solve_standard(A, b, c_std, total_cols)
+
+    def map_back(xs):
+        """standard values -> original variables (points and rays alike)."""
+        return tuple(xs[j] - xs[j + 1] if free[i] else xs[j] for i, j in enumerate(cols))
+
+    if res["status"] == "unbounded":
+        return Unbounded(point=map_back(res["point"]), ray=map_back(res["ray"]))
+
+    if res["status"] == "optimal":
+        return Optimal(
+            value=res["value"] if minimise else -res["value"],
+            point=map_back(res["point"]),
+            row_duals=tuple(sigma * y for (_, _, sigma), y in zip(std_rows, res["duals"])),
+        )
+
+    # infeasible: fold the standard-form Farkas vector back onto the
+    # original rows; a nonnegative variable's zero bound takes up the rest
+    # of its column, tau, which must vanish on a free variable
+    w = [sigma * y for (_, _, sigma), y in zip(std_rows, res["farkas"])]
+    zlo = []
+    for i in range(n):
+        tau = sum((w[j] * frac(row[i]) for j, row in enumerate(lp.row_coeffs)
+                   if w[j] and row[i]), ZERO)
+        if tau > 0 or (free[i] and tau):
+            raise InternalInvariantError(
+                f"Farkas multiplier of the bounds of variable {i} has the wrong sign")
+        zlo.append(ZERO if free[i] else -tau)
+    return Infeasible(farkas_rows=tuple(w), farkas_lower=tuple(zlo), farkas_upper=(ZERO,) * n)

@@ -1,9 +1,14 @@
 """Differential tests: the integer (fraction-free) simplex kernel against the
 exact-Fraction reference kernel in ``fraction_kernel.py``.
 
-Both kernels use Bland's rule, and scaling the tableau by positive integers
-changes no sign or ratio comparison, so they must make the same pivots and
-return equal result dicts: status, point, duals, value, Farkas vector, ray.
+Both kernels use Bland's rule, and scaling the rows and the costs by
+positive integers changes no sign or ratio comparison, so they must make the
+same pivots and return equal outcomes: status, point, duals, value, Farkas
+vector, ray.  Whole programs go through ``lp.solve``, which compiles them
+to integer rows, and ``fraction_kernel.solve``, which compiles them to the
+``Fraction`` standard form; that checks the unscaling of the duals and the
+value as well as the pivots.  The hand-written standard forms compare the
+two kernels on the same integer data.
 """
 
 import os
@@ -12,44 +17,47 @@ import sys
 from fractions import Fraction
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import fraction_kernel
 from collective_arb import lp
+from collective_arb.examples_builtin import example_document, example_names
+from collective_arb.model_io import parse_model
+from collective_arb.report import analyze
 from test_lp import small_lp
 
 F = Fraction
 
 
 def both(A, b, c):
-    A = [[F(v) for v in row] for row in A]
-    b = [F(v) for v in b]
-    c = [F(v) for v in c]
-    new = lp._solve_standard(A, b, c, len(c))
-    old = fraction_kernel._solve_standard(A, b, c, len(c))
+    """Both kernels on the integer standard form min c.x, Ax = b, x >= 0."""
+    new = lp._solve_standard([list(row) + [v] for row, v in zip(A, b)], c, len(c))
+    old = fraction_kernel._solve_standard([[F(v) for v in row] for row in A],
+                                          [F(v) for v in b], [F(v) for v in c], len(c))
     assert repr(new) == repr(old)
     return new
 
 
-def standard_forms(program):
-    """The standard-form programs that solving ``program`` hands the kernel."""
-    seen = []
+def agree(program):
+    """Both kernels on a whole program; equal by repr, so equal types too."""
+    new = lp.solve(program)
+    assert repr(new) == repr(fraction_kernel.solve(program))
+    return new
 
-    def record(A, b, c, n):
-        seen.append((A, b, c, n))
-        return real(A, b, c, n)
 
-    real = lp._solve_standard
-    with mock.patch.object(lp, "_solve_standard", record):
-        lp.solve(program)
-    return seen
+def standard_program(A, b, c):
+    """min c.x s.t. Ax = b, x >= 0 as a LinearProgram."""
+    return lp.LinearProgram(sense=lp.MIN, objective=tuple(c),
+                            row_coeffs=tuple(tuple(row) for row in A),
+                            row_rels=(lp.EQ,) * len(A), row_rhs=tuple(b),
+                            lower=(lp.ZERO,) * len(c), upper=(None,) * len(c))
 
 
 @settings(max_examples=300, deadline=None)
 @given(small_lp())
 def test_general_programs_agree_with_fraction_kernel(program):
-    for A, b, c, n in standard_forms(program):
-        assert lp._solve_standard(A, b, c, n) == fraction_kernel._solve_standard(A, b, c, n)
+    agree(program)
 
 
 mixed = st.one_of(st.just(F(0)),
@@ -69,7 +77,44 @@ def standard_form(draw):
 @settings(max_examples=400, deadline=None)
 @given(standard_form())
 def test_rational_standard_forms_agree_with_fraction_kernel(data):
-    both(*data)
+    agree(standard_program(*data))
+
+
+@st.composite
+def mixed_program(draw):
+    """A general program whose rows, rhs and objective mix denominators."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(0, 4))
+    return lp.LinearProgram(
+        sense=draw(st.sampled_from([lp.MIN, lp.MAX])),
+        objective=tuple(draw(mixed) for _ in range(n)),
+        row_coeffs=tuple(tuple(draw(mixed) for _ in range(n)) for _ in range(m)),
+        row_rels=tuple(draw(st.sampled_from([lp.LE, lp.GE, lp.EQ])) for _ in range(m)),
+        row_rhs=tuple(draw(mixed) for _ in range(m)),
+        lower=tuple(draw(st.sampled_from([None, lp.ZERO])) for _ in range(n)),
+        upper=(None,) * n)
+
+
+@settings(max_examples=400, deadline=None)
+@given(mixed_program())
+def test_mixed_denominator_programs_agree_with_fraction_kernel(program):
+    agree(program)
+
+
+@pytest.mark.parametrize("name", example_names())
+def test_builtin_analysis_programs_agree_with_fraction_kernel(name):
+    programs = []
+    real = lp._solve_general
+
+    def record(program):
+        programs.append(program)
+        return real(program)
+
+    with mock.patch.object(lp, "_solve_general", record):
+        analyze(parse_model(example_document(name)))
+    assert programs
+    for program in programs:
+        agree(program)
 
 
 def test_redundant_rows_are_dropped_alike():
@@ -94,9 +139,10 @@ def test_negative_drive_out_pivot():
 
 
 def test_mixed_denominators():
-    res = both([[F(1, 2), F(2, 3), 0], [F(3, 4), 0, F(-5, 6)]], [F(5, 6), F(1, 3)],
-               [F(1, 3), F(-1, 2), F(1, 4)])
-    assert res["status"] == "optimal"
+    # the rows need L = 12 and the objective K = 12 to become integers
+    res = agree(standard_program([[F(1, 2), F(2, 3), 0], [F(3, 4), 0, F(-5, 6)]],
+                                 [F(5, 6), F(1, 3)], [F(1, 3), F(-1, 2), F(1, 4)]))
+    assert res.status == "optimal"
 
 
 def test_infeasible_farkas_vector():

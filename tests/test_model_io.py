@@ -225,6 +225,9 @@ _MALFORMED_CONES = {
     "groups-mixed": {"kind": "grouping", "groups": [[0, "1"]]},
     "generators-int": {"kind": "span", "generators": 5},
     "parts-int": {"kind": "sum", "parts": 7},
+    "y0-t-bool": {"kind": "Y0", "t": True},
+    "grouping-t-bool": {"kind": "grouping", "groups": [[0, 1]], "t": True},
+    "groups-bool": {"kind": "grouping", "groups": [[False, True]]},
 }
 
 # one top-level field of toy71 replaced
@@ -237,6 +240,9 @@ _MALFORMED_FIELDS = {
     "assets-list": ("assets", [1]),
     "claim-null": ("claims", [["3", None], ["9", "3"]]),
     "agent-asset-list": ("agents", [{"assets": [["X1"]]}, {"assets": ["X2"]}]),
+    "times-bool": ("times", True),
+    "asset-value-bool": ("assets", {"X1": [True, ["3", "1"]], "X2": ["4", ["9", "3"]]}),
+    "claim-bool": ("claims", [["3", True], ["9", "3"]]),
 }
 
 
