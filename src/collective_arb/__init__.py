@@ -11,8 +11,7 @@ from .errors import FairnessUnavailable, InternalInvariantError, ValidationError
 from .ext import Ext
 from .market import (Filtration, GainsGenerator, MarketModel, PayoffMatrix,
                      PriceProcess, ProbSpace, build_market,
-                     coarsest_adapted_filtration, full_gains_basis, gains_basis,
-                     payoff_matrix)
+                     coarsest_adapted_filtration, gains_basis, payoff_matrix)
 from .model_io import ModelFile, load_model, parse_cone, parse_model
 from .pricing import (ClaimVector, FairnessResult, PriceCompatibility,
                       PrimalOptimizer, claim_vector, dual_rho_Y,

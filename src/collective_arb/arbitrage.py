@@ -19,7 +19,7 @@ from typing import Optional
 from .cones import ExchangeCone, Positions, polarity_functionals
 from .errors import InternalInvariantError, ValidationError
 from .lp import EQ, GE, LE, LPBuilder, MAX, MIN, ZERO
-from .market import MarketModel, PayoffMatrix, gains_basis, synthetic_full_agent
+from .market import MarketModel, PayoffMatrix, gains_basis
 
 
 @dataclass(frozen=True)
@@ -102,8 +102,7 @@ class MartingalePolytope:
 
 
 def martingale_polytope(market: MarketModel, agent: int) -> MartingalePolytope:
-    return MartingalePolytope(n_atoms=market.n_atoms,
-                              generators=tuple(gains_basis(market, agent)))
+    return MartingalePolytope(n_atoms=market.n_atoms, generators=gains_basis(market, agent))
 
 
 def _max_equivalent_member(poly: MartingalePolytope):
@@ -123,8 +122,8 @@ def _max_equivalent_member(poly: MartingalePolytope):
 def install_emm_system(b: LPBuilder, market: MarketModel, cone: ExchangeCone):
     """Variables and rows for vectors of martingale measures satisfying the
     exchange-cone polarity: <= 0 against rays, = 0 against lineality."""
-    names = [martingale_polytope(market, i).install(b, f"q{i}")
-             for i in range(market.n_agents)]
+    names = [MartingalePolytope(market.n_atoms, gens).install(b, f"q{i}")
+             for i, gens in enumerate(market.gains)]
     _polar_rows(b, names, cone, (Fraction(1),) * market.n_atoms)
     return names
 
@@ -167,8 +166,8 @@ def polar_witness(market: MarketModel, cone: ExchangeCone) -> Optional[PayoffMat
     for i in range(N):
         for w in range(n):
             b.row(f"int{i}_{w}", {names[i][w]: Fraction(1), eps: Fraction(-1)}, GE, 0)
-    for i in range(N):
-        for k, g in enumerate(gains_basis(market, i)):
+    for i, gens in enumerate(market.gains):
+        for k, g in enumerate(gens):
             coeffs = {names[i][w]: P[w] * g.vector[w] for w in range(n) if g.vector[w]}
             b.row(f"orth{i}_{k}", coeffs, EQ, 0)
     _polar_rows(b, names, cone, P)
@@ -201,8 +200,8 @@ def detect_NA_agent(market: MarketModel, agent: int) -> ArbitrageCertificate:
 
 def detect_NA_global(market: MarketModel) -> ArbitrageCertificate:
     """Classical arbitrage in the pooled market of all assets: the one agent
-    of `synthetic_full_agent`, whose gains basis is `full_gains_basis`."""
-    return detect_NA_agent(synthetic_full_agent(market), 0)
+    of `market.full_market`."""
+    return detect_NA_agent(market.full_market, 0)
 
 
 def detect_NCA(market: MarketModel, cone: ExchangeCone) -> ArbitrageCertificate:
@@ -210,8 +209,7 @@ def detect_NCA(market: MarketModel, cone: ExchangeCone) -> ArbitrageCertificate:
     making every agent's payoff nonnegative and the total strictly positive."""
     if (cone.n_agents, cone.n_atoms) != (market.n_agents, market.n_atoms):
         raise ValidationError("cone", "cone shape does not match the market")
-    gens_per_agent = [gains_basis(market, i) for i in range(market.n_agents)]
-    hit = _search_arbitrage(market, gens_per_agent, cone)
+    hit = _search_arbitrage(market, market.gains, cone)
     if hit is not None:
         strat, rows, exchange = hit
         return ArbitrageCertificate(found=True, strategy_coeffs=strat,

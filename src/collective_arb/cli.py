@@ -6,8 +6,8 @@
     collective-arb examples [name] [--dir DIR]
 
 Exit codes: 0 analysis completed (whether or not arbitrage was found),
-1 validation error, 2 internal invariant violation (a certificate failed
-exact re-verification).
+1 validation error or an output file that cannot be written, 2 internal
+invariant violation (a certificate failed exact re-verification).
 """
 
 from __future__ import annotations
@@ -50,6 +50,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_failed(path: str, err: OSError) -> int:
+    print(f"invalid: {path}: cannot write the file: {err}", file=sys.stderr)
+    return 1
+
+
 def cmd_validate(args) -> int:
     try:
         model = load_model(args.path)
@@ -88,13 +93,14 @@ def cmd_analyze(args) -> int:
         for k, text in enumerate(sink):
             print(f"--- LP {k + 1} ---\n{text}")
     sys.stdout.write(render_text(report))
-    if args.json:
-        payload = render_json(report)
-        if args.json == "-":
-            sys.stdout.write(payload)
-        else:
+    if args.json == "-":
+        sys.stdout.write(render_json(report))
+    elif args.json:
+        try:
             with open(args.json, "w", encoding="utf-8") as fh:
-                fh.write(payload)
+                fh.write(render_json(report))
+        except OSError as e:
+            return _write_failed(args.json, e)
     return 0
 
 
@@ -109,6 +115,8 @@ def cmd_examples(args) -> int:
         print(f"unknown example {args.name!r}; available: "
               f"{', '.join(example_names())}", file=sys.stderr)
         return 1
+    except OSError as e:
+        return _write_failed(args.dir, e)
     print(path)
     return 0
 

@@ -6,14 +6,17 @@ agents that each trade a subset of the assets under their own (possibly
 coarser) filtration.  Gains spaces are exposed through explicit generating
 sets: one vector ``1_A * (X_t - X_{t-1})`` per asset, trading date and
 information block, so every strategy coefficient the engine reports maps
-back to a readable "buy on this event" position.
+back to a readable "buy on this event" position.  A market builds its
+agents' sets (``MarketModel.gains``) and its pooled one-agent market
+(``MarketModel.full_market``) on first use and keeps them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from functools import cached_property
+from typing import Mapping, Sequence
 
 from .errors import ValidationError
 from .lp import ZERO, frac
@@ -122,8 +125,19 @@ class MarketModel:
     def terminal_partition(self, agent: int) -> Partition:
         return self.agents[agent].filtration.at(self.T)
 
-    def expectation(self, weights: Sequence[Fraction], row: Sequence[Fraction]) -> Fraction:
-        return sum((w * v for w, v in zip(weights, row)), ZERO)
+    @cached_property
+    def gains(self) -> tuple:
+        """Each agent's gains generators, one tuple per agent."""
+        return tuple(_generators(self, ag.asset_ids, ag.filtration) for ag in self.agents)
+
+    @cached_property
+    def full_market(self) -> "MarketModel":
+        """The pooled market: one agent owning every asset under the global
+        filtration."""
+        agent = AgentSpec(asset_ids=tuple(range(len(self.assets))),
+                          filtration=self.global_filtration)
+        return MarketModel(space=self.space, assets=self.assets,
+                           agents=(agent,), global_filtration=self.global_filtration)
 
 
 @dataclass(frozen=True)
@@ -165,7 +179,6 @@ class GainsGenerator:
     """Payoff 1_A * (X_t - X_{t-1}) of holding one unit of an asset over one
     period on an information block A."""
 
-    agent: Optional[int]
     asset: int
     t: int
     block: tuple
@@ -345,7 +358,7 @@ def coarsest_adapted_filtration(n_atoms: int, value_rows_by_time) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _generators(market: MarketModel, asset_ids, filtration: Filtration, agent):
+def _generators(market: MarketModel, asset_ids, filtration: Filtration) -> tuple:
     gens = []
     for j in asset_ids:
         X = market.assets[j].values
@@ -355,17 +368,15 @@ def _generators(market: MarketModel, asset_ids, filtration: Filtration, agent):
                 inside = set(block)
                 vec = tuple(diff[w] if w in inside else ZERO
                             for w in range(market.n_atoms))
-                gens.append(GainsGenerator(agent=agent, asset=j, t=t,
-                                           block=block, vector=vec))
-    return gens
+                gens.append(GainsGenerator(asset=j, t=t, block=block, vector=vec))
+    return tuple(gens)
 
 
 def gains_basis(market: MarketModel, agent: int):
     """Generators of the zero-cost terminal gains achievable by one agent."""
     if not 0 <= agent < market.n_agents:
         raise ValidationError("agent", f"no agent {agent}")
-    spec = market.agents[agent]
-    return _generators(market, spec.asset_ids, spec.filtration, agent)
+    return market.gains[agent]
 
 
 def gains_row(gens, coeffs, n_atoms: int) -> tuple:
@@ -377,22 +388,6 @@ def gains_row(gens, coeffs, n_atoms: int) -> tuple:
             for w in range(n_atoms):
                 row[w] += c * g.vector[w]
     return tuple(row)
-
-
-def full_gains_basis(market: MarketModel):
-    """Generators of the whole-market gains space: every asset, traded on the
-    global filtration."""
-    return _generators(market, range(len(market.assets)),
-                       market.global_filtration, None)
-
-
-def synthetic_full_agent(market: MarketModel) -> MarketModel:
-    """One agent owning every asset under the global filtration; used to
-    price a pooled claim in the full market."""
-    agent = AgentSpec(asset_ids=tuple(range(len(market.assets))),
-                      filtration=market.global_filtration)
-    return MarketModel(space=market.space, assets=market.assets,
-                       agents=(agent,), global_filtration=market.global_filtration)
 
 
 def agents_join_partition(market: MarketModel, t: int) -> Partition:

@@ -20,7 +20,7 @@ from .errors import FairnessUnavailable, InternalInvariantError, ValidationError
 from .ext import Ext, ext_max, ext_sum
 from .lp import EQ, GE, LE, LPBuilder, MAX, MIN, ZERO, frac
 from .market import (MarketModel, PayoffMatrix, constant_on, gains_basis, gains_row,
-                     payoff_matrix, synthetic_full_agent)
+                     payoff_matrix)
 
 ClaimVector = PayoffMatrix  # one claim row per agent, measurable per row
 
@@ -68,15 +68,26 @@ def _expect_optimal(sol, what: str) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _agent_claim_row(market: MarketModel, agent: int, claim_row) -> tuple:
+    """The claim row as Fractions, checked against the agent's market: a
+    real agent, one entry per atom, measurable at the terminal date."""
+    if not 0 <= agent < market.n_agents:
+        raise ValidationError("claim", f"no agent {agent}")
+    row = tuple(frac(v) for v in claim_row)
+    if len(row) != market.n_atoms:
+        raise ValidationError("claim", f"need {market.n_atoms} entries, got {len(row)}")
+    if not constant_on(row, market.terminal_partition(agent)):
+        raise ValidationError("claim", "row not measurable for the agent")
+    return row
+
+
 def rho_agent_plus(market: MarketModel, agent: int, claim_row):
     """Least cash m such that m plus some zero-cost gain dominates the claim.
 
     Returns (Ext value, optimizer dict or None); -inf exactly when the
     agent's martingale polytope is empty (a scalable everywhere-positive
     gain exists)."""
-    row = tuple(frac(v) for v in claim_row)
-    if not constant_on(row, market.terminal_partition(agent)):
-        raise ValidationError("claim", "row not measurable for the agent")
+    row = _agent_claim_row(market, agent, claim_row)
     gens = gains_basis(market, agent)
     b = LPBuilder(MIN)
     b.var("m", obj=1)
@@ -101,7 +112,7 @@ def rho_agent_plus(market: MarketModel, agent: int, claim_row):
 def rho_agent_plus_dual(market: MarketModel, agent: int, claim_row) -> Ext:
     """Classical dual: supremum of the claim's expectation over the agent's
     martingale polytope (empty polytope reads as -inf)."""
-    row = tuple(frac(v) for v in claim_row)
+    row = _agent_claim_row(market, agent, claim_row)
     b = LPBuilder(MAX)
     names = martingale_polytope(market, agent).install(b, "q")
     for w, v in enumerate(names):
@@ -139,8 +150,7 @@ def _collective_price(market: MarketModel, cone: ExchangeCone, g: ClaimVector,
         cash = [b.var("m", obj=1)] * market.n_agents
     else:
         cash = [b.var(f"m{i}", obj=1) for i in range(market.n_agents)]
-    gens_per_agent = [gains_basis(market, i) for i in range(market.n_agents)]
-    pos = Positions(b, market.n_atoms, gens_per_agent, cone)
+    pos = Positions(b, market.n_atoms, market.gains, cone)
     for i in range(market.n_agents):
         for w in range(market.n_atoms):
             b.row(f"dom{i}_{w}", {cash[i]: Fraction(1), **pos.payoff(i, w)}, GE, g.rows[i][w])
@@ -331,7 +341,7 @@ def _minimal_transfer_optimizer(market, cone, g, m_tilde, q_hat):
     the exchange rows); canonical and reproducible."""
     N, n = market.n_agents, market.n_atoms
     b = LPBuilder(MIN)
-    pos = Positions(b, n, [gains_basis(market, i) for i in range(N)], cone)
+    pos = Positions(b, n, market.gains, cone)
     for i in range(N):
         for w in range(n):
             b.var(f"abs{i}_{w}", lo=0, obj=1)
@@ -393,8 +403,7 @@ def price_compatibility(market: MarketModel, cone: ExchangeCone, g: ClaimVector,
     if len(p) != market.n_agents:
         raise ValidationError("prices", "need one price per agent")
     b = LPBuilder(MAX)
-    gens_per_agent = [gains_basis(market, i) for i in range(market.n_agents)]
-    pos = Positions(b, market.n_atoms, gens_per_agent, cone)
+    pos = Positions(b, market.n_atoms, market.gains, cone)
     total_obj = {}
     offset = ZERO
     for i in range(market.n_agents):
@@ -443,8 +452,7 @@ def price_compatibility(market: MarketModel, cone: ExchangeCone, g: ClaimVector,
 
 def rho_full_market(market: MarketModel, pooled_claim) -> Ext:
     """Classical super-replication of one pooled claim in the full market
-    (a synthetic agent owning every asset under the global filtration)."""
-    full = synthetic_full_agent(market)
-    row = tuple(frac(v) for v in pooled_claim)
-    value, _ = rho_agent_plus(full, 0, row)
+    (`market.full_market`: one agent owning every asset under the global
+    filtration)."""
+    value, _ = rho_agent_plus(market.full_market, 0, pooled_claim)
     return value

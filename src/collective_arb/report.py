@@ -16,7 +16,7 @@ from .arbitrage import detect_NA_agent, detect_NA_global, detect_NCA, find_emm_v
 from .cones import ExchangeCone, cone_add, make_Y0
 from .errors import FairnessUnavailable, InternalInvariantError
 from .ext import Ext, ext_max, ext_sum
-from .market import MarketModel, full_gains_basis, gains_basis
+from .market import MarketModel
 from .model_io import ModelFile
 from .pricing import (cooperation_from_prices, dual_rho_Y, fairness_from_prices,
                       pi_Y_minus, pi_Y_plus, rho_agent_plus, rho_agent_plus_dual,
@@ -104,13 +104,12 @@ def analyze(model: ModelFile, sections=None) -> dict:
         else:
             verify.verify_single_market_witness(market, na_global_result.dual_witness[0])
 
-    bases = [gains_basis(market, i) for i in range(market.n_agents)]
     if "na" in wanted:
         report["na"] = {
             "agents": [dict(agent=f"agent{i + 1}",
-                            **_arbitrage_obj(market, c, [bases[i]]))
+                            **_arbitrage_obj(market, c, [market.gains[i]]))
                        for i, c in enumerate(na_agent_results)],
-            "global": _arbitrage_obj(market, na_global_result, [full_gains_basis(market)]),
+            "global": _arbitrage_obj(market, na_global_result, market.full_market.gains),
         }
 
     nca_cert = None
@@ -128,7 +127,7 @@ def analyze(model: ModelFile, sections=None) -> dict:
         if cone is None:
             report["nca"] = {"status": "skipped", "reason": "no exchange cone in model"}
         else:
-            report["nca"] = _arbitrage_obj(market, nca_cert, bases)
+            report["nca"] = _arbitrage_obj(market, nca_cert, market.gains)
             report["nca"]["with_deterministic_transfers"] = {
                 "arbitrage": widened_cert.found}
 
@@ -179,11 +178,9 @@ def analyze(model: ModelFile, sections=None) -> dict:
         else:
             report["fairness"] = pricing_data["fairness"]
 
-    if (cone is not None and model.claims is not None and "price" in wanted
-            and pricing_data is not None and nca_cert is not None):
-        report["table"] = _summary_table(market, cone, model.claims,
-                                         na_agent_results, na_global_result,
-                                         nca_cert, widened_cert, mv, pricing_data)
+    if cone is not None and model.claims is not None and "price" in wanted:
+        report["table"] = _summary_table(na_agent_results, na_global_result,
+                                         nca_cert, widened_cert, mv, pricing_data["prices"])
     return report
 
 
@@ -203,6 +200,7 @@ def _pricing_section(market, cone, claims) -> dict:
         "rho_N": _val(rho_n),
         "pi_N": _val(pi_n),
     }
+    prices = {"rho_N": rho_n, "pi_N": pi_n}
     cooperation: object = "absent"
     fairness: object = "absent"
     if cone is not None:
@@ -222,6 +220,7 @@ def _pricing_section(market, cone, claims) -> dict:
         rho_ym = rho_Y_minus(market, cone, claims)
         pi_ym = pi_Y_minus(market, cone, claims)
         rho_nm = rho_N_minus(market, claims)
+        prices.update(rho_Y=rho_y, pi_Y=pi_y)
         out.update({
             "rho_Y": _val(rho_y),
             "pi_Y": _val(pi_y),
@@ -231,9 +230,8 @@ def _pricing_section(market, cone, claims) -> dict:
             "rho_N_minus": _val(rho_nm),
             "primal_optimizer": "absent" if opt is None else {
                 "m": [_val(v) for v in opt.m],
-                "strategies": [_strategy_obj(market, gains_basis(market, i),
-                                             opt.strategy_coeffs[i])
-                               for i in range(market.n_agents)],
+                "strategies": [_strategy_obj(market, gens, coeffs)
+                               for gens, coeffs in zip(market.gains, opt.strategy_coeffs)],
                 "exchange": _rows_obj(market, opt.exchange_rows),
             },
             "dual_optimizer": ("absent" if dual_mv is None
@@ -255,30 +253,20 @@ def _pricing_section(market, cone, claims) -> dict:
             }
         except FairnessUnavailable as e:
             fairness = {"status": "unavailable", "reason": str(e)}
-    return {"pricing": out, "cooperation": cooperation, "fairness": fairness}
+    return {"pricing": out, "cooperation": cooperation, "fairness": fairness,
+            "prices": prices}
 
 
-def _summary_table(market, cone, claims, na_agents, na_global, nca_cert,
-                   widened_cert, mv, pricing_data) -> dict:
-    p = pricing_data["pricing"]
-
-    def lt(a, b):
-        order = {"-inf": -1, "+inf": 1}
-        if a == b:
-            return False
-        ka, kb = order.get(a, 0), order.get(b, 0)
-        if ka != kb:
-            return ka < kb
-        return Fraction(a) < Fraction(b)
-
+def _summary_table(na_agents, na_global, nca_cert, widened_cert, mv, prices) -> dict:
+    """``prices`` holds the Ext values of rho_N, pi_N, rho_Y and pi_Y."""
     return {
         "NA": not na_global.found,
         "NCA(Y)": not nca_cert.found,
         "NCA(Y+RN0)": not widened_cert.found,
         "NA_i_all": all(not c.found for c in na_agents),
         "M_Y_nonempty": mv is not None,
-        "pi_Y<pi_N": lt(p.get("pi_Y", "absent"), p["pi_N"]) if "pi_Y" in p else "absent",
-        "rho_Y<rho_N": lt(p.get("rho_Y", "absent"), p["rho_N"]) if "rho_Y" in p else "absent",
+        "pi_Y<pi_N": prices["pi_Y"] < prices["pi_N"],
+        "rho_Y<rho_N": prices["rho_Y"] < prices["rho_N"],
     }
 
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 from .errors import InternalInvariantError
 from .lp import (GE, LE, MIN, Infeasible, LinearProgram, Optimal, Unbounded,
                  ZERO, frac)
-from .market import full_gains_basis, gains_basis
+from .market import gains_basis
 
 
 def _fail(msg: str):
@@ -181,11 +181,11 @@ def verify_arbitrage_found(market, cert, cone=None, agent=None) -> None:
     """Recompute the gains (and exchange) from the reported coefficients and
     check: every row nonnegative, total strictly positive."""
     if agent is None and cone is None:
-        bases = [full_gains_basis(market)]
+        bases = market.full_market.gains
     elif cone is None:
         bases = [gains_basis(market, agent)]
     else:
-        bases = [gains_basis(market, i) for i in range(market.n_agents)]
+        bases = market.gains
     rows = []
     for i, gens in enumerate(bases):
         if len(cert.strategy_coeffs[i]) != len(gens):
@@ -213,7 +213,7 @@ def verify_arbitrage_found(market, cert, cone=None, agent=None) -> None:
 
 def verify_single_market_witness(market, q_row, agent=None) -> None:
     """Strictly positive probability row killing every gains generator."""
-    gens = full_gains_basis(market) if agent is None else gains_basis(market, agent)
+    gens = market.full_market.gains[0] if agent is None else gains_basis(market, agent)
     if len(q_row) != market.n_atoms:
         _fail("witness length mismatch")
     if any(frac(v) <= 0 for v in q_row):
@@ -243,8 +243,8 @@ def verify_polar_witness(market, cone, rows, strict=True) -> None:
     def weighted(i, vec):
         return sum((P[w] * frac(rows[i][w]) * frac(vec[w]) for w in range(n)), ZERO)
 
-    for i in range(N):
-        for g in gains_basis(market, i):
+    for i, gens in enumerate(market.gains):
+        for g in gens:
             if weighted(i, g.vector) != 0:
                 _fail("polar witness not orthogonal to a gains generator")
     for r in cone.rays:
@@ -271,8 +271,8 @@ def verify_measure_vector(market, cone, mv, strict=True) -> None:
                 _fail("measure has a negative probability")
         if sum(map(frac, row)) != 1:
             _fail("measure row does not sum to one")
-    for i in range(N):
-        for g in gains_basis(market, i):
+    for i, gens in enumerate(market.gains):
+        for g in gens:
             if _dot(rows[i], g.vector) != 0:
                 _fail("martingale equality fails for a gains generator")
     for r in cone.rays:
@@ -288,14 +288,13 @@ def verify_measure_vector(market, cone, mv, strict=True) -> None:
 def verify_primal_optimizer(market, cone, g, opt, value) -> None:
     """Recompute every row of m + gains + exchange and check domination of
     the claims and the reported total cost."""
-    N, n = market.n_agents, market.n_atoms
+    n = market.n_atoms
     if sum(map(frac, opt.m), ZERO) != frac(value):
         _fail("optimizer cost does not match the reported value")
     ex = _exchange_rows(cone, opt.ray_coeffs, opt.lin_coeffs)
     if tuple(tuple(r) for r in opt.exchange_rows) != ex:
         _fail("exchange rows differ from their coefficients")
-    for i in range(N):
-        gens = gains_basis(market, i)
+    for i, gens in enumerate(market.gains):
         gains = _combine(gens, opt.strategy_coeffs[i], n)
         if tuple(opt.gains_rows[i]) != gains:
             _fail("gains rows differ from their coefficients")
@@ -327,7 +326,7 @@ def verify_fairness(market, cone, g, fr) -> None:
     for i in range(N):
         if _dot(fr.q_hat.densities[i], ex[i]) != 0:
             _fail("canonical exchange has nonzero cost under the dual measure")
-        gains = _combine(gains_basis(market, i), fr.k_tilde_coeffs[i], n)
+        gains = _combine(market.gains[i], fr.k_tilde_coeffs[i], n)
         for w in range(n):
             if frac(fr.m_tilde[i]) + gains[w] + ex[i][w] < frac(g.rows[i][w]):
                 _fail("canonical optimizer fails to dominate a claim")

@@ -3,8 +3,9 @@ from fractions import Fraction
 import pytest
 
 from collective_arb.errors import ValidationError
+from collective_arb.examples_builtin import example_document, example_names
 from collective_arb.market import (build_market, coarsest_adapted_filtration,
-                                   full_gains_basis, gains_basis, payoff_matrix,
+                                   gains_basis, payoff_matrix,
                                    partition_join, refines)
 
 from conftest import toy_market_spec, tree_market_spec
@@ -79,7 +80,7 @@ def test_gains_basis_toy_agent1(toy_market):
 
 
 def test_full_gains_toy(toy_market):
-    vecs = [g.vector for g in full_gains_basis(toy_market)]
+    vecs = [g.vector for g in toy_market.full_market.gains[0]]
     assert vecs == [(F(1), F(-1)), (F(5), F(-1))]
 
 
@@ -96,13 +97,13 @@ def test_tree_gains_rank(tree_market):
     gens = gains_basis(tree_market, 0)
     assert len(gens) == 4  # one first-period trade plus one per middle node
     assert rank([g.vector for g in gens]) == 4
-    assert rank([g.vector for g in full_gains_basis(tree_market)]) == 5
+    assert rank([g.vector for g in tree_market.full_market.gains[0]]) == 5
 
 
 def test_span_monotonicity(tree_market):
     markets = [tree_market, build_market(coarse_agent_spec())]
     for market in markets:
-        full = [g.vector for g in full_gains_basis(market)]
+        full = [g.vector for g in market.full_market.gains[0]]
         base = rank(full)
         for i in range(market.n_agents):
             for g in gains_basis(market, i):
@@ -157,6 +158,32 @@ def test_heterogeneous_filtrations_gains(tree_market):
     assert len(gains_basis(market, 0)) == 1
     g2 = gains_basis(market, 1)
     assert len(g2) == 1 and g2[0].vector == (F(1), F(1), F(-1), F(-1))
+
+
+@pytest.mark.parametrize("name", example_names())
+def test_analysis_builds_each_gains_basis_once(name, monkeypatch):
+    """One analysis builds the N agents' bases and the whole market's, then
+    reads the same objects again."""
+    from collective_arb import market as market_mod
+    from collective_arb.model_io import parse_model
+    from collective_arb.report import analyze
+
+    builds = []
+    real = market_mod._generators
+
+    def counted(*args):
+        builds.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(market_mod, "_generators", counted)
+    model = parse_model(example_document(name))
+    analyze(model)
+    market = model.market
+    assert len(builds) == market.n_agents + 1
+    for i in range(market.n_agents):
+        assert gains_basis(market, i) is gains_basis(market, i)
+    assert market.full_market is market.full_market
+    assert len(builds) == market.n_agents + 1
 
 
 def test_generators_measurable_at_terminal_partition(tree_market):

@@ -303,6 +303,21 @@ def test_cli_analyze_json_file_output(tmp_path):
     assert payload["pricing"]["rho_N"] == "6"
 
 
+@pytest.mark.parametrize("command", ["analyze", "examples"])
+def test_cli_unwritable_output_exits_cleanly(command, tmp_path):
+    write_example("toy71", str(tmp_path))
+    missing = tmp_path / "missing"
+    if command == "analyze":
+        target = missing / "report.json"
+        res = run_cli("analyze", str(tmp_path / "toy71.json"), "--json", str(target))
+    else:
+        target = missing
+        res = run_cli("examples", "toy71", "--dir", str(target))
+    assert res.returncode == 1
+    assert res.stderr.startswith(f"invalid: {target}: cannot write the file: ")
+    assert "Traceback" not in res.stderr
+
+
 def test_cli_internal_invariant_exit_code(monkeypatch, tmp_path, capsys):
     """A certificate failing re-verification maps to exit code 2."""
     from collective_arb import cli

@@ -5,7 +5,7 @@ import pytest
 
 from collective_arb.cones import (cone_add, make_grouping, make_rays, make_span,
                                   make_Y0, make_zero)
-from collective_arb.errors import FairnessUnavailable
+from collective_arb.errors import FairnessUnavailable, ValidationError
 from collective_arb.ext import Ext
 from collective_arb.market import PayoffMatrix, build_market
 from collective_arb.pricing import (claim_vector, dual_rho_Y, fairness_allocation,
@@ -19,6 +19,7 @@ from collective_arb.verify import (verify_fairness, verify_primal_optimizer)
 
 from conftest import TREE_CLAIMS, toy_market_spec, tree_market_spec
 from test_cones import span_cone
+from test_market import coarse_agent_spec
 
 F = Fraction
 
@@ -319,6 +320,30 @@ def test_price_compatibility_witness_total_positive(tree_market, tree_claims):
     cone = make_Y0(tree_market, 1)
     verdict = price_compatibility(tree_market, cone, tree_claims, ["30", "16"])
     assert not verdict.compatible and verdict.witness is not None
+
+
+@pytest.mark.parametrize("case", ["long-row", "short-row", "agent-past-end",
+                                  "agent-negative", "not-measurable"])
+@pytest.mark.parametrize("price", [rho_agent_plus, rho_agent_plus_dual])
+def test_single_market_prices_check_the_claim_row(price, case):
+    market = build_market(coarse_agent_spec())  # 4 atoms; agent 1 sees {a,b} | {c,d}
+    agent, row = {
+        "long-row": (0, ["1", "2", "3", "4", "100"]),
+        "short-row": (0, ["1", "2", "3"]),
+        "agent-past-end": (2, ["1", "1", "1", "1"]),
+        "agent-negative": (-1, ["1", "1", "1", "1"]),
+        "not-measurable": (1, ["1", "2", "3", "3"]),
+    }[case]
+    with pytest.raises(ValidationError) as err:
+        price(market, agent, row)
+    assert err.value.where == "claim"
+
+
+@pytest.mark.parametrize("row", [["3", "1", "100"], ["3"]])
+def test_full_market_price_checks_the_claim_row(toy_market, row):
+    with pytest.raises(ValidationError) as err:
+        rho_full_market(toy_market, row)
+    assert err.value.where == "claim"
 
 
 def test_full_market_collapse(tree_market, tree_claims):
