@@ -7,7 +7,9 @@ measures compatible with the exchange cone, or a positive element of the
 polar of the super-replicable set.  Each side re-verifies by plain
 arithmetic; the pair of tests realizes, and constantly exercises, the
 collective version of the fundamental theorem of asset pricing on finite
-outcome spaces.
+outcome spaces.  A single market is the collective case with one row of
+gains generators and no cone: its arbitrage search and its interior
+martingale measure are the collective programs at that size.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .cones import ExchangeCone, Positions, polarity_functionals
+from .cones import ExchangeCone, Positions
 from .errors import InternalInvariantError, ValidationError
 from .lp import EQ, GE, LE, LPBuilder, MAX, MIN, ZERO
 from .market import MarketModel, PayoffMatrix, gains_basis
@@ -105,53 +107,65 @@ def martingale_polytope(market: MarketModel, agent: int) -> MartingalePolytope:
     return MartingalePolytope(n_atoms=market.n_atoms, generators=gains_basis(market, agent))
 
 
-def _max_equivalent_member(poly: MartingalePolytope):
-    """Canonical interior point: maximize the minimum atom probability."""
-    b = LPBuilder(MAX)
-    eps = b.var("eps", obj=1)
-    names = poly.install(b, "q")
-    for w, v in enumerate(names):
-        b.row(f"int{w}", {v: Fraction(1), eps: Fraction(-1)}, GE, 0)
-    sol = b.solve()
-    if sol.status != "optimal" or sol.value <= 0:
-        return None
-    p = sol.primal()
-    return tuple(p[v] for v in names)
-
-
-def install_emm_system(b: LPBuilder, market: MarketModel, cone: ExchangeCone):
-    """Variables and rows for vectors of martingale measures satisfying the
-    exchange-cone polarity: <= 0 against rays, = 0 against lineality."""
-    names = [MartingalePolytope(market.n_atoms, gens).install(b, f"q{i}")
-             for i, gens in enumerate(market.gains)]
-    _polar_rows(b, names, cone, (Fraction(1),) * market.n_atoms)
+def install_emm_system(b: LPBuilder, n_atoms: int, gens_per_row,
+                       cone: Optional[ExchangeCone]):
+    """Variables and rows for vectors of martingale measures, one per row of
+    gains generators, polar to the exchange cone: <= 0 against rays, = 0
+    against lineality; no polarity rows when ``cone`` is None."""
+    names = [MartingalePolytope(n_atoms, gens).install(b, f"q{i}")
+             for i, gens in enumerate(gens_per_row)]
+    if cone is not None:
+        _polar_rows(b, names, cone, (Fraction(1),) * n_atoms)
     return names
 
 
 def _polar_rows(b: LPBuilder, names, cone: ExchangeCone, weight) -> None:
     """Rows making the variables ``names[i][w]`` polar to the cone under the
-    atom weights: <= 0 against each ray, = 0 against each lineality."""
-    rays, lins = polarity_functionals(cone, weight)
-    for k, f in enumerate(rays):
-        b.row(f"polar_ray{k}", {names[i][w]: c for (i, w), c in f.items()}, LE, 0)
-    for k, f in enumerate(lins):
-        b.row(f"polar_lin{k}", {names[i][w]: c for (i, w), c in f.items()}, EQ, 0)
+    atom weights: sum_{i,w} weight[w] * g.rows[i][w] * names[i][w] is <= 0
+    for each ray g and = 0 for each lineality generator g."""
+
+    def functional(g):
+        return {names[i][w]: weight[w] * v for i, row in enumerate(g.rows)
+                for w, v in enumerate(row) if v}
+
+    for k, r in enumerate(cone.rays):
+        b.row(f"polar_ray{k}", functional(r), LE, 0)
+    for k, l in enumerate(cone.lineality):
+        b.row(f"polar_lin{k}", functional(l), EQ, 0)
+
+
+def interior_point(n_atoms: int, gens_per_row, cone: Optional[ExchangeCone], face=None):
+    """(least probability, measure rows) of the measure vector of
+    ``install_emm_system`` maximizing its least atom probability; None when
+    there is none.  ``face = (rows, value)``, an optimal face of sum_i
+    E_{q_i}[rows[i]], restricts it to that face, which is never empty."""
+    b = LPBuilder(MAX)
+    eps = b.var("eps", obj=1)
+    names = install_emm_system(b, n_atoms, gens_per_row, cone)
+    for i, row in enumerate(names):
+        for w, v in enumerate(row):
+            b.row(f"int{i}_{w}", {v: Fraction(1), eps: Fraction(-1)}, GE, 0)
+    if face is not None:
+        rows, value = face
+        b.row("opt_face", {v: c for vs, row in zip(names, rows)
+                           for v, c in zip(vs, row)}, EQ, value)
+    sol = b.solve()
+    if sol.status == "infeasible" and face is None:
+        return None
+    if sol.status != "optimal":
+        where = "interior point" if face is None else "optimal-face interior point"
+        raise InternalInvariantError(f"{where} LP ended {sol.status}")
+    p = sol.primal()
+    return sol.value, tuple(tuple(p[v] for v in row) for row in names)
 
 
 def find_emm_vector(market: MarketModel, cone: ExchangeCone) -> Optional[MeasureVector]:
     """Canonical strictly positive element of the compatible-measure
     polytope, or None when no equivalent element exists."""
-    b = LPBuilder(MAX)
-    eps = b.var("eps", obj=1)
-    names = install_emm_system(b, market, cone)
-    for i, row in enumerate(names):
-        for w, v in enumerate(row):
-            b.row(f"int{i}_{w}", {v: Fraction(1), eps: Fraction(-1)}, GE, 0)
-    sol = b.solve()
-    if sol.status != "optimal" or sol.value <= 0:
+    hit = interior_point(market.n_atoms, market.gains, cone)
+    if hit is None or hit[0] <= 0:
         return None
-    p = sol.primal()
-    return MeasureVector(densities=tuple(tuple(p[v] for v in row) for row in names))
+    return MeasureVector(densities=hit[1])
 
 
 def polar_witness(market: MarketModel, cone: ExchangeCone) -> Optional[PayoffMatrix]:
@@ -191,11 +205,11 @@ def detect_NA_agent(market: MarketModel, agent: int) -> ArbitrageCertificate:
     if hit is not None:
         strat, rows, _ = hit
         return ArbitrageCertificate(found=True, strategy_coeffs=strat, gains_rows=rows)
-    member = _max_equivalent_member(martingale_polytope(market, agent))
-    if member is None:
+    hit = interior_point(market.n_atoms, [gens], None)
+    if hit is None or hit[0] <= 0:
         raise InternalInvariantError(
             f"no arbitrage for agent {agent} yet no equivalent martingale measure")
-    return ArbitrageCertificate(found=False, dual_witness=(member,))
+    return ArbitrageCertificate(found=False, dual_witness=hit[1])
 
 
 def detect_NA_global(market: MarketModel) -> ArbitrageCertificate:
@@ -230,10 +244,14 @@ def emm_coordinate_range(market: MarketModel, cone: ExchangeCone, agent: int,
                          atom: int):
     """Exact (min, max) of one atom probability over the compatible-measure
     polytope; None when the polytope is empty."""
+    if not 0 <= agent < market.n_agents:
+        raise ValidationError("agent", f"no agent {agent}")
+    if not 0 <= atom < market.n_atoms:
+        raise ValidationError("atom", f"no atom {atom}")
     out = []
     for sense in (MIN, MAX):
         b = LPBuilder(sense)
-        names = install_emm_system(b, market, cone)
+        names = install_emm_system(b, market.n_atoms, market.gains, cone)
         b.add_objective(names[agent][atom], 1)
         sol = b.solve()
         if sol.status != "optimal":

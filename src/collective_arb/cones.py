@@ -143,20 +143,6 @@ class Positions:
         return strat, gains, mu, nu, rows
 
 
-def polarity_functionals(cone: ExchangeCone, weight) -> tuple:
-    """The functionals z -> sum_{i,w} weight[w] * g.rows[i][w] * z[i][w], one
-    per ray and one per lineality generator g, as {(i, w): coefficient} maps
-    without zeros.  A z is polar to the cone when the ray functionals are
-    <= 0 and the lineality functionals = 0 at z."""
-
-    def functional(g):
-        return {(i, w): weight[w] * v for i, row in enumerate(g.rows)
-                for w, v in enumerate(row) if v}
-
-    return ([functional(r) for r in cone.rays],
-            [functional(l) for l in cone.lineality])
-
-
 # ---------------------------------------------------------------------------
 # flag verification
 # ---------------------------------------------------------------------------
@@ -256,12 +242,8 @@ def make_grouping(market: MarketModel, groups: Sequence[Sequence[int]],
 
 def make_span(market: MarketModel, generators) -> ExchangeCone:
     """The vector space spanned by the given payoff matrices."""
-    lineality = []
-    for k, g in enumerate(generators):
-        if isinstance(g, PayoffMatrix):
-            lineality.append(payoff_matrix(market, g.rows, where=f"span[{k}]"))
-        else:
-            lineality.append(payoff_matrix(market, g, where=f"span[{k}]"))
+    lineality = [payoff_matrix(market, getattr(g, "rows", g), where=f"span[{k}]")
+                 for k, g in enumerate(generators)]
     return _make(market, (), lineality)
 
 

@@ -5,7 +5,9 @@ exchange-cone generators; -inf and +inf are first-class outcomes mapped
 from LP unboundedness.  The dual of the collective super-replication price
 is solved as its own program for every cone: the supremum of the claims'
 expectations over the polytope of martingale measure vectors compatible
-with the exchange cone, which is the LP dual of the price's program.
+with the exchange cone, which is the LP dual of the price's program.  The
+classical single-market price and its dual are these programs with one
+agent's gains generators, one claim row and no exchange cone.
 """
 
 from __future__ import annotations
@@ -14,13 +16,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .arbitrage import MeasureVector, install_emm_system, martingale_polytope
+from .arbitrage import MeasureVector, install_emm_system, interior_point
 from .cones import ExchangeCone, Positions
 from .errors import FairnessUnavailable, InternalInvariantError, ValidationError
 from .ext import Ext, ext_max, ext_sum
 from .lp import EQ, GE, LE, LPBuilder, MAX, MIN, ZERO, frac
-from .market import (MarketModel, PayoffMatrix, constant_on, gains_basis, gains_row,
-                     payoff_matrix)
+from .market import MarketModel, PayoffMatrix, constant_on, gains_basis, payoff_matrix
 
 ClaimVector = PayoffMatrix  # one claim row per agent, measurable per row
 
@@ -82,47 +83,27 @@ def _agent_claim_row(market: MarketModel, agent: int, claim_row) -> tuple:
 
 
 def rho_agent_plus(market: MarketModel, agent: int, claim_row):
-    """Least cash m such that m plus some zero-cost gain dominates the claim.
+    """Least cash m such that m plus some zero-cost gain dominates the claim:
+    the collective price with the agent alone and no exchange.
 
     Returns (Ext value, optimizer dict or None); -inf exactly when the
     agent's martingale polytope is empty (a scalable everywhere-positive
     gain exists)."""
     row = _agent_claim_row(market, agent, claim_row)
-    gens = gains_basis(market, agent)
-    b = LPBuilder(MIN)
-    b.var("m", obj=1)
-    for k in range(len(gens)):
-        b.var(f"h{k}")
-    for w in range(market.n_atoms):
-        coeffs = {"m": Fraction(1)}
-        for k, g in enumerate(gens):
-            if g.vector[w]:
-                coeffs[f"h{k}"] = g.vector[w]
-        b.row(f"dom{w}", coeffs, GE, row[w])
-    sol = b.solve()
-    if sol.status == "unbounded":
-        return Ext.neg_inf(), None
-    _expect_optimal(sol, "single-market super-replication")
-    p = sol.primal()
-    coeffs = tuple(p[f"h{k}"] for k in range(len(gens)))
-    return Ext.of(sol.value), {"m": p["m"], "strategy": coeffs,
-                               "gains_row": gains_row(gens, coeffs, market.n_atoms)}
+    value, opt = _super_replication(market.n_atoms, [gains_basis(market, agent)], None,
+                                    [row], what="single-market super-replication")
+    if opt is None:
+        return value, None
+    return value, {"m": opt.m[0], "strategy": opt.strategy_coeffs[0],
+                   "gains_row": opt.gains_rows[0]}
 
 
 def rho_agent_plus_dual(market: MarketModel, agent: int, claim_row) -> Ext:
     """Classical dual: supremum of the claim's expectation over the agent's
     martingale polytope (empty polytope reads as -inf)."""
     row = _agent_claim_row(market, agent, claim_row)
-    b = LPBuilder(MAX)
-    names = martingale_polytope(market, agent).install(b, "q")
-    for w, v in enumerate(names):
-        if row[w]:
-            b.add_objective(v, row[w])
-    sol = b.solve()
-    if sol.status == "infeasible":
-        return Ext.neg_inf()
-    _expect_optimal(sol, "single-market dual")
-    return Ext.of(sol.value)
+    return _expectation_sup(market.n_atoms, [gains_basis(market, agent)], None,
+                            [row], what="single-market dual")
 
 
 def rho_N_plus(market: MarketModel, g: ClaimVector) -> Ext:
@@ -143,21 +124,25 @@ def pi_N_plus(market: MarketModel, g: ClaimVector) -> Ext:
 # ---------------------------------------------------------------------------
 
 
-def _collective_price(market: MarketModel, cone: ExchangeCone, g: ClaimVector,
-                      shared_m: bool):
+def _super_replication(n_atoms: int, gens_per_row, cone: Optional[ExchangeCone],
+                       claim_rows, shared_m: bool = False,
+                       what: str = "collective super-replication"):
+    """Least total cash (one amount for all rows when ``shared_m``) so that
+    trading in each row's gains generators, plus one exchange from the cone
+    unless it is None, dominates every claim row; -inf when unbounded."""
     b = LPBuilder(MIN)
     if shared_m:
-        cash = [b.var("m", obj=1)] * market.n_agents
+        cash = [b.var("m", obj=1)] * len(gens_per_row)
     else:
-        cash = [b.var(f"m{i}", obj=1) for i in range(market.n_agents)]
-    pos = Positions(b, market.n_atoms, market.gains, cone)
-    for i in range(market.n_agents):
-        for w in range(market.n_atoms):
-            b.row(f"dom{i}_{w}", {cash[i]: Fraction(1), **pos.payoff(i, w)}, GE, g.rows[i][w])
+        cash = [b.var(f"m{i}", obj=1) for i in range(len(gens_per_row))]
+    pos = Positions(b, n_atoms, gens_per_row, cone)
+    for i, claim in enumerate(claim_rows):
+        for w in range(n_atoms):
+            b.row(f"dom{i}_{w}", {cash[i]: Fraction(1), **pos.payoff(i, w)}, GE, claim[w])
     sol = b.solve()
     if sol.status == "unbounded":
         return Ext.neg_inf(), None
-    _expect_optimal(sol, "collective super-replication")
+    _expect_optimal(sol, what)
     p = sol.primal()
     strat, gains, mu, nu, exchange_rows = pos.read(p)
     opt = PrimalOptimizer(m=tuple(p[v] for v in cash), strategy_coeffs=strat,
@@ -169,12 +154,12 @@ def _collective_price(market: MarketModel, cone: ExchangeCone, g: ClaimVector,
 def rho_Y_plus(market: MarketModel, cone: ExchangeCone, g: ClaimVector):
     """Collective super-replication: least total cash so that, with trading
     and one exchange from the cone, every agent dominates its claim."""
-    return _collective_price(market, cone, g, shared_m=False)
+    return _super_replication(market.n_atoms, market.gains, cone, g.rows)
 
 
 def pi_Y_plus(market: MarketModel, cone: ExchangeCone, g: ClaimVector):
     """Least single amount covering any one of the claims with cooperation."""
-    return _collective_price(market, cone, g, shared_m=True)
+    return _super_replication(market.n_atoms, market.gains, cone, g.rows, shared_m=True)
 
 
 def rho_Y_minus(market: MarketModel, cone: ExchangeCone, g: ClaimVector) -> Ext:
@@ -198,6 +183,22 @@ def rho_N_minus(market: MarketModel, g: ClaimVector) -> Ext:
 # ---------------------------------------------------------------------------
 
 
+def _expectation_sup(n_atoms: int, gens_per_row, cone: Optional[ExchangeCone],
+                     claim_rows, what: str) -> Ext:
+    """Supremum of sum_i E_{q_i}[claim_rows[i]] over the measure vectors of
+    ``install_emm_system``; -inf when there are none."""
+    b = LPBuilder(MAX)
+    names = install_emm_system(b, n_atoms, gens_per_row, cone)
+    for vs, row in zip(names, claim_rows):
+        for v, c in zip(vs, row):
+            b.add_objective(v, c)
+    sol = b.solve()
+    if sol.status == "infeasible":
+        return Ext.neg_inf()
+    _expect_optimal(sol, what)
+    return Ext.of(sol.value)
+
+
 def dual_rho_Y(market: MarketModel, cone: ExchangeCone, g: ClaimVector):
     """Dual value of the collective super-replication price: the supremum of
     the total claim expectation over vectors of martingale measures polar to
@@ -211,32 +212,12 @@ def dual_rho_Y(market: MarketModel, cone: ExchangeCone, g: ClaimVector):
     the maximizing measure vector returned is the canonical interior point
     of the optimal face (maximal minimum atom probability); otherwise it is
     None."""
-    b = LPBuilder(MAX)
-    names = install_emm_system(b, market, cone)
-    goal = {names[i][w]: g.rows[i][w] for i in range(market.n_agents)
-            for w in range(market.n_atoms) if g.rows[i][w]}
-    for v, c in goal.items():
-        b.add_objective(v, c)
-    sol = b.solve()
-    if sol.status == "infeasible":
-        return Ext.neg_inf(), None
-    _expect_optimal(sol, "compatible-measure dual")
-    value = sol.value
-    if not cone.meta.contains_RN0:
-        return Ext.of(value), None
-
-    b2 = LPBuilder(MAX)
-    eps = b2.var("eps", obj=1)
-    names = install_emm_system(b2, market, cone)
-    for i, row in enumerate(names):
-        for w, v in enumerate(row):
-            b2.row(f"int{i}_{w}", {v: Fraction(1), eps: Fraction(-1)}, GE, 0)
-    b2.row("opt_face", goal, EQ, value)
-    sol2 = b2.solve()
-    _expect_optimal(sol2, "optimal-face interior point")
-    p = sol2.primal()
-    mv = MeasureVector(densities=tuple(tuple(p[v] for v in row) for row in names))
-    return Ext.of(value), mv
+    value = _expectation_sup(market.n_atoms, market.gains, cone, g.rows,
+                             what="compatible-measure dual")
+    if not value.finite or not cone.meta.contains_RN0:
+        return value, None
+    _, rows = interior_point(market.n_atoms, market.gains, cone, face=(g.rows, value.value))
+    return value, MeasureVector(densities=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +229,9 @@ def rho_under_measure(market: MarketModel, agent: int, q_row, claim_row) -> Frac
     """Individual super-replication when the agent prices with a fixed
     measure: trading plus any own-measurable instrument with zero cost
     under that measure."""
+    claim_row = _agent_claim_row(market, agent, claim_row)
+    if len(q_row) != market.n_atoms:
+        raise ValidationError("measure", f"need {market.n_atoms} entries, got {len(q_row)}")
     gens = gains_basis(market, agent)
     blocks = market.terminal_partition(agent)
     b = LPBuilder(MIN)

@@ -189,7 +189,7 @@ def test_criterion_5_detection_regimes(tree_market):
     rng = random.Random(105)
     for _ in range(10):
         b = LPBuilder(MAX)
-        names = install_emm_system(b, tree_market, cone)
+        names = install_emm_system(b, tree_market.n_atoms, tree_market.gains, cone)
         for row in names:
             for v in row:
                 b.add_objective(v, rng.randint(-5, 5))

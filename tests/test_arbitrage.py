@@ -7,8 +7,11 @@ from collective_arb.arbitrage import (detect_NA_agent, detect_NA_global,
                                       emm_is_singleton, find_emm_vector,
                                       martingale_polytope, polar_witness)
 from collective_arb.cones import cone_add, make_span, make_Y0, make_zero
+from collective_arb.errors import ValidationError
+from collective_arb.examples_builtin import example_document
 from collective_arb.lp import LPBuilder, MIN
 from collective_arb.market import build_market
+from collective_arb.model_io import parse_model
 from collective_arb.verify import (verify_arbitrage_found, verify_measure_vector,
                                    verify_polar_witness,
                                    verify_single_market_witness)
@@ -242,3 +245,11 @@ def test_heterogeneous_filtrations_detection():
 
     with pytest.raises(ValidationError):
         make_Y0(market, 1)  # joint time-1 blocks exceed agent 2's information
+
+
+@pytest.mark.parametrize("agent, atom", [(5, 0), (0, 7), (-1, 0), (0, -1)])
+def test_coordinate_range_checks_agent_and_atom(agent, atom):
+    market = parse_model(example_document("toy71")).market  # 2 agents, 2 atoms
+    with pytest.raises(ValidationError) as err:
+        emm_coordinate_range(market, make_zero(market), agent, atom)
+    assert err.value.where == ("agent" if agent != 0 else "atom")

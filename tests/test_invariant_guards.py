@@ -48,8 +48,11 @@ import sys
 from collective_arb import arbitrage, cli
 
 assert False, "asserts must be stripped"
-member = arbitrage._max_equivalent_member
-arbitrage._max_equivalent_member = lambda poly: (0,) + member(poly)[1:]
+point = arbitrage.interior_point
+def tampered(*args, **kwargs):
+    least, (first, *rest) = point(*args, **kwargs)
+    return least, ((0,) + first[1:], *rest)
+arbitrage.interior_point = tampered
 sys.exit(cli.main(["analyze", sys.argv[1]]))
 """
 

@@ -6,8 +6,10 @@ import pytest
 from collective_arb.cones import (cone_add, make_grouping, make_rays, make_span,
                                   make_Y0, make_zero)
 from collective_arb.errors import FairnessUnavailable, ValidationError
+from collective_arb.examples_builtin import example_document
 from collective_arb.ext import Ext
 from collective_arb.market import PayoffMatrix, build_market
+from collective_arb.model_io import parse_model
 from collective_arb.pricing import (claim_vector, dual_rho_Y, fairness_allocation,
                                     pi_N_plus, pi_Y_minus, pi_Y_plus,
                                     price_compatibility, rho_agent_plus,
@@ -411,3 +413,15 @@ def test_fairness_with_weak_arbitrage_boundary_measure():
     fr = fairness_allocation(market, cone, g)
     verify_fairness(market, cone, g, fr)
     assert fr.allocations == (F(1), F(7))
+
+
+@pytest.mark.parametrize("q_row, claim_row, where", [
+    (["1/2", "1/2"], ["3", "1", "100"], "claim"),
+    (["1/2", "1/2"], ["3"], "claim"),
+    (["1"], ["3", "1"], "measure"),
+])
+def test_measure_price_checks_both_rows(q_row, claim_row, where):
+    market = parse_model(example_document("toy71")).market  # 2 atoms
+    with pytest.raises(ValidationError) as err:
+        rho_under_measure(market, 0, q_row, claim_row)
+    assert err.value.where == where

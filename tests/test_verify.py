@@ -9,7 +9,8 @@ from collective_arb.arbitrage import (MeasureVector, detect_NA_agent, detect_NCA
                                       find_emm_vector, polar_witness)
 from collective_arb.cones import make_span, make_Y0
 from collective_arb.errors import InternalInvariantError
-from collective_arb.lp import GE, LE, MIN, LinearProgram, Optimal, solve
+from collective_arb.lp import (GE, LE, MIN, Infeasible, LinearProgram, Optimal,
+                               Unbounded, solve)
 from collective_arb.market import build_market
 from collective_arb.pricing import claim_vector, fairness_allocation, rho_Y_plus
 from collective_arb.verify import (check_lp_outcome, verify_arbitrage_found,
@@ -151,3 +152,48 @@ def test_single_agent_pipeline():
     assert value.value == F(2)  # replication under the unique measure
     fr = fairness_allocation(market, cone, g)
     assert fr.allocations == (F(2),)
+
+
+def _one_var_program(rel, rhs, lower):
+    """min x subject to one row ``x rel rhs``, x free or x >= ``lower``."""
+    return LinearProgram(sense=MIN, objective=(F(1),), row_coeffs=((F(1),),),
+                         row_rels=(rel,), row_rhs=(F(rhs),), lower=(lower,),
+                         upper=(None,))
+
+
+def test_lp_checker_rejects_farkas_upper_multiplier():
+    # x >= 1 with x free is feasible; the fake multiplier on an upper bound
+    # that no variable has cancels the row and is the only flaw
+    program = _one_var_program(GE, 1, None)
+    bad = Infeasible(farkas_rows=(F(1),), farkas_lower=(F(0),), farkas_upper=(F(-1),))
+    with pytest.raises(InternalInvariantError, match="absent upper bound"):
+        check_lp_outcome(program, bad)
+
+
+def test_lp_checker_rejects_negative_farkas_lower_multiplier():
+    # x >= 1 with x >= 0 is feasible; only the sign of the bound multiplier
+    # is wrong: the combination vanishes and the aggregate rhs is 1
+    program = _one_var_program(GE, 1, F(0))
+    bad = Infeasible(farkas_rows=(F(1),), farkas_lower=(F(-1),), farkas_upper=(F(0),))
+    with pytest.raises(InternalInvariantError, match="farkas bound multiplier sign"):
+        check_lp_outcome(program, bad)
+
+
+def test_lp_checker_rejects_ray_below_a_lower_bound():
+    # min x subject to x <= 5, x >= 0: the ray -1 keeps the row and improves
+    # the objective, but leaves the nonnegative orthant
+    program = _one_var_program(LE, 5, F(0))
+    bad = Unbounded(point=(F(0),), ray=(F(-1),))
+    with pytest.raises(InternalInvariantError, match="ray decreases var 0"):
+        check_lp_outcome(program, bad)
+
+
+def test_lp_checker_rejects_negative_reduced_cost():
+    # min x subject to x >= 2, x >= 0: the dual 2 keeps its sign and slackness
+    # but prices x at 1 - 2 < 0, and x has no upper bound to sit at
+    program = _one_var_program(GE, 2, F(0))
+    out = solve(program)
+    assert out.point == (F(2),) and out.row_duals == (F(1),)
+    bad = Optimal(value=out.value, point=out.point, row_duals=(F(2),))
+    with pytest.raises(InternalInvariantError, match="negative reduced cost"):
+        check_lp_outcome(program, bad)
