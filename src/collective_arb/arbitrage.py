@@ -21,7 +21,7 @@ from typing import Optional
 from .cones import ExchangeCone, Positions
 from .errors import InternalInvariantError, ValidationError
 from .lp import EQ, GE, LE, LPBuilder, MAX, MIN, ZERO
-from .market import MarketModel, PayoffMatrix, gains_basis
+from .market import MarketModel, PayoffMatrix, check_index, gains_basis
 
 
 @dataclass(frozen=True)
@@ -244,10 +244,8 @@ def emm_coordinate_range(market: MarketModel, cone: ExchangeCone, agent: int,
                          atom: int):
     """Exact (min, max) of one atom probability over the compatible-measure
     polytope; None when the polytope is empty."""
-    if not 0 <= agent < market.n_agents:
-        raise ValidationError("agent", f"no agent {agent}")
-    if not 0 <= atom < market.n_atoms:
-        raise ValidationError("atom", f"no atom {atom}")
+    check_index(agent, market.n_agents, "agent")
+    check_index(atom, market.n_atoms, "atom")
     out = []
     for sense in (MIN, MAX):
         b = LPBuilder(sense)

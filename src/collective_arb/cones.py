@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 from .errors import InternalInvariantError, ValidationError
 from .lp import EQ, LPBuilder, MIN, ZERO
 from .market import (MarketModel, PayoffMatrix, agents_join_partition,
-                     constant_on, gains_row, payoff_matrix)
+                     constant_on, gains_row, is_index, payoff_matrix)
 
 
 @dataclass(frozen=True)
@@ -204,11 +204,6 @@ def make_Y0(market: MarketModel, t: int) -> ExchangeCone:
     return make_grouping(market, [range(market.n_agents)], t)
 
 
-def _is_index(x) -> bool:
-    """An int that is not a bool (JSON true would otherwise read as 1)."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def make_grouping(market: MarketModel, groups: Sequence[Sequence[int]],
                   t: int) -> ExchangeCone:
     """Zero-sum within each agent group, settled on time-t information: the
@@ -217,13 +212,13 @@ def make_grouping(market: MarketModel, groups: Sequence[Sequence[int]],
     it exactly when one group holds every agent: the block transfers sum to
     e_i - e_j, and no generator crosses a group."""
     if not (isinstance(groups, Sequence)
-            and all(isinstance(g, Sequence) and all(_is_index(i) for i in g)
+            and all(isinstance(g, Sequence) and all(is_index(i) for i in g)
                     for g in groups)):
         raise ValidationError("groups", "groups must be lists of agent indices")
     flat = sorted(i for g in groups for i in g)
     if flat != list(range(market.n_agents)):
         raise ValidationError("groups", "groups must partition the agent set")
-    if not _is_index(t) or not 0 <= t <= market.T:
+    if not is_index(t) or not 0 <= t <= market.T:
         raise ValidationError("t", f"time {t!r} outside 0..{market.T}")
     part = agents_join_partition(market, t)
     lineality = []

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .errors import ValidationError
 from .lp import ZERO, frac
@@ -263,7 +263,7 @@ def build_market(spec: Mapping) -> MarketModel:
     space = ProbSpace(atoms=atoms, prob=tuple(prob))
 
     T = spec.get("times")
-    if not isinstance(T, int) or isinstance(T, bool) or T < 1:
+    if not is_index(T) or T < 1:
         raise ValidationError("times", "need an integer number of periods >= 1")
 
     global_f = _parse_filtration(spec.get("global_filtration", ()), len(atoms), T,
@@ -372,10 +372,20 @@ def _generators(market: MarketModel, asset_ids, filtration: Filtration) -> tuple
     return tuple(gens)
 
 
+def is_index(x) -> bool:
+    """An int that is not a bool (JSON true would otherwise read as 1)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def check_index(value, count: int, what: str, where: Optional[str] = None) -> None:
+    """Reject anything but an index in 0..count-1; a bool is no index."""
+    if not is_index(value) or not 0 <= value < count:
+        raise ValidationError(where or what, f"no {what} {value!r}")
+
+
 def gains_basis(market: MarketModel, agent: int):
     """Generators of the zero-cost terminal gains achievable by one agent."""
-    if not 0 <= agent < market.n_agents:
-        raise ValidationError("agent", f"no agent {agent}")
+    check_index(agent, market.n_agents, "agent")
     return market.gains[agent]
 
 

@@ -21,7 +21,8 @@ from .cones import ExchangeCone, Positions
 from .errors import FairnessUnavailable, InternalInvariantError, ValidationError
 from .ext import Ext, ext_max, ext_sum
 from .lp import EQ, GE, LE, LPBuilder, MAX, MIN, ZERO, frac
-from .market import MarketModel, PayoffMatrix, constant_on, gains_basis, payoff_matrix
+from .market import (MarketModel, PayoffMatrix, check_index, constant_on, gains_basis,
+                     payoff_matrix)
 
 ClaimVector = PayoffMatrix  # one claim row per agent, measurable per row
 
@@ -72,8 +73,7 @@ def _expect_optimal(sol, what: str) -> None:
 def _agent_claim_row(market: MarketModel, agent: int, claim_row) -> tuple:
     """The claim row as Fractions, checked against the agent's market: a
     real agent, one entry per atom, measurable at the terminal date."""
-    if not 0 <= agent < market.n_agents:
-        raise ValidationError("claim", f"no agent {agent}")
+    check_index(agent, market.n_agents, "agent", where="claim")
     row = tuple(frac(v) for v in claim_row)
     if len(row) != market.n_atoms:
         raise ValidationError("claim", f"need {market.n_atoms} entries, got {len(row)}")
@@ -230,9 +230,17 @@ def rho_under_measure(market: MarketModel, agent: int, q_row, claim_row) -> Frac
     measure: trading plus any own-measurable instrument with zero cost
     under that measure."""
     claim_row = _agent_claim_row(market, agent, claim_row)
+    q_row = tuple(frac(v) for v in q_row)
     if len(q_row) != market.n_atoms:
         raise ValidationError("measure", f"need {market.n_atoms} entries, got {len(q_row)}")
+    if any(v < 0 for v in q_row) or sum(q_row) != 1:
+        raise ValidationError("measure", "not a probability row: entries must be "
+                              "nonnegative and sum to 1")
     gens = gains_basis(market, agent)
+    # gains and claim are constant on the agent's blocks, so the program is
+    # bounded exactly when q prices every gains generator at zero
+    if any(_dot(q_row, g.vector) for g in gens):
+        raise ValidationError("measure", "not a martingale measure for the agent")
     blocks = market.terminal_partition(agent)
     b = LPBuilder(MIN)
     b.var("m", obj=1)
@@ -242,7 +250,7 @@ def rho_under_measure(market: MarketModel, agent: int, q_row, claim_row) -> Frac
         b.var(f"y{k}")
     cost = {}
     for k, blk in enumerate(blocks):
-        c = sum((frac(q_row[w]) for w in blk), ZERO)
+        c = sum((q_row[w] for w in blk), ZERO)
         if c:
             cost[f"y{k}"] = c
     b.row("zero_cost", cost, EQ, 0)

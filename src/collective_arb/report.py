@@ -5,6 +5,29 @@ independent checker; a failure raises InternalInvariantError, which the
 CLI maps to exit code 2.  All numbers serialize as rational strings (or
 "-inf"/"+inf"/"absent"), atoms are always referenced by label, and the
 section order is fixed, so identical inputs yield byte-identical reports.
+
+The analysis solves only what the report needs.  Four quantities are read
+off a certificate it has already verified, or off an exact identity,
+instead of a program of their own:
+
+* the polar-witness check after a verified collective arbitrage: by the
+  collective fundamental theorem of asset pricing, a strictly positive z
+  orthogonal to every agent's gains and polar to the cone would give the
+  arbitrage's nonnegative, nonzero payoff an expectation both > 0 and <= 0,
+  so no such z exists;
+* the equivalent measure vector after a verified collective arbitrage: the
+  same argument excludes every one polar to the cone, for every cone, so
+  it is absent;
+* collective arbitrage with deterministic transfers, when the cone contains
+  RN0 (all deterministic zero-sum transfers): then Y + Y0(0) = Y as a set,
+  so the answer is the verified detection on Y;
+* pi_Y and pi_Y_minus, when the cone contains RN0: moving each agent's cash
+  by a deterministic zero-sum transfer turns a hedge of rho_Y into one of
+  pi_Y, so rho_Y = N * pi_Y for every claim vector (the paper's finite-market
+  identity), and pi_Y = rho_Y / N, pi_Y_minus = rho_Y_minus / N.
+
+``tests/instance_checks.py`` solves all four on random instances and checks
+each against the certificate or identity that replaces it here.
 """
 
 from __future__ import annotations
@@ -12,7 +35,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from . import verify
-from .arbitrage import detect_NA_agent, detect_NA_global, detect_NCA, find_emm_vector, polar_witness
+from .arbitrage import detect_NA_agent, detect_NA_global, detect_NCA, find_emm_vector
 from .cones import ExchangeCone, cone_add, make_Y0
 from .errors import FairnessUnavailable, InternalInvariantError
 from .ext import Ext, ext_max, ext_sum
@@ -116,12 +139,16 @@ def analyze(model: ModelFile, sections=None) -> dict:
     widened_cert = None
     if cone is not None and wanted & {"nca", "ftap", "price", "fairness"}:
         nca_cert = detect_NCA(market, cone)
+        # the verified arbitrage excludes every strictly positive polar
+        # element; without one, the verified dual witness is such an element
         if nca_cert.found:
             verify.verify_arbitrage_found(market, nca_cert, cone=cone)
         else:
             verify.verify_polar_witness(market, cone, nca_cert.dual_witness)
-        widened = cone_add(market, cone, make_Y0(market, 0))
-        widened_cert = detect_NCA(market, widened)
+        if cone.meta.contains_RN0:
+            widened_cert = nca_cert  # Y + Y0(0) = Y as a set
+        else:
+            widened_cert = detect_NCA(market, cone_add(market, cone, make_Y0(market, 0)))
 
     if "nca" in wanted:
         if cone is None:
@@ -131,16 +158,14 @@ def analyze(model: ModelFile, sections=None) -> dict:
             report["nca"]["with_deterministic_transfers"] = {
                 "arbitrage": widened_cert.found}
 
+    # a verified collective arbitrage already excludes every equivalent
+    # measure vector polar to the cone, so one is sought only without it
     mv = None
-    if cone is not None and wanted & {"ftap", "price", "fairness"}:
+    if cone is not None and wanted & {"ftap", "price", "fairness"} and not nca_cert.found:
         mv = find_emm_vector(market, cone)
         if mv is not None:
             verify.verify_measure_vector(market, cone, mv, strict=True)
-        # two-sided consistency of the finite-market equivalences; without
-        # an arbitrage, detect_NCA's verified dual witness is the polar one
-        if nca_cert.found and polar_witness(market, cone) is not None:
-            raise InternalInvariantError("polar witness disagrees with detection")
-        if cone.meta.contains_RN0 and (mv is not None) == nca_cert.found:
+        elif cone.meta.contains_RN0:
             raise InternalInvariantError("measure vector disagrees with detection")
 
     if "ftap" in wanted:
@@ -204,21 +229,22 @@ def _pricing_section(market, cone, claims) -> dict:
     cooperation: object = "absent"
     fairness: object = "absent"
     if cone is not None:
+        # with every deterministic zero-sum transfer in the cone, rho_Y = N * pi_Y
+        # for each claim vector, so pi_Y and pi_Y_minus need no program of their own
+        share = Fraction(1, market.n_agents) if cone.meta.contains_RN0 else None
         rho_y, opt = rho_Y_plus(market, cone, claims)
-        pi_y, _ = pi_Y_plus(market, cone, claims)
+        pi_y = rho_y * share if share else pi_Y_plus(market, cone, claims)[0]
         dual_v, dual_mv = dual_rho_Y(market, cone, claims)
         if dual_v != rho_y:
             raise InternalInvariantError("collective pricing-hedging duality gap")
         if not (rho_y <= rho_n and pi_y <= pi_n):
             raise InternalInvariantError("cooperative price exceeds stand-alone price")
-        if cone.meta.contains_RN0 and rho_y != pi_y * market.n_agents:
-            raise InternalInvariantError("rho != N * pi despite deterministic transfers")
         if opt is not None:
             verify.verify_primal_optimizer(market, cone, claims, opt, rho_y.value)
         if dual_mv is not None:
             verify.verify_measure_vector(market, cone, dual_mv, strict=False)
         rho_ym = rho_Y_minus(market, cone, claims)
-        pi_ym = pi_Y_minus(market, cone, claims)
+        pi_ym = rho_ym * share if share else pi_Y_minus(market, cone, claims)
         rho_nm = rho_N_minus(market, claims)
         prices.update(rho_Y=rho_y, pi_Y=pi_y)
         out.update({

@@ -16,7 +16,7 @@ from collective_arb.ext import Ext
 from collective_arb.lp import GE, LPBuilder, MIN
 from collective_arb.market import PayoffMatrix, agents_join_partition, gains_basis
 from collective_arb.pricing import (claim_vector, dual_rho_Y, fairness_allocation,
-                                    pi_N_plus, pi_Y_plus, rho_agent_plus,
+                                    pi_N_plus, pi_Y_minus, pi_Y_plus, rho_agent_plus,
                                     rho_agent_plus_dual, rho_full_market,
                                     rho_N_minus, rho_N_plus, rho_Y_minus,
                                     rho_Y_plus, value_of_cooperation)
@@ -103,6 +103,15 @@ def check_instance(market, cone, info, claims, rng):
         hit["emm_equiv"] = True
     if cone.meta.contains_RN0:
         assert (mv is not None) == (not nca.found)
+    # for every cone, an equivalent measure vector excludes collective arbitrage
+    if mv is not None:
+        assert not nca.found
+
+    # a cone containing RN0 absorbs the deterministic zero-sum transfers:
+    # detection on Y + Y0(0) agrees with detection on Y
+    widened = cone_add(market, cone, make_Y0(market, 0))
+    if cone.meta.contains_RN0:
+        assert detect_NCA(market, widened).found == nca.found
 
     # measure vectors for transfer cones settled at time t agree across
     # agents on every time-t information block
@@ -155,16 +164,18 @@ def check_instance(market, cone, info, claims, rng):
     if dual_mv is not None:
         verify.verify_measure_vector(market, cone, dual_mv, strict=False)
 
-    # (d) symmetrisation under deterministic transfers
+    # (d) symmetrisation under deterministic transfers, for the super- and
+    # the sub-replication price
+    rho_ym = rho_Y_minus(market, cone, claims)
     if cone.meta.contains_RN0:
         assert rho_y == pi_y * market.n_agents
+        assert rho_ym == pi_Y_minus(market, cone, claims) * market.n_agents
 
     if terminal_y0:
         pooled = [sum(col) for col in zip(*claims.rows)]
         assert rho_y == rho_full_market(market, pooled)
 
     # (e) exchange cone absorbing the deterministic transfers
-    widened = cone_add(market, cone, make_Y0(market, 0))
     rho_w, _ = rho_Y_plus(market, widened, claims)
     assert rho_w == rho_y
 
@@ -202,5 +213,5 @@ def check_instance(market, cone, info, claims, rng):
     coop = value_of_cooperation(market, cone, claims)
     assert coop["selling"] >= Ext.of(0)
     assert coop["total"] >= Ext.of(0)
-    assert rho_Y_minus(market, cone, claims) >= rho_N_minus(market, claims)
+    assert rho_ym >= rho_N_minus(market, claims)
     return hit

@@ -247,7 +247,7 @@ def test_heterogeneous_filtrations_detection():
         make_Y0(market, 1)  # joint time-1 blocks exceed agent 2's information
 
 
-@pytest.mark.parametrize("agent, atom", [(5, 0), (0, 7), (-1, 0), (0, -1)])
+@pytest.mark.parametrize("agent, atom", [(5, 0), (0, 7), (-1, 0), (0, -1), (True, 0), (0, False)])
 def test_coordinate_range_checks_agent_and_atom(agent, atom):
     market = parse_model(example_document("toy71")).market  # 2 agents, 2 atoms
     with pytest.raises(ValidationError) as err:

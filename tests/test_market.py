@@ -110,6 +110,13 @@ def test_span_monotonicity(tree_market):
                 assert rank(full + [g.vector]) == base
 
 
+@pytest.mark.parametrize("agent", [2, -1, True, False])
+def test_gains_basis_takes_only_agent_indices(toy_market, agent):
+    with pytest.raises(ValidationError) as e:
+        gains_basis(toy_market, agent)  # a bool would otherwise read as agent 1 or 0
+    assert e.value.where == "agent"
+
+
 def test_payoff_matrix_measurability(tree_market):
     with pytest.raises(ValidationError):
         payoff_matrix(tree_market, [["1"] * 6, ["1"] * 5])

@@ -325,7 +325,8 @@ def test_price_compatibility_witness_total_positive(tree_market, tree_claims):
 
 
 @pytest.mark.parametrize("case", ["long-row", "short-row", "agent-past-end",
-                                  "agent-negative", "not-measurable"])
+                                  "agent-negative", "agent-true", "agent-false",
+                                  "not-measurable"])
 @pytest.mark.parametrize("price", [rho_agent_plus, rho_agent_plus_dual])
 def test_single_market_prices_check_the_claim_row(price, case):
     market = build_market(coarse_agent_spec())  # 4 atoms; agent 1 sees {a,b} | {c,d}
@@ -334,6 +335,8 @@ def test_single_market_prices_check_the_claim_row(price, case):
         "short-row": (0, ["1", "2", "3"]),
         "agent-past-end": (2, ["1", "1", "1", "1"]),
         "agent-negative": (-1, ["1", "1", "1", "1"]),
+        "agent-true": (True, ["1", "1", "1", "1"]),  # a bool would read as agent 1
+        "agent-false": (False, ["1", "1", "1", "1"]),
         "not-measurable": (1, ["1", "2", "3", "3"]),
     }[case]
     with pytest.raises(ValidationError) as err:
@@ -419,6 +422,9 @@ def test_fairness_with_weak_arbitrage_boundary_measure():
     (["1/2", "1/2"], ["3", "1", "100"], "claim"),
     (["1/2", "1/2"], ["3"], "claim"),
     (["1"], ["3", "1"], "measure"),
+    (["2", "-1"], ["3", "1"], "measure"),     # sums to 1 but has a negative entry
+    (["1/2", "1/4"], ["3", "1"], "measure"),  # nonnegative but sums to 3/4
+    (["1", "0"], ["3", "1"], "measure"),      # a probability row but no martingale measure
 ])
 def test_measure_price_checks_both_rows(q_row, claim_row, where):
     market = parse_model(example_document("toy71")).market  # 2 atoms
