@@ -18,9 +18,12 @@ instead of a program of their own:
 * the equivalent measure vector after a verified collective arbitrage: the
   same argument excludes every one polar to the cone, for every cone, so
   it is absent;
-* collective arbitrage with deterministic transfers, when the cone contains
-  RN0 (all deterministic zero-sum transfers): then Y + Y0(0) = Y as a set,
-  so the answer is the verified detection on Y;
+* collective arbitrage with deterministic transfers (on Y + Y0(0), Y0(0)
+  being RN0, all deterministic zero-sum transfers), for every cone: a
+  verified arbitrage on Y is one on Y + Y0(0), and a verified equivalent
+  measure vector, whose rows are probabilities and so polar to RN0,
+  excludes one.  Only with neither is Y + Y0(0) searched, and the
+  arbitrage the collective FTAP says it must hold is verified;
 * pi_Y and pi_Y_minus, when the cone contains RN0: moving each agent's cash
   by a deterministic zero-sum transfer turns a hedge of rho_Y into one of
   pi_Y, so rho_Y = N * pi_Y for every claim vector (the paper's finite-market
@@ -37,7 +40,7 @@ from fractions import Fraction
 from . import verify
 from .arbitrage import detect_NA_agent, detect_NA_global, detect_NCA, find_emm_vector
 from .cones import ExchangeCone, cone_add, make_Y0
-from .errors import FairnessUnavailable, InternalInvariantError
+from .errors import FairnessUnavailable, InternalInvariantError, ValidationError
 from .ext import Ext, ext_max, ext_sum
 from .market import MarketModel
 from .model_io import ModelFile
@@ -98,6 +101,9 @@ def analyze(model: ModelFile, sections=None) -> dict:
     market = model.market
     cone = model.exchange
     wanted = set(sections or ALL_SECTIONS)
+    unknown = sorted(wanted.difference(ALL_SECTIONS))
+    if unknown:
+        raise ValidationError("sections", f"unknown section names {unknown}")
 
     report = {
         "model": {
@@ -112,20 +118,18 @@ def analyze(model: ModelFile, sections=None) -> dict:
     }
 
     na_agent_results = []
-    na_global_result = None
-    if wanted & {"na", "nca", "ftap", "price", "fairness"}:
-        for i in range(market.n_agents):
-            cert = detect_NA_agent(market, i)
-            if cert.found:
-                verify.verify_arbitrage_found(market, cert, agent=i)
-            else:
-                verify.verify_single_market_witness(market, cert.dual_witness[0], agent=i)
-            na_agent_results.append(cert)
-        na_global_result = detect_NA_global(market)
-        if na_global_result.found:
-            verify.verify_arbitrage_found(market, na_global_result)
+    for i in range(market.n_agents):
+        cert = detect_NA_agent(market, i)
+        if cert.found:
+            verify.verify_arbitrage_found(market, cert, agent=i)
         else:
-            verify.verify_single_market_witness(market, na_global_result.dual_witness[0])
+            verify.verify_single_market_witness(market, cert.dual_witness[0], agent=i)
+        na_agent_results.append(cert)
+    na_global_result = detect_NA_global(market)
+    if na_global_result.found:
+        verify.verify_arbitrage_found(market, na_global_result)
+    else:
+        verify.verify_single_market_witness(market, na_global_result.dual_witness[0])
 
     if "na" in wanted:
         report["na"] = {
@@ -135,38 +139,35 @@ def analyze(model: ModelFile, sections=None) -> dict:
             "global": _arbitrage_obj(market, na_global_result, market.full_market.gains),
         }
 
-    nca_cert = None
-    widened_cert = None
+    nca_cert = mv = None
     if cone is not None and wanted & {"nca", "ftap", "price", "fairness"}:
         nca_cert = detect_NCA(market, cone)
         # the verified arbitrage excludes every strictly positive polar
-        # element; without one, the verified dual witness is such an element
+        # element and every equivalent measure vector polar to the cone;
+        # without one, the verified dual witness is such a polar element
         if nca_cert.found:
             verify.verify_arbitrage_found(market, nca_cert, cone=cone)
         else:
             verify.verify_polar_witness(market, cone, nca_cert.dual_witness)
-        if cone.meta.contains_RN0:
-            widened_cert = nca_cert  # Y + Y0(0) = Y as a set
-        else:
-            widened_cert = detect_NCA(market, cone_add(market, cone, make_Y0(market, 0)))
+            mv = find_emm_vector(market, cone)
+            if mv is not None:
+                verify.verify_measure_vector(market, cone, mv, strict=True)
+            else:
+                # by the collective FTAP, Y + Y0(0) then has an arbitrage
+                widened = cone_add(market, cone, make_Y0(market, 0))
+                wide_cert = detect_NCA(market, widened)
+                if not wide_cert.found:
+                    raise InternalInvariantError("measure vector disagrees with detection")
+                verify.verify_arbitrage_found(market, wide_cert, cone=widened)
 
     if "nca" in wanted:
         if cone is None:
             report["nca"] = {"status": "skipped", "reason": "no exchange cone in model"}
         else:
             report["nca"] = _arbitrage_obj(market, nca_cert, market.gains)
-            report["nca"]["with_deterministic_transfers"] = {
-                "arbitrage": widened_cert.found}
-
-    # a verified collective arbitrage already excludes every equivalent
-    # measure vector polar to the cone, so one is sought only without it
-    mv = None
-    if cone is not None and wanted & {"ftap", "price", "fairness"} and not nca_cert.found:
-        mv = find_emm_vector(market, cone)
-        if mv is not None:
-            verify.verify_measure_vector(market, cone, mv, strict=True)
-        elif cone.meta.contains_RN0:
-            raise InternalInvariantError("measure vector disagrees with detection")
+            # each measure vector row is a probability, so mv is polar to
+            # Y0(0) as well: it excludes arbitrage on Y + Y0(0)
+            report["nca"]["with_deterministic_transfers"] = {"arbitrage": mv is None}
 
     if "ftap" in wanted:
         if cone is None:
@@ -205,7 +206,7 @@ def analyze(model: ModelFile, sections=None) -> dict:
 
     if cone is not None and model.claims is not None and "price" in wanted:
         report["table"] = _summary_table(na_agent_results, na_global_result,
-                                         nca_cert, widened_cert, mv, pricing_data["prices"])
+                                         nca_cert, mv, pricing_data["prices"])
     return report
 
 
@@ -283,12 +284,13 @@ def _pricing_section(market, cone, claims) -> dict:
             "prices": prices}
 
 
-def _summary_table(na_agents, na_global, nca_cert, widened_cert, mv, prices) -> dict:
-    """``prices`` holds the Ext values of rho_N, pi_N, rho_Y and pi_Y."""
+def _summary_table(na_agents, na_global, nca_cert, mv, prices) -> dict:
+    """``prices`` holds the Ext values of rho_N, pi_N, rho_Y and pi_Y; an
+    equivalent measure vector exists exactly when Y + RN0 has no arbitrage."""
     return {
         "NA": not na_global.found,
         "NCA(Y)": not nca_cert.found,
-        "NCA(Y+RN0)": not widened_cert.found,
+        "NCA(Y+RN0)": mv is not None,
         "NA_i_all": all(not c.found for c in na_agents),
         "M_Y_nonempty": mv is not None,
         "pi_Y<pi_N": prices["pi_Y"] < prices["pi_N"],

@@ -225,6 +225,8 @@ def verify_polar_witness(market, cone, rows, strict=True) -> None:
     if len(rows) != N:
         _fail("polar witness row count mismatch")
     for row in rows:
+        if len(row) != n:
+            _fail("polar witness row length mismatch")
         for v in row:
             if strict and frac(v) <= 0:
                 _fail("polar witness not strictly positive")

@@ -110,8 +110,12 @@ def check_instance(market, cone, info, claims, rng):
     # a cone containing RN0 absorbs the deterministic zero-sum transfers:
     # detection on Y + Y0(0) agrees with detection on Y
     widened = cone_add(market, cone, make_Y0(market, 0))
+    widened_found = detect_NCA(market, widened).found
     if cone.meta.contains_RN0:
-        assert detect_NCA(market, widened).found == nca.found
+        assert widened_found == nca.found
+    # for every cone, Y + Y0(0) has an arbitrage exactly when Y has one or
+    # no equivalent measure vector is polar to Y (the rule of report.analyze)
+    assert widened_found == (nca.found or mv is None)
 
     # measure vectors for transfer cones settled at time t agree across
     # agents on every time-t information block

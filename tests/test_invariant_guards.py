@@ -4,9 +4,9 @@ and the CLI still maps a failed certificate check to exit code 2 there.
 
 A subprocess runs with ``-O`` and with every LP forced to end "unbounded",
 a status the guarded call sites never expect, or with one certificate
-tampered with.  The collective duality check fires in process, so it runs
-under ``-O`` whenever this file does.  So does the scan that keeps ``assert``
-statements out of the package.
+tampered with.  The collective duality check and the measure-vector guard
+fire in process, so they run under ``-O`` whenever this file does.  So does
+the scan that keeps ``assert`` statements out of the package.
 """
 
 import ast
@@ -84,6 +84,15 @@ def test_duality_check_fires_when_the_price_is_minus_inf(monkeypatch):
     monkeypatch.setattr(report, "dual_rho_Y", lambda *args: (Ext.of(0), None))
     with pytest.raises(InternalInvariantError, match="duality gap"):
         report.analyze(parse_model(example_document("toy71-span")))
+
+
+def test_missing_measure_vector_without_arbitrage_is_an_invariant_violation(monkeypatch):
+    # tree72's cone contains RN0 and has no collective arbitrage, so Y + Y0(0)
+    # has none either and cannot explain a missing measure vector
+    monkeypatch.setattr(report, "find_emm_vector", lambda *args: None)
+    with pytest.raises(InternalInvariantError,
+                       match="measure vector disagrees with detection"):
+        report.analyze(parse_model(example_document("tree72")))
 
 
 def test_package_has_no_assert_statements():

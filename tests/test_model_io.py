@@ -111,6 +111,13 @@ def test_report_sections_can_be_selected():
     assert "na" in report and "pricing" not in report
 
 
+def test_report_rejects_unknown_section_names():
+    model = parse_model(example_document("toy71"))
+    with pytest.raises(ValidationError) as err:
+        analyze(model, sections=["na", "bogus"])
+    assert err.value.where == "sections" and "bogus" in err.value.message
+
+
 def test_agent_arbitrage_is_labelled_with_the_agents_positions():
     # X2 rises in both states, so agent 2 alone has an arbitrage; its
     # strategy must name X2, not the first asset of the whole market

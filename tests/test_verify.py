@@ -99,6 +99,23 @@ def test_polar_checker_rejects_scaled_row(toy_market):
         verify_polar_witness(toy_market, cone, bad)
 
 
+def test_polar_checker_rejects_a_row_with_an_extra_entry(toy_market):
+    cone = span_cone(toy_market)
+    z = polar_witness(toy_market, cone)
+    bad = (z.rows[0] + (F(1),), z.rows[1])
+    with pytest.raises(InternalInvariantError, match="row length mismatch"):
+        verify_polar_witness(toy_market, cone, bad)
+
+
+def test_polar_checker_rejects_a_short_row(toy_market):
+    # a short row is a failed certificate check (exit code 2), not an IndexError
+    cone = span_cone(toy_market)
+    z = polar_witness(toy_market, cone)
+    bad = (z.rows[0][:-1], z.rows[1])
+    with pytest.raises(InternalInvariantError, match="row length mismatch"):
+        verify_polar_witness(toy_market, cone, bad)
+
+
 def test_optimizer_checker_rejects_cost_mismatch(tree_market):
     cone = make_Y0(tree_market, 1)
     g = claim_vector(tree_market, TREE_CLAIMS)
