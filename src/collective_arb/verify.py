@@ -4,11 +4,21 @@ Nothing in this module solves an optimisation problem: every check below
 recomputes linear expressions exactly and raises InternalInvariantError on
 the first violation.  The engine routes all emitted certificates through
 these functions, and the test suite uses them as the trusted auditor.
+
+The LP checker, ``check_lp_outcome``, works on integers.  It scales each
+program row (coefficients and rhs together) by the lcm of that row's
+denominators and each certificate vector by the lcm of its own, keeps the
+nonzero entries only, and compares integer numerators.  It does this
+independently of ``lp``, whose integer compile it audits: from ``lp`` it
+takes only the program and outcome types, a few constants and ``frac``.
+A certificate vector of the wrong length, or with an entry that is not an
+int or a Fraction, fails the check.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import InternalInvariantError
 from .lp import (GE, LE, MIN, Infeasible, LinearProgram, Optimal, Unbounded,
@@ -36,105 +46,170 @@ def check_lp_outcome(lp: LinearProgram, outcome) -> None:
         _fail(f"unknown outcome {outcome!r}")
 
 
-def _check_feasible_point(lp: LinearProgram, x) -> None:
-    for j in range(lp.n_rows):
-        lhs = _dot(lp.row_coeffs[j], x)
-        rhs = frac(lp.row_rhs[j])
-        rel = lp.row_rels[j]
+# Each vector v is held as (D, V): D > 0 is the lcm of the denominators of
+# its nonzero entries, and V maps the index of each nonzero entry to the
+# integer D * v_i.  Each row j is held as (L_j, A_j, B_j), the same for its
+# coefficients and rhs together, so that row j reads  A_j . x  rel  B_j
+# after multiplying by L_j > 0.  Positive scale factors keep every sign, so
+# each comparison below is the rational one with its denominators multiplied
+# out.  Every variable is free (lower None) or nonnegative (lower 0):
+# LinearProgram admits no other bound.
+
+
+def _scaled(values, n: int, what: str):
+    """(D, V) for an exact rational vector of length n: ints and Fractions
+    only, since a float or a bool is no certificate entry."""
+    if len(values) != n:
+        _fail(f"{what} length {len(values)} differs from {n}")
+    den, nonzero = 1, []
+    for i, v in enumerate(values):
+        if type(v) is not Fraction and (type(v) is bool or not isinstance(v, (int, Fraction))):
+            _fail(f"{what} entry {i} is not an int or a Fraction: {v!r}")
+        if v:
+            q = v.denominator
+            nonzero.append((i, v.numerator, q))
+            if den % q:
+                den = lcm(den, q)
+    return den, {i: p * (den // q) for i, p, q in nonzero}
+
+
+def _scaled_row(lp: LinearProgram, j: int):
+    """(L_j, A_j, B_j) of row j."""
+    n = lp.n_vars
+    L, A = _scaled(lp.row_coeffs[j] + (lp.row_rhs[j],), n + 1, f"row {j}")
+    return L, A, A.pop(n, 0)
+
+
+def _idot(u: dict, v: dict) -> int:
+    """Dot product of two integer vectors held as {index: nonzero}."""
+    if len(u) > len(v):
+        u, v = v, u
+    return sum([a * v[i] for i, a in u.items() if i in v])
+
+
+def _check_feasible_point(lp: LinearProgram, rows, point) -> list:
+    """Check A x rel b and the lower bounds; return each row's integer
+    slack A_j . X - B_j * D_x, which has the sign of (a_j . x - b_j)."""
+    Dx, X = point
+    slack = []
+    for j, ((L, A, B), rel) in enumerate(zip(rows, lp.row_rels)):
+        lhs, rhs = _idot(A, X), B * Dx
         ok = lhs <= rhs if rel == LE else lhs >= rhs if rel == GE else lhs == rhs
         if not ok:
-            _fail(f"row {j} violated: {lhs} {rel} {rhs}")
-    for i in range(lp.n_vars):
-        if lp.lower[i] is not None and x[i] < lp.lower[i]:
+            _fail(f"row {j} violated: {Fraction(lhs, L * Dx)} {rel} {frac(lp.row_rhs[j])}")
+        slack.append(lhs - rhs)
+    for i, v in X.items():
+        if v < 0 and lp.lower[i] is not None:
             _fail(f"lower bound violated on var {i}")
+    return slack
 
 
 def _min_objective(lp: LinearProgram):
-    sgn = 1 if lp.sense == MIN else -1
-    return [sgn * frac(c) for c in lp.objective]
+    """(D_c, C) of the objective, negated for a max."""
+    Dc, C = _scaled(lp.objective, lp.n_vars, "objective")
+    if lp.sense != MIN:
+        C = {i: -v for i, v in C.items()}
+    return Dc, C
 
 
 def _check_optimal(lp: LinearProgram, out: Optimal) -> None:
-    x, y = out.point, out.row_duals
-    _check_feasible_point(lp, x)
-    c = _min_objective(lp)
-    value_min = _dot(c, x)
-    reported = out.value if lp.sense == MIN else -out.value
-    if value_min != reported:
+    rows = [_scaled_row(lp, j) for j in range(lp.n_rows)]
+    Dx, X = point = _scaled(out.point, lp.n_vars, "point")
+    Dy, Y = _scaled(out.row_duals, lp.n_rows, "dual vector")
+    slack = _check_feasible_point(lp, rows, point)
+    Dc, C = _min_objective(lp)
+    value_min = _idot(C, X)  # c.x times Dc * Dx
+    Dv, V = _scaled((out.value,), 1, "value")
+    reported = V.get(0, 0) if lp.sense == MIN else -V.get(0, 0)
+    if value_min * Dv != reported * Dc * Dx:
         _fail("objective value mismatch")
 
     # dual sign conditions and row complementary slackness
-    for j in range(lp.n_rows):
-        rel, yj = lp.row_rels[j], frac(y[j])
+    for j, yj in Y.items():
+        rel = lp.row_rels[j]
         if rel == GE and yj < 0:
             _fail(f"dual sign on >= row {j}")
         if rel == LE and yj > 0:
             _fail(f"dual sign on <= row {j}")
-        if yj != 0:
-            if _dot(lp.row_coeffs[j], x) != frac(lp.row_rhs[j]):
-                _fail(f"complementary slackness fails on row {j}")
+        if slack[j]:
+            _fail(f"complementary slackness fails on row {j}")
 
-    # reduced costs vs bound status; also accumulate the dual objective
-    dual_value = sum((frac(y[j]) * frac(lp.row_rhs[j]) for j in range(lp.n_rows)), ZERO)
-    for i in range(lp.n_vars):
-        d = c[i] - sum((frac(y[j]) * frac(lp.row_coeffs[j][i])
-                        for j in range(lp.n_rows)), ZERO)
-        if d > 0:
-            if lp.lower[i] is None or x[i] != lp.lower[i]:
+    # reduced costs d = c - y.A, column by column over the rows with a
+    # nonzero dual, and the dual objective y.b, both times E
+    E = Dc
+    for j in Y:
+        E = lcm(E, Dy * rows[j][0])
+    d = {i: v * (E // Dc) for i, v in C.items()}
+    dual_value = 0
+    for j, yj in Y.items():
+        L, A, B = rows[j]
+        w = yj * (E // (Dy * L))
+        dual_value += w * B
+        for i, a in A.items():
+            d[i] = d.get(i, 0) - w * a
+    for i in sorted(d):
+        if d[i] > 0:
+            # the lower bound is 0, so it adds nothing to the dual value
+            if lp.lower[i] is None or i in X:
                 _fail(f"positive reduced cost but var {i} not at lower bound")
-            dual_value += d * lp.lower[i]
-        elif d < 0:
+        elif d[i] < 0:
             _fail(f"negative reduced cost on var {i}, which has no upper bound")
-    if dual_value != value_min:
+    if dual_value * Dc * Dx != value_min * E:
         _fail("strong duality equality fails")
 
 
 def _check_infeasible(lp: LinearProgram, out: Infeasible) -> None:
-    w, zlo, zup = out.farkas_rows, out.farkas_lower, out.farkas_upper
-    combo = [ZERO] * lp.n_vars
-    rhs_total = ZERO
-    for j in range(lp.n_rows):
-        wj = frac(w[j])
+    n = lp.n_vars
+    Dw, W = _scaled(out.farkas_rows, lp.n_rows, "farkas rows")
+    Dz, Z = _scaled(out.farkas_lower, n, "farkas lower")
+    _, Zup = _scaled(out.farkas_upper, n, "farkas upper")
+    for j, wj in W.items():
         rel = lp.row_rels[j]
         if rel == GE and wj < 0:
             _fail("farkas sign on >= row")
         if rel == LE and wj > 0:
             _fail("farkas sign on <= row")
-        if wj:
-            for i, a in enumerate(lp.row_coeffs[j]):
-                combo[i] += wj * frac(a)
-            rhs_total += wj * frac(lp.row_rhs[j])
-    for i in range(lp.n_vars):
-        zl = frac(zlo[i])
+
+    # w.A + zlo and w.b + zlo.lower, times E; the lower bounds are 0
+    rows = {j: _scaled_row(lp, j) for j in W}
+    E = Dz
+    for j, (L, _, _) in rows.items():
+        E = lcm(E, Dw * L)
+    combo, rhs_total = {}, 0
+    for j, wj in W.items():
+        L, A, B = rows[j]
+        w = wj * (E // (Dw * L))
+        for i, a in A.items():
+            combo[i] = combo.get(i, 0) + w * a
+        rhs_total += w * B
+    for i in sorted(Z.keys() | Zup.keys()):
+        zl = Z.get(i, 0)
         if zl < 0:
             _fail("farkas bound multiplier sign")
         if zl and lp.lower[i] is None:
             _fail("farkas uses absent lower bound")
-        if frac(zup[i]):
+        if i in Zup:
             _fail("farkas uses absent upper bound")
-        combo[i] += zl
-        if zl:
-            rhs_total += zl * lp.lower[i]
-    if any(v != 0 for v in combo):
+        combo[i] = combo.get(i, 0) + zl * (E // Dz)
+    if any(combo.values()):
         _fail("farkas combination does not vanish")
     if not rhs_total > 0:
         _fail("farkas aggregate rhs not positive")
 
 
 def _check_unbounded(lp: LinearProgram, out: Unbounded) -> None:
-    _check_feasible_point(lp, out.point)
-    d = out.ray
-    for j in range(lp.n_rows):
-        lhs = _dot(lp.row_coeffs[j], d)
-        rel = lp.row_rels[j]
+    rows = [_scaled_row(lp, j) for j in range(lp.n_rows)]
+    _check_feasible_point(lp, rows, _scaled(out.point, lp.n_vars, "point"))
+    _, R = _scaled(out.ray, lp.n_vars, "ray")
+    for j, ((_, A, _), rel) in enumerate(zip(rows, lp.row_rels)):
+        lhs = _idot(A, R)
         ok = lhs <= 0 if rel == LE else lhs >= 0 if rel == GE else lhs == 0
         if not ok:
             _fail(f"ray violates row {j}")
-    for i in range(lp.n_vars):
-        if lp.lower[i] is not None and d[i] < 0:
+    for i, v in R.items():
+        if v < 0 and lp.lower[i] is not None:
             _fail(f"ray decreases var {i} with finite lower bound")
-    c = _min_objective(lp)
-    if not _dot(c, d) < 0:
+    if not _idot(_min_objective(lp)[1], R) < 0:
         _fail("ray does not improve the objective")
 
 

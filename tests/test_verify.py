@@ -1,5 +1,6 @@
 """The checker must reject tampered certificates of every kind."""
 
+import ast
 import dataclasses
 from fractions import Fraction
 
@@ -9,10 +10,11 @@ from collective_arb.arbitrage import (MeasureVector, detect_NA_agent, detect_NCA
                                       find_emm_vector, polar_witness)
 from collective_arb.cones import make_span, make_Y0
 from collective_arb.errors import InternalInvariantError
-from collective_arb.lp import (GE, LE, MIN, Infeasible, LinearProgram, Optimal,
+from collective_arb.lp import (GE, LE, MAX, MIN, Infeasible, LinearProgram, Optimal,
                                Unbounded, solve)
 from collective_arb.market import build_market
 from collective_arb.pricing import claim_vector, fairness_allocation, rho_Y_plus
+from collective_arb import verify
 from collective_arb.verify import (check_lp_outcome, verify_arbitrage_found,
                                    verify_fairness, verify_measure_vector,
                                    verify_polar_witness,
@@ -214,3 +216,96 @@ def test_lp_checker_rejects_negative_reduced_cost():
     bad = Optimal(value=out.value, point=out.point, row_duals=(F(2),))
     with pytest.raises(InternalInvariantError, match="negative reduced cost"):
         check_lp_outcome(program, bad)
+
+
+def _two_var_program(sense, rel, rhs):
+    """``sense`` x + y subject to x + y ``rel`` ``rhs``, x, y >= 0."""
+    return LinearProgram(sense=sense, objective=(F(1), F(1)), row_coeffs=((F(1), F(1)),),
+                         row_rels=(rel,), row_rhs=(F(rhs),), lower=(F(0), F(0)),
+                         upper=(None, None))
+
+
+OPTIMAL = _two_var_program(MIN, GE, 1)
+INFEASIBLE = _two_var_program(MIN, LE, -1)
+UNBOUNDED = _two_var_program(MAX, GE, 1)
+
+extra = lambda v: v + (F(0),)  # noqa: E731
+short = lambda v: v[:-1]  # noqa: E731
+first = lambda new: lambda v: (new,) + v[1:]  # noqa: E731
+
+MISSHAPEN = {
+    "point-extra": (OPTIMAL, "point", extra, "point length 3 differs from 2"),
+    "point-short": (OPTIMAL, "point", short, "point length 1 differs from 2"),
+    "duals-extra": (OPTIMAL, "row_duals", extra, "dual vector length 2 differs from 1"),
+    "duals-short": (OPTIMAL, "row_duals", short, "dual vector length 0 differs from 1"),
+    "farkas-rows-extra": (INFEASIBLE, "farkas_rows", extra, "farkas rows length 2 differs"),
+    "farkas-rows-short": (INFEASIBLE, "farkas_rows", short, "farkas rows length 0 differs"),
+    "farkas-lower-extra": (INFEASIBLE, "farkas_lower", extra, "farkas lower length 3 differs"),
+    "farkas-lower-short": (INFEASIBLE, "farkas_lower", short, "farkas lower length 1 differs"),
+    "farkas-upper-extra": (INFEASIBLE, "farkas_upper", extra, "farkas upper length 3 differs"),
+    "farkas-upper-short": (INFEASIBLE, "farkas_upper", short, "farkas upper length 1 differs"),
+    "ray-extra": (UNBOUNDED, "ray", extra, "ray length 3 differs from 2"),
+    "ray-short": (UNBOUNDED, "ray", short, "ray length 1 differs from 2"),
+    "unbounded-point-short": (UNBOUNDED, "point", short, "point length 1 differs from 2"),
+    "point-float": (OPTIMAL, "point", lambda v: tuple(map(float, v)),
+                    "point entry 0 is not an int or a Fraction: 1.0"),
+    "point-bool": (OPTIMAL, "point", lambda v: tuple(map(bool, v)),
+                   "point entry 0 is not an int or a Fraction: True"),
+    "duals-float": (OPTIMAL, "row_duals", first(1.0), "dual vector entry 0 is not"),
+    "duals-bool": (OPTIMAL, "row_duals", first(True), "dual vector entry 0 is not"),
+    "value-float": (OPTIMAL, "value", float, "value entry 0 is not an int or a Fraction"),
+    "farkas-rows-float": (INFEASIBLE, "farkas_rows", first(-1.0), "farkas rows entry 0 is not"),
+    "farkas-lower-bool": (INFEASIBLE, "farkas_lower", first(True), "farkas lower entry 0 is not"),
+    "farkas-upper-float": (INFEASIBLE, "farkas_upper", first(0.0), "farkas upper entry 0 is not"),
+    "ray-float": (UNBOUNDED, "ray", first(1.0), "ray entry 0 is not"),
+    "ray-bool": (UNBOUNDED, "ray", first(True), "ray entry 0 is not"),
+}
+
+
+@pytest.mark.parametrize("case", MISSHAPEN)
+def test_lp_checker_rejects_a_misshapen_certificate(case):
+    # a wrong length or a float or bool entry is a failed certificate check
+    # (exit code 2); before, an extra entry passed, and a short vector or a
+    # float raised IndexError or TypeError
+    program, field, change, message = MISSHAPEN[case]
+    out = solve(program)
+    bad = dataclasses.replace(out, **{field: change(getattr(out, field))})
+    with pytest.raises(InternalInvariantError, match=message):
+        check_lp_outcome(program, bad)
+
+
+# what verify.py may take from lp: the program and outcome types, the
+# constants it compares against, and the Fraction coercion; never the kernel
+LP_NAMES_ALLOWED = {"LinearProgram", "Optimal", "Infeasible", "Unbounded", "LPOutcome",
+                    "LE", "GE", "MIN", "ZERO", "frac"}
+KERNEL_NAMES = {"_solve_general", "_solve_standard", "_Tableau"}
+
+
+def _kernel_dependencies(source):
+    """Every way ``source`` reaches into lp beyond ``LP_NAMES_ALLOWED``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            names = {a.name for a in node.names}
+            if module in (".lp", "collective_arb.lp"):
+                found += sorted(names - LP_NAMES_ALLOWED)
+            elif module in (".", "collective_arb") and "lp" in names:
+                found.append(f"{module} import lp")
+        elif isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name == "collective_arb.lp"]
+        name = node.id if isinstance(node, ast.Name) else \
+            node.attr if isinstance(node, ast.Attribute) else None
+        if name in KERNEL_NAMES:
+            found.append(name)
+    return found
+
+
+def test_checker_is_independent_of_the_kernel_it_audits():
+    with open(verify.__file__, encoding="utf-8") as fh:
+        assert _kernel_dependencies(fh.read()) == []
+    # the guard itself sees each way in
+    assert _kernel_dependencies("from .lp import EQ, frac, _solve_general") == \
+        ["EQ", "_solve_general"]
+    assert _kernel_dependencies("from . import lp\nlp._Tableau") == [". import lp", "_Tableau"]
+    assert _kernel_dependencies("import collective_arb.lp") == ["collective_arb.lp"]
