@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from collective_arb import verify
 from collective_arb.arbitrage import (MeasureVector, detect_NA_agent, detect_NCA,
                                       find_emm_vector, polar_witness)
 from collective_arb.cones import make_span, make_Y0
@@ -14,7 +15,6 @@ from collective_arb.lp import (GE, LE, MAX, MIN, Infeasible, LinearProgram, Opti
                                Unbounded, solve)
 from collective_arb.market import build_market
 from collective_arb.pricing import claim_vector, fairness_allocation, rho_Y_plus
-from collective_arb import verify
 from collective_arb.verify import (check_lp_outcome, verify_arbitrage_found,
                                    verify_fairness, verify_measure_vector,
                                    verify_polar_witness,
@@ -229,9 +229,18 @@ OPTIMAL = _two_var_program(MIN, GE, 1)
 INFEASIBLE = _two_var_program(MIN, LE, -1)
 UNBOUNDED = _two_var_program(MAX, GE, 1)
 
-extra = lambda v: v + (F(0),)  # noqa: E731
-short = lambda v: v[:-1]  # noqa: E731
-first = lambda new: lambda v: (new,) + v[1:]  # noqa: E731
+
+def extra(v):
+    return v + (F(0),)
+
+
+def short(v):
+    return v[:-1]
+
+
+def first(new):
+    return lambda v: (new,) + v[1:]
+
 
 MISSHAPEN = {
     "point-extra": (OPTIMAL, "point", extra, "point length 3 differs from 2"),

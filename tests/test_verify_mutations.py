@@ -8,6 +8,7 @@ or +1/3, or its sign flipped) they must give the same verdict: both accept,
 or both reject with the same message.
 """
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -79,7 +80,7 @@ def _mutants(outcome):
             for new in {v + 1, v - 1, v + F(1, 3), -v} - {v}:
                 if vector:
                     new = values[:k] + (new,) + values[k + 1:]
-                yield field, k, type(outcome)(**{**outcome.__dict__, field: new})
+                yield field, k, dataclasses.replace(outcome, **{field: new})
 
 
 @pytest.mark.parametrize("kind", VECTORS, ids=lambda k: k.__name__)
