@@ -10,16 +10,20 @@ markets).  Every outcome carries an exact certificate:
                     the constraints into an impossible ``0 > 0`` inequality.
 * ``Unbounded``  -- a feasible point plus an improving feasible ray.
 
-The kernel pivots on Python integers.  ``_solve_general`` compiles each
-program straight to integer rows ``[L*A | L*b]`` and integer costs ``K*c``,
-with one factor ``L > 0`` for all rows and one ``K > 0`` for the objective,
-and it alone knows them: it divides them back out of the duals and the
-value.  ``_solve_standard`` and ``_Tableau`` see integers only; the tableau
-carries one common positive denominator, and each pivot is Bareiss's exact
-fraction-free update.  Points, duals, Farkas vectors and rays are converted
-to `fractions.Fraction` once, at the end.  There are no tolerances
-anywhere.  Results are deterministic: identical programs yield identical
-outcomes.
+The kernel is a revised simplex on Python integers.  ``_solve_general``
+compiles each program straight to sparse integer columns and an integer
+right-hand side, the rows scaled by one factor ``L > 0`` and the objective
+by one ``K > 0``, and it alone knows them: it divides them back out of the
+duals and the value.  ``_solve_standard`` and ``_RevisedSimplex`` see
+integers only.  The state is the explicit basis inverse over one common
+positive denominator, ``den * B^-1``, with the right-hand side and the
+simplex multipliers, and each pivot updates only those ``m + 1`` columns
+per row by Bareiss's exact fraction-free step.  The columns of ``A`` are
+never updated: Bland's rule prices them on demand and computes only the
+entering column for the ratio test.  Points, duals, Farkas vectors and rays
+are converted to `fractions.Fraction` once, at the end.  There are no
+tolerances anywhere.  Results are deterministic: identical programs yield
+identical outcomes.
 
 Every variable is either free or nonnegative.  Those are the two kinds the
 finite duality of the paper needs: cash, strategy and lineality weights are
@@ -171,49 +175,68 @@ LPOutcome = Union[Optimal, Infeasible, Unbounded]
 # ---------------------------------------------------------------------------
 
 
-class _Tableau:
-    """Dense integer tableau with one artificial column per row.
+class _RevisedSimplex:
+    """Revised simplex state over the explicit integer basis inverse.
 
-    The rows are ``[A | I | b]`` for the integer rows ``[A | b]`` that
-    ``_solve_general`` compiles; the scale factors that made them integral
-    stay in that layer, so this class sees integers only.  The artificial
-    columns stay the identity and double as a running copy of the basis
-    inverse, which is what makes exact duals and Farkas vectors cheap to read
-    off.  Every entry is held over one common denominator ``den > 0``, the
-    basis determinant, and a pivot on ``p`` updates each other row by
-    ``a' = (a*p - f*b) // den`` (exact: Bareiss's fraction-free elimination)
-    before ``den`` becomes ``p``.  The cost row ``zrow`` holds the reduced
-    costs times ``den``.  Since ``den`` is positive, every sign test and
-    ratio comparison agrees with the exact rational tableau, so Bland's rule
-    makes the same pivots.
+    The structural columns ``cols`` are sparse integer columns, lists of
+    ``(row, value)`` pairs, and are never updated.  Each live row ``r`` holds
+    row ``r`` of ``den * B^-1`` (over the original rows, the block the
+    artificial columns of a full tableau would carry) followed by its
+    right-hand side, ``m + 1`` integers; ``den > 0`` is the basis
+    determinant.  ``y`` holds ``den`` times the simplex multipliers
+    ``c_B B^-1`` over the same ``m + 1`` columns, so its last entry is
+    ``den`` times the objective value.  A column's reduced cost times ``den``
+    is priced on demand as ``den * c_j - y . A_j`` and its tableau column as
+    ``(den * B^-1) A_j``; both equal, integer for integer, what a full
+    tableau would hold, so Bland's rule makes the same pivots.  A pivot on
+    ``p`` updates each other row by ``a' = (a*p - f*v) // den`` (exact:
+    Bareiss's fraction-free elimination) before ``den`` becomes ``p``.
     """
 
-    def __init__(self, rows, ncols):
-        m = len(rows)
-        self.n = ncols
-        self.rows = [row[:ncols] + [1 if i == r else 0 for i in range(m)] + [row[ncols]]
-                     for r, row in enumerate(rows)]
+    def __init__(self, cols, rhs):
+        self.m = m = len(rhs)
+        self.cols = cols
+        self.n = len(cols)
+        self.rows = [[1 if i == r else 0 for i in range(m)] + [b] for r, b in enumerate(rhs)]
         self.den = 1
-        self.basis = [ncols + r for r in range(m)]
-        self.orig_index = list(range(m))  # tableau row -> input row
-        self.zrow = None
+        self.basis = [self.n + r for r in range(m)]
+        self.orig_index = list(range(m))  # live row -> input row
+        self.c = None
+        self.y = None
 
-    def set_costs(self, costs):
-        # integer costs over the n + m columns, artificials included
-        den = self.den
-        z = [den * v for v in costs] + [0]
+    def set_costs(self, c, c_art):
+        # integer costs c over the structural columns, c_art on every
+        # artificial one
+        n = self.n
+        self.c = c
+        y = [0] * (self.m + 1)
         for row, bj in zip(self.rows, self.basis):
-            cb = costs[bj]
+            cb = c[bj] if bj < n else c_art
             if cb:
-                z = [a - cb * v for a, v in zip(z, row)]
-        self.zrow = z
+                y = [a + cb * v for a, v in zip(y, row)]
+        self.y = y
 
-    def pivot(self, r, j):
+    def price(self, j):
+        """den times the reduced cost of column j."""
+        y = self.y
+        return self.den * self.c[j] - sum(y[i] * a for i, a in self.cols[j])
+
+    def column(self, j):
+        """Column j of the tableau, (den * B^-1) A_j, over the live rows."""
+        rows = self.rows
+        col = [0] * len(rows)
+        for i, a in self.cols[j]:
+            col = [v + row[i] * a for v, row in zip(col, rows)]
+        return col
+
+    def pivot(self, r, j, col, d):
+        """Bring column j into the basis at row r, given its tableau column
+        ``col`` and its priced reduced cost ``d``."""
         rows = self.rows
         prow = rows[r]
-        p = prow[j]
+        p = col[r]
         if p < 0:
-            # negating the pivot row negates the whole updated tableau and
+            # negating the pivot row negates the whole updated state and
             # its denominator, which keeps den positive
             prow = rows[r] = [-v for v in prow]
             p = -p
@@ -221,41 +244,48 @@ class _Tableau:
         for rr, row in enumerate(rows):
             if rr == r:
                 continue
-            f = row[j]
+            f = col[rr]
             if f:
                 rows[rr] = [(a * p - f * v) // den for a, v in zip(row, prow)]
             elif p != den:
                 rows[rr] = [a * p // den for a in row]
-        f = self.zrow[j]
-        if f:
-            self.zrow = [(a * p - f * v) // den for a, v in zip(self.zrow, prow)]
+        # y takes the cost row's update with the opposite sign
+        if d:
+            self.y = [(a * p + d * v) // den for a, v in zip(self.y, prow)]
         elif p != den:
-            self.zrow = [a * p // den for a in self.zrow]
+            self.y = [a * p // den for a in self.y]
         self.den = p
         self.basis[r] = j
 
     def run(self):
-        """Bland's rule over the structural columns; returns 'optimal' or
-        ('unbounded', entering col)."""
-        n = self.n
+        """Bland's rule over the structural columns; returns ('optimal',
+        None) or ('unbounded', (entering col, its tableau column))."""
+        cols, c = self.cols, self.c
         while True:
-            z = self.zrow
-            enter = next((j for j in range(n) if z[j] < 0), -1)
+            den, y = self.den, self.y
+            enter = -1
+            for j, colj in enumerate(cols):
+                d = den * c[j]
+                for i, a in colj:
+                    d -= y[i] * a
+                if d < 0:
+                    enter = j
+                    break
             if enter < 0:
-                return "optimal", -1
+                return "optimal", None
+            col = self.column(enter)
             # min ratio rhs/a over a > 0 by cross-multiplication; ties go
             # to the smallest basic variable
             leave, best_rhs, best_a = -1, 0, 1
-            for r, row in enumerate(self.rows):
-                a = row[enter]
+            for r, (a, row) in enumerate(zip(col, self.rows)):
                 if a > 0:
                     lhs, rhs = row[-1] * best_a, best_rhs * a
                     if leave < 0 or lhs < rhs or (
                             lhs == rhs and self.basis[r] < self.basis[leave]):
                         leave, best_rhs, best_a = r, row[-1], a
             if leave < 0:
-                return "unbounded", enter
-            self.pivot(leave, enter)
+                return "unbounded", (enter, col)
+            self.pivot(leave, enter, col, d)
 
     def point(self):
         x = [ZERO] * self.n
@@ -270,61 +300,58 @@ class _Tableau:
         del self.orig_index[r]
 
 
-def _solve_standard(rows, c, n):
-    """min c.x s.t. Ax=b (b>=0), x>=0 over n columns, for integer rows
-    ``[A | b]`` and integer costs ``c``.  Returns a dict with 'status' and
-    per-status data: point/duals/value, farkas duals, or ray."""
-    m = len(rows)
-    tab = _Tableau(rows, n)
+def _solve_standard(cols, rhs, c):
+    """min c.x s.t. Ax=b (b>=0), x>=0, for the sparse integer columns
+    ``cols`` of ``A``, the integer ``rhs`` and integer costs ``c``.  Returns
+    a dict with 'status' and per-status data: point/duals/value, farkas
+    duals, or ray."""
+    n, m = len(cols), len(rhs)
+    tab = _RevisedSimplex(cols, rhs)
 
     # phase 1: cost 1 on every artificial
-    tab.set_costs([0] * n + [1] * m)
+    tab.set_costs([0] * n, 1)
     status, _ = tab.run()
     if status != "optimal":
         raise InternalInvariantError(f"phase 1 ended {status!r}, not optimal")
-    if tab.zrow[-1] != 0:
-        # y_r = 1 - (reduced cost of artificial r), which zrow holds times
-        # den; every row is still live
-        den, z = tab.den, tab.zrow
-        return {"status": "infeasible",
-                "farkas": [Fraction(den - z[n + r], den) for r in range(m)]}
+    if tab.y[-1] != 0:
+        # every row is still live
+        return {"status": "infeasible", "farkas": [Fraction(v, tab.den) for v in tab.y[:m]]}
 
     # drive artificials out of the basis; drop redundant rows
     r = 0
     while r < len(tab.rows):
         if tab.basis[r] >= n:
-            if tab.rows[r][-1] != 0:
+            row = tab.rows[r]
+            if row[-1] != 0:
                 raise InternalInvariantError("basic artificial with nonzero value after phase 1")
-            for j in range(n):
-                if tab.rows[r][j] != 0:
-                    tab.pivot(r, j)
-                    break
-            else:
+            j = next((j for j, col in enumerate(cols) if sum(row[i] * a for i, a in col)), -1)
+            if j < 0:
                 tab.drop_row(r)
                 continue
+            tab.pivot(r, j, tab.column(j), tab.price(j))
         r += 1
 
-    tab.set_costs(c + [0] * m)
-    status, enter = tab.run()
+    tab.set_costs(c, 0)
+    status, entering = tab.run()
     if status == "unbounded":
+        enter, col = entering
         ray = [ZERO] * n
         ray[enter] = ONE
-        for r, bj in enumerate(tab.basis):
+        for bj, a in zip(tab.basis, col):
             if bj < n:
-                ray[bj] = Fraction(-tab.rows[r][enter], tab.den)
+                ray[bj] = Fraction(-a, tab.den)
         return {"status": "unbounded", "point": tab.point(), "ray": ray}
 
-    # y_r = -(reduced cost of artificial r), which zrow holds times den;
     # dropped rows keep y_r = 0
-    den, z = tab.den, tab.zrow
+    den, y = tab.den, tab.y
     duals = [ZERO] * m
     for orig in tab.orig_index:
-        duals[orig] = Fraction(-z[n + orig], den)
+        duals[orig] = Fraction(y[orig], den)
     return {
         "status": "optimal",
         "point": tab.point(),
         "duals": duals,
-        "value": Fraction(-z[-1], den),
+        "value": Fraction(y[-1], den),
     }
 
 
@@ -371,40 +398,41 @@ def _solve_general(lp: LinearProgram) -> LPOutcome:
     for f in free:
         cols.append(width)
         width += 2 if f else 1
-    total_cols = width + sum(rel != EQ for rel in lp.row_rels)
 
-    def compile_row(coeffs, scale, out):
-        """scale * coeffs onto the standard columns of ``out``; scale is a
-        multiple of every denominator, so the entries are integers."""
+    def spread(coeffs, scale):
+        """(standard column, scale * a) for each nonzero a of ``coeffs``;
+        scale is a multiple of every denominator, so the values are
+        integers."""
         for i, a in enumerate(coeffs):
             if a:
                 v = a.numerator * (scale // a.denominator)
-                out[cols[i]] = v
+                yield cols[i], v
                 if free[i]:
-                    out[cols[i] + 1] = -v
-        return out
+                    yield cols[i] + 1, -v
 
     # every row is scaled by one factor L > 0, the lcm of the row and rhs
     # denominators, and negated where its rhs is negative (sigma = -1);
-    # the objective is scaled by K > 0, and negated for a max
+    # the objective is scaled by K > 0, and negated for a max.  The rows go
+    # onto sparse integer columns, each slack a column of its own
     L = lcm(*{a.denominator for coeffs in lp.row_coeffs for a in coeffs},
             *{b.denominator for b in lp.row_rhs})
-    rows, sigma = [], []
-    slack = width
-    for coeffs, rel, rhs in zip(lp.row_coeffs, lp.row_rels, lp.row_rhs):
-        s = -L if rhs < 0 else L
-        row = compile_row(coeffs, s, [0] * (total_cols + 1))
+    columns = [[] for _ in range(width)]
+    rhs, sigma = [], []
+    for r, (coeffs, rel, b) in enumerate(zip(lp.row_coeffs, lp.row_rels, lp.row_rhs)):
+        s = -L if b < 0 else L
+        for j, v in spread(coeffs, s):
+            columns[j].append((r, v))
         if rel != EQ:
-            row[slack] = s if rel == LE else -s
-            slack += 1
-        row[-1] = rhs.numerator * (s // rhs.denominator)
-        rows.append(row)
+            columns.append([(r, s if rel == LE else -s)])
+        rhs.append(b.numerator * (s // b.denominator))
         sigma.append(1 if s > 0 else -1)
     K = lcm(*{a.denominator for a in lp.objective})
     k = K if lp.sense == MIN else -K
-    c = compile_row(lp.objective, k, [0] * total_cols)
+    c = [0] * len(columns)
+    for j, v in spread(lp.objective, k):
+        c[j] = v
 
-    res = _solve_standard(rows, c, total_cols)
+    res = _solve_standard(columns, rhs, c)
 
     def map_back(xs):
         """standard values -> original variables (points and rays alike)."""

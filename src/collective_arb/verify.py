@@ -218,7 +218,15 @@ def _check_unbounded(lp: LinearProgram, out: Unbounded) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _check_length(values, n: int, what: str) -> None:
+    """A certificate field holds exactly n entries: an extra one must not
+    pass unseen through a zip, nor a missing one raise IndexError."""
+    if len(values) != n:
+        _fail(f"{what} length {len(values)} differs from {n}")
+
+
 def _combine(gens, coeffs, n_atoms):
+    _check_length(coeffs, len(gens), "strategy")
     row = [ZERO] * n_atoms
     for g, c in zip(gens, coeffs):
         if c:
@@ -229,6 +237,8 @@ def _combine(gens, coeffs, n_atoms):
 
 def _exchange_rows(cone, ray_coeffs, lin_coeffs):
     n, N = cone.n_atoms, cone.n_agents
+    _check_length(ray_coeffs, len(cone.rays), "exchange ray coefficients")
+    _check_length(lin_coeffs, len(cone.lineality), "exchange lineality coefficients")
     rows = [[ZERO] * n for _ in range(N)]
     for c, g in zip(ray_coeffs, cone.rays):
         if frac(c) < 0:
@@ -252,10 +262,11 @@ def verify_arbitrage_found(market, cert, cone=None, agent=None) -> None:
         bases = [gains_basis(market, agent)]
     else:
         bases = market.gains
+    _check_length(cert.strategy_coeffs, len(bases), "strategy rows")
+    if cert.gains_rows is not None:
+        _check_length(cert.gains_rows, len(bases), "gains rows")
     rows = []
     for i, gens in enumerate(bases):
-        if len(cert.strategy_coeffs[i]) != len(gens):
-            _fail("strategy length differs from gains basis")
         row = _combine(gens, cert.strategy_coeffs[i], market.n_atoms)
         if cert.gains_rows is not None and tuple(cert.gains_rows[i]) != row:
             _fail("reported gains row differs from recomputation")
@@ -356,7 +367,9 @@ def verify_measure_vector(market, cone, mv, strict=True) -> None:
 def verify_primal_optimizer(market, cone, g, opt, value) -> None:
     """Recompute every row of m + gains + exchange and check domination of
     the claims and the reported total cost."""
-    n = market.n_atoms
+    n, N = market.n_atoms, market.n_agents
+    for field in ("m", "strategy_coeffs", "gains_rows"):
+        _check_length(getattr(opt, field), N, f"optimizer {field}")
     if sum(map(frac, opt.m), ZERO) != frac(value):
         _fail("optimizer cost does not match the reported value")
     ex = _exchange_rows(cone, opt.ray_coeffs, opt.lin_coeffs)
@@ -374,6 +387,8 @@ def verify_primal_optimizer(market, cone, g, opt, value) -> None:
 def verify_fairness(market, cone, g, fr) -> None:
     """Re-check every fairness identity from raw data."""
     N, n = market.n_agents, market.n_atoms
+    for field in ("m_tilde", "k_tilde_coeffs", "shift"):
+        _check_length(getattr(fr, field), N, f"fairness {field}")
     verify_measure_vector(market, cone, fr.q_hat, strict=False)
     verify_primal_optimizer(market, cone, g, fr.raw, fr.value)
     if sum(map(frac, fr.shift), ZERO) != 0:

@@ -1,16 +1,18 @@
-"""Differential tests: the integer (fraction-free) simplex kernel against the
+"""Differential tests: the integer revised simplex kernel against the
 exact-Fraction reference kernel in ``fraction_kernel.py``.
 
 Both kernels use Bland's rule, and scaling the rows and the costs by
 positive integers changes no sign or ratio comparison, so they must make the
-same pivots and return equal outcomes: status, point, duals, value, Farkas
-vector, ray.  Whole programs go through ``lp.solve``, which compiles them
-to integer rows, and ``fraction_kernel.solve``, which compiles them to the
-``Fraction`` standard form; that checks the unscaling of the duals and the
-value as well as the pivots.  The hand-written standard forms compare the
-two kernels on the same integer data.
+same pivots in the same order, which a spy on each kernel's ``pivot(r, j)``
+records, and return outcomes equal by repr: status, point, duals, value,
+Farkas vector, ray.  Whole programs go through ``lp.solve``, which compiles
+them to sparse integer columns, and ``fraction_kernel.solve``, which
+compiles them to the ``Fraction`` standard form; that checks the unscaling
+of the duals and the value as well as the pivots.  The hand-written
+standard forms compare the two kernels on the same integer data.
 """
 
+import contextlib
 import os
 import subprocess
 import sys
@@ -30,19 +32,44 @@ from test_lp import small_lp
 F = Fraction
 
 
+@contextlib.contextmanager
+def pivots(kernel):
+    """The (row, column) of every pivot that ``kernel`` makes while open."""
+    real = kernel.pivot
+    made = []
+
+    def spy(tab, r, j, *rest):
+        made.append((r, j))
+        real(tab, r, j, *rest)
+
+    with mock.patch.object(kernel, "pivot", spy):
+        yield made
+
+
 def both(A, b, c):
     """Both kernels on the integer standard form min c.x, Ax = b, x >= 0."""
-    new = lp._solve_standard([list(row) + [v] for row, v in zip(A, b)], c, len(c))
-    old = fraction_kernel._solve_standard([[F(v) for v in row] for row in A],
-                                          [F(v) for v in b], [F(v) for v in c], len(c))
+    cols = [[(r, row[j]) for r, row in enumerate(A) if row[j]] for j in range(len(c))]
+    with pivots(lp._RevisedSimplex) as new_pivots:
+        new = lp._solve_standard(cols, b, c)
+    with pivots(fraction_kernel._Tableau) as old_pivots:
+        old = fraction_kernel._solve_standard([[F(v) for v in row] for row in A],
+                                              [F(v) for v in b], [F(v) for v in c], len(c))
+    assert new_pivots == old_pivots
     assert repr(new) == repr(old)
     return new
 
 
 def agree(program):
-    """Both kernels on a whole program; equal by repr, so equal types too."""
-    new = lp.solve(program)
-    assert repr(new) == repr(fraction_kernel.solve(program))
+    """Both kernels on a whole program: the same pivots in the same order,
+    and outcomes equal by repr, so equal types too.  Equal outcomes alone
+    would not show equal pivots: a degenerate vertex is reached by many
+    pivot sequences."""
+    with pivots(lp._RevisedSimplex) as new_pivots:
+        new = lp.solve(program)
+    with pivots(fraction_kernel._Tableau) as old_pivots:
+        old = fraction_kernel.solve(program)
+    assert new_pivots == old_pivots
+    assert repr(new) == repr(old)
     return new
 
 
@@ -113,8 +140,10 @@ def test_builtin_analysis_programs_agree_with_fraction_kernel(name):
     with mock.patch.object(lp, "_solve_general", record):
         analyze(parse_model(example_document(name)))
     assert programs
-    for program in programs:
-        agree(program)
+    with pivots(lp._RevisedSimplex) as made:
+        for program in programs:
+            agree(program)
+    assert made
 
 
 def test_redundant_rows_are_dropped_alike():
@@ -125,14 +154,14 @@ def test_redundant_rows_are_dropped_alike():
 def test_negative_drive_out_pivot():
     # phase 1 leaves the second artificial basic at zero; the only nonzero
     # of its row is -4, so driving it out pivots on a negative entry
-    real = lp._Tableau.pivot
+    real = lp._RevisedSimplex.pivot
     pivots = []
 
-    def spy(tab, r, j):
-        pivots.append(tab.rows[r][j])
-        real(tab, r, j)
+    def spy(tab, r, j, col, d):
+        pivots.append(col[r])
+        real(tab, r, j, col, d)
 
-    with mock.patch.object(lp._Tableau, "pivot", spy):
+    with mock.patch.object(lp._RevisedSimplex, "pivot", spy):
         res = both([[2, -2], [0, -2]], [2, 0], [2, 0])
     assert any(p < 0 for p in pivots)
     assert res == {"status": "optimal", "point": [1, 0], "duals": [1, -1], "value": 2}
@@ -158,7 +187,7 @@ def test_unbounded_ray():
 _PHASE1_NOT_OPTIMAL = """
 from collective_arb import lp
 from collective_arb.errors import InternalInvariantError
-lp._Tableau.run = lambda self: ("unbounded", 0)
+lp._RevisedSimplex.run = lambda self: ("unbounded", (0, [1]))
 program = lp.LinearProgram(sense=lp.MIN, objective=(lp.ONE,), row_coeffs=((lp.ONE,),),
                            row_rels=(lp.GE,), row_rhs=(lp.ONE,), lower=(lp.ZERO,),
                            upper=(None,))

@@ -135,6 +135,72 @@ def test_fairness_checker_rejects_tampered_allocation(tree_market):
         verify_fairness(tree_market, cone, g, bad)
 
 
+def _extend_first(rows, value):
+    return (tuple(rows[0]) + (value,),) + tuple(rows[1:])
+
+
+def _drop_last(rows):
+    return tuple(rows[:-1])
+
+
+# (certificate field, tamper, message) on the tree market's rho_Y_plus
+# optimizer and fairness result; each was accepted, or raised IndexError,
+# before the checker compared every length with the agents and generators
+MISSHAPEN_OPTIMIZERS = {
+    "extra-strategy-coefficient": ("strategy_coeffs", lambda v: _extend_first(v, F(7)),
+                                   "strategy length 5 differs from 4"),
+    "missing-agent-row": (("strategy_coeffs", "gains_rows"), _drop_last,
+                          "optimizer strategy_coeffs length 1 differs from 2"),
+    "missing-cash": ("m", _drop_last, "optimizer m length 1 differs from 2"),
+    "extra-lineality-coefficient": ("lin_coeffs", lambda v: tuple(v) + (F(0),),
+                                    "exchange lineality coefficients length"),
+}
+MISSHAPEN_FAIRNESS = {
+    "extra-strategy-coefficient": ("k_tilde_coeffs", lambda v: _extend_first(v, F(0)),
+                                   "strategy length 5 differs from 4"),
+    "missing-shift": ("shift", _drop_last, "fairness shift length 1 differs from 2"),
+    "extra-exchange-coefficient": ("y_tilde_lin_coeffs", lambda v: tuple(v) + (F(0),),
+                                   "exchange lineality coefficients length"),
+}
+
+
+def _tamper(cert, fields, change):
+    fields = (fields,) if isinstance(fields, str) else fields
+    return dataclasses.replace(cert, **{f: change(getattr(cert, f)) for f in fields})
+
+
+@pytest.mark.parametrize("case", MISSHAPEN_OPTIMIZERS)
+def test_optimizer_checker_rejects_a_misshapen_optimizer(tree_market, case):
+    cone = make_Y0(tree_market, 1)
+    g = claim_vector(tree_market, TREE_CLAIMS)
+    value, opt = rho_Y_plus(tree_market, cone, g)
+    verify_primal_optimizer(tree_market, cone, g, opt, value.value)
+    fields, change, message = MISSHAPEN_OPTIMIZERS[case]
+    with pytest.raises(InternalInvariantError, match=message):
+        verify_primal_optimizer(tree_market, cone, g, _tamper(opt, fields, change), value.value)
+
+
+@pytest.mark.parametrize("case", MISSHAPEN_FAIRNESS)
+def test_fairness_checker_rejects_a_misshapen_result(tree_market, case):
+    cone = make_Y0(tree_market, 1)
+    g = claim_vector(tree_market, TREE_CLAIMS)
+    fr = fairness_allocation(tree_market, cone, g)
+    verify_fairness(tree_market, cone, g, fr)
+    fields, change, message = MISSHAPEN_FAIRNESS[case]
+    with pytest.raises(InternalInvariantError, match=message):
+        verify_fairness(tree_market, cone, g, _tamper(fr, fields, change))
+
+
+def test_arbitrage_checker_rejects_a_missing_strategy_row(toy_market):
+    # an IndexError before, which the CLI does not map to exit code 2
+    cone = make_Y0(toy_market, 1)
+    cert = detect_NCA(toy_market, cone)
+    assert cert.found
+    bad = _tamper(cert, "strategy_coeffs", _drop_last)
+    with pytest.raises(InternalInvariantError, match="strategy rows length 1 differs from 2"):
+        verify_arbitrage_found(toy_market, bad, cone=cone)
+
+
 def test_polar_witness_respects_reference_weights():
     """Non-uniform reference probabilities reweight the polar ray; the unit
     mass point is ((3/5, 3/10), (3/10, 3/4))."""
@@ -287,7 +353,7 @@ def test_lp_checker_rejects_a_misshapen_certificate(case):
 # constants it compares against, and the Fraction coercion; never the kernel
 LP_NAMES_ALLOWED = {"LinearProgram", "Optimal", "Infeasible", "Unbounded", "LPOutcome",
                     "LE", "GE", "MIN", "ZERO", "frac"}
-KERNEL_NAMES = {"_solve_general", "_solve_standard", "_Tableau"}
+KERNEL_NAMES = {"_solve_general", "_solve_standard", "_RevisedSimplex"}
 
 
 def _kernel_dependencies(source):
@@ -316,5 +382,5 @@ def test_checker_is_independent_of_the_kernel_it_audits():
     # the guard itself sees each way in
     assert _kernel_dependencies("from .lp import EQ, frac, _solve_general") == \
         ["EQ", "_solve_general"]
-    assert _kernel_dependencies("from . import lp\nlp._Tableau") == [". import lp", "_Tableau"]
+    assert _kernel_dependencies("from . import lp\nlp._RevisedSimplex") == [". import lp", "_RevisedSimplex"]
     assert _kernel_dependencies("import collective_arb.lp") == ["collective_arb.lp"]
