@@ -153,7 +153,8 @@ def test_redundant_rows_are_dropped_alike():
 
 def test_negative_drive_out_pivot():
     # phase 1 leaves the second artificial basic at zero; the only nonzero
-    # of its row is -4, so driving it out pivots on a negative entry
+    # of its row is -4, so driving it out pivots on a negative entry (the
+    # ratio test pivots only on positive ones)
     real = lp._RevisedSimplex.pivot
     pivots = []
 
