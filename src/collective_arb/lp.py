@@ -12,16 +12,17 @@ markets).  Every outcome carries an exact certificate:
 
 The kernel is a revised simplex on Python integers.  ``_solve_general``
 compiles each program straight to sparse integer columns and an integer
-right-hand side, the rows scaled by one factor ``L > 0`` and the objective
-by one ``K > 0``, and it alone knows them: it divides them back out of the
-duals and the value.  ``_solve_standard`` and ``_RevisedSimplex`` see
-integers only.  The state is the explicit basis inverse over one common
-positive denominator, ``den * B^-1``, with the right-hand side and the
-simplex multipliers, and each pivot updates only those ``m + 1`` columns
-per row by Bareiss's exact fraction-free step.  The columns of ``A`` are
-never updated: Bland's rule prices them on demand and computes only the
-entering column for the ratio test.  Points, duals, Farkas vectors and rays
-are converted to `fractions.Fraction` once, at the end.  There are no
+right-hand side, each row scaled by its own factor ``L_r > 0`` and the
+objective by one ``K > 0``, and it alone knows them: it divides them back
+out of the duals, the Farkas vector and the value.  ``_solve_standard`` and
+``_RevisedSimplex`` see integers only.  The state is the basis inverse of
+Bareiss's fraction-free elimination, ``den * B^-1`` with the right-hand
+side, kept as sparse rows that are scaled lazily: a pivot updates only the
+rows with a nonzero in the entering column, and each row carries the
+denominator it was last updated at.  The columns of ``A`` are never
+updated: Bland's rule prices them on demand and computes only the entering
+column for the ratio test.  Points, duals, Farkas vectors and rays are
+converted to `fractions.Fraction` once, at the end.  There are no
 tolerances anywhere.  Results are deterministic: identical programs yield
 identical outcomes.
 
@@ -176,96 +177,129 @@ LPOutcome = Union[Optimal, Infeasible, Unbounded]
 
 
 class _RevisedSimplex:
-    """Revised simplex state over the explicit integer basis inverse.
+    """Revised simplex state over sparse, lazily scaled rows of the integer
+    basis inverse.
 
     The structural columns ``cols`` are sparse integer columns, lists of
-    ``(row, value)`` pairs, and are never updated.  Each live row ``r`` holds
-    row ``r`` of ``den * B^-1`` (over the original rows, the block the
-    artificial columns of a full tableau would carry) followed by its
-    right-hand side, ``m + 1`` integers; ``den > 0`` is the basis
-    determinant.  ``y`` holds ``den`` times the simplex multipliers
-    ``c_B B^-1`` over the same ``m + 1`` columns, so its last entry is
-    ``den`` times the objective value.  A column's reduced cost times ``den``
-    is priced on demand as ``den * c_j - y . A_j`` and its tableau column as
-    ``(den * B^-1) A_j``; both equal, integer for integer, what a full
-    tableau would hold, so Bland's rule makes the same pivots.  A pivot on
-    ``p`` updates each other row by ``a' = (a*p - f*v) // den`` (exact:
-    Bareiss's fraction-free elimination) before ``den`` becomes ``p``.
+    ``(row, value)`` pairs, and are never updated.  ``den > 0`` is the
+    basis determinant of Bareiss's fraction-free elimination, which would
+    keep every row of ``B^-1`` (over the original rows, the block the
+    artificial columns of a full tableau would carry) with its right-hand
+    side as ``m + 1`` integers over ``den``.  Here each live row ``r`` is
+    kept only as a dict of its nonzeros, key ``m`` for the right-hand side,
+    over its own stamp ``scale[r]``: the ``den`` at which the row was last
+    updated.  A pivot leaves a row's part of ``B^-1`` alone unless the
+    row's entry of the entering column is nonzero, so such a row is not
+    touched at all.  ``y`` holds the simplex multipliers ``c_B B^-1`` over
+    the same ``m + 1`` columns (its last entry is the objective value), as
+    a dense list over its own stamp ``y_scale``.
+
+    A column's reduced cost is priced on demand as ``y_scale * c_j - y .
+    A_j`` and its tableau column as ``row_r . A_j`` per row; each is the
+    true value times a positive stamp, so Bland's sign tests and the ratio
+    test's ``rhs_r / a_r`` (where a row's stamp cancels) make the same
+    pivots as a full tableau.  A pivot on ``p`` (the pivot row brought to
+    ``den`` first if it is stale) updates each row with a nonzero entry
+    ``f`` by ``a' = (a*p - f*v) // scale[r]``, which is Bareiss's integer
+    row over ``p``, so the division is exact, and stamps it ``p``; then
+    ``den`` becomes ``p``.
     """
 
     def __init__(self, cols, rhs):
         self.m = m = len(rhs)
         self.cols = cols
         self.n = len(cols)
-        self.rows = [[1 if i == r else 0 for i in range(m)] + [b] for r, b in enumerate(rhs)]
+        self.rows = [{r: 1, m: b} if b else {r: 1} for r, b in enumerate(rhs)]
+        self.scale = [1] * m
         self.den = 1
         self.basis = [self.n + r for r in range(m)]
         self.orig_index = list(range(m))  # live row -> input row
         self.c = None
         self.y = None
+        self.y_scale = 1
 
     def set_costs(self, c, c_art):
-        # integer costs c over the structural columns, c_art on every
-        # artificial one
-        n = self.n
+        """Integer costs ``c`` over the structural columns and ``c_art``
+        over the artificial ones, one per input row."""
+        n, den = self.n, self.den
         self.c = c
         y = [0] * (self.m + 1)
-        for row, bj in zip(self.rows, self.basis):
-            cb = c[bj] if bj < n else c_art
+        for row, s, bj in zip(self.rows, self.scale, self.basis):
+            cb = c[bj] if bj < n else c_art[bj - n]
             if cb:
-                y = [a + cb * v for a, v in zip(y, row)]
-        self.y = y
+                # cb * den * B^-1 row, exact: the row over den is Bareiss's
+                for i, v in row.items():
+                    y[i] += cb * v * den // s
+        self.y, self.y_scale = y, den
 
     def price(self, j):
-        """den times the reduced cost of column j."""
+        """The reduced cost of column j times ``y_scale``."""
         y = self.y
-        return self.den * self.c[j] - sum(y[i] * a for i, a in self.cols[j])
+        return self.y_scale * self.c[j] - sum(y[i] * a for i, a in self.cols[j])
 
     def column(self, j):
-        """Column j of the tableau, (den * B^-1) A_j, over the live rows."""
-        rows = self.rows
-        col = [0] * len(rows)
-        for i, a in self.cols[j]:
-            col = [v + row[i] * a for v, row in zip(col, rows)]
-        return col
+        """Column j of the tableau over the live rows, each entry times its
+        row's stamp."""
+        colj = self.cols[j]
+        out = []
+        for row in self.rows:
+            t = 0
+            for i, a in colj:
+                if i in row:
+                    t += row[i] * a
+            out.append(t)
+        return out
 
     def pivot(self, r, j, col, d):
         """Bring column j into the basis at row r, given its tableau column
         ``col`` and its priced reduced cost ``d``."""
-        rows = self.rows
-        prow = rows[r]
-        p = col[r]
-        if p < 0:
-            # negating the pivot row negates the whole updated state and
-            # its denominator, which keeps den positive
-            prow = rows[r] = [-v for v in prow]
-            p = -p
-        den = self.den
-        for rr, row in enumerate(rows):
-            if rr == r:
-                continue
-            f = col[rr]
-            if f:
-                rows[rr] = [(a * p - f * v) // den for a, v in zip(row, prow)]
-            elif p != den:
-                rows[rr] = [a * p // den for a in row]
+        rows, scale, den = self.rows, self.scale, self.den
+        prow, p = rows[r], col[r]
+        s = scale[r]
+        if s != den or p < 0:
+            # bring a stale pivot row to den; a negative pivot negates the
+            # pivot row, which keeps the new denominator positive
+            g = den if p > 0 else -den
+            prow = {i: v * g // s for i, v in prow.items()}
+            p = p * g // s
+        rows[r], scale[r] = prow, p
+        for rr, f in enumerate(col):
+            if f and rr != r:
+                # each entry becomes (a*p - f*v) // s: off the pivot row's
+                # keys that is a*p // s, and only on them can an entry
+                # cancel, which is then dropped
+                s, row = scale[rr], rows[rr]
+                new = {i: a * p // s for i, a in row.items()}
+                for i, v in prow.items():
+                    if i in row:
+                        a = (row[i] * p - f * v) // s
+                        if a:
+                            new[i] = a
+                        else:
+                            del new[i]
+                    else:
+                        new[i] = -f * v // s
+                rows[rr], scale[rr] = new, p
         # y takes the cost row's update with the opposite sign
         if d:
-            self.y = [(a * p + d * v) // den for a, v in zip(self.y, prow)]
-        elif p != den:
-            self.y = [a * p // den for a in self.y]
+            s = self.y_scale
+            y = [a * p for a in self.y]
+            for i, v in prow.items():
+                y[i] += d * v
+            self.y = [a // s for a in y]
+            self.y_scale = p
         self.den = p
         self.basis[r] = j
 
     def run(self):
         """Bland's rule over the structural columns; returns ('optimal',
         None) or ('unbounded', (entering col, its tableau column))."""
-        cols, c = self.cols, self.c
+        cols, c, m = self.cols, self.c, self.m
         while True:
-            den, y = self.den, self.y
+            ys, y = self.y_scale, self.y
             enter = -1
             for j, colj in enumerate(cols):
-                d = den * c[j]
+                d = ys * c[j]
                 for i, a in colj:
                     d -= y[i] * a
                 if d < 0:
@@ -274,84 +308,88 @@ class _RevisedSimplex:
             if enter < 0:
                 return "optimal", None
             col = self.column(enter)
-            # min ratio rhs/a over a > 0 by cross-multiplication; ties go
-            # to the smallest basic variable
+            # min ratio rhs/a over a > 0 by cross-multiplication (a row's
+            # stamp cancels); ties go to the smallest basic variable
             leave, best_rhs, best_a = -1, 0, 1
             for r, (a, row) in enumerate(zip(col, self.rows)):
                 if a > 0:
-                    lhs, rhs = row[-1] * best_a, best_rhs * a
+                    b = row.get(m, 0)
+                    lhs, rhs = b * best_a, best_rhs * a
                     if leave < 0 or lhs < rhs or (
                             lhs == rhs and self.basis[r] < self.basis[leave]):
-                        leave, best_rhs, best_a = r, row[-1], a
+                        leave, best_rhs, best_a = r, b, a
             if leave < 0:
                 return "unbounded", (enter, col)
             self.pivot(leave, enter, col, d)
 
     def point(self):
         x = [ZERO] * self.n
-        for r, bj in enumerate(self.basis):
+        for row, s, bj in zip(self.rows, self.scale, self.basis):
             if bj < self.n:
-                x[bj] = Fraction(self.rows[r][-1], self.den)
+                x[bj] = Fraction(row.get(self.m, 0), s)
         return x
 
     def drop_row(self, r):
         del self.rows[r]
+        del self.scale[r]
         del self.basis[r]
         del self.orig_index[r]
 
 
-def _solve_standard(cols, rhs, c):
+def _solve_standard(cols, rhs, c, art_costs):
     """min c.x s.t. Ax=b (b>=0), x>=0, for the sparse integer columns
-    ``cols`` of ``A``, the integer ``rhs`` and integer costs ``c``.  Returns
-    a dict with 'status' and per-status data: point/duals/value, farkas
-    duals, or ray."""
+    ``cols`` of ``A``, the integer ``rhs`` and integer costs ``c``; phase 1
+    minimises the artificials weighted by the positive integers
+    ``art_costs``, one per row.  Returns a dict with 'status' and per-status
+    data: point/duals/value, farkas duals, or ray."""
     n, m = len(cols), len(rhs)
     tab = _RevisedSimplex(cols, rhs)
 
-    # phase 1: cost 1 on every artificial
-    tab.set_costs([0] * n, 1)
+    tab.set_costs([0] * n, art_costs)
     status, _ = tab.run()
     if status != "optimal":
         raise InternalInvariantError(f"phase 1 ended {status!r}, not optimal")
     if tab.y[-1] != 0:
         # every row is still live
-        return {"status": "infeasible", "farkas": [Fraction(v, tab.den) for v in tab.y[:m]]}
+        return {"status": "infeasible",
+                "farkas": [Fraction(v, tab.y_scale) for v in tab.y[:m]]}
 
     # drive artificials out of the basis; drop redundant rows
     r = 0
     while r < len(tab.rows):
         if tab.basis[r] >= n:
             row = tab.rows[r]
-            if row[-1] != 0:
+            if row.get(m, 0) != 0:
                 raise InternalInvariantError("basic artificial with nonzero value after phase 1")
-            j = next((j for j, col in enumerate(cols) if sum(row[i] * a for i, a in col)), -1)
+            j = next((j for j, col in enumerate(cols)
+                      if sum(row.get(i, 0) * a for i, a in col)), -1)
             if j < 0:
                 tab.drop_row(r)
                 continue
             tab.pivot(r, j, tab.column(j), tab.price(j))
         r += 1
 
-    tab.set_costs(c, 0)
+    tab.set_costs(c, [0] * m)
     status, entering = tab.run()
     if status == "unbounded":
         enter, col = entering
         ray = [ZERO] * n
         ray[enter] = ONE
-        for bj, a in zip(tab.basis, col):
+        for bj, a, s in zip(tab.basis, col, tab.scale):
             if bj < n:
-                ray[bj] = Fraction(-a, tab.den)
+                ray[bj] = Fraction(-a, s)
         return {"status": "unbounded", "point": tab.point(), "ray": ray}
 
     # dropped rows keep y_r = 0
-    den, y = tab.den, tab.y
+    ys, y = tab.y_scale, tab.y
     duals = [ZERO] * m
     for orig in tab.orig_index:
-        duals[orig] = Fraction(y[orig], den)
+        duals[orig] = Fraction(y[orig], ys)
     return {
         "status": "optimal",
         "point": tab.point(),
         "duals": duals,
-        "value": Fraction(y[-1], den),
+        "value": Fraction(y[-1], ys),
     }
 
 
@@ -410,29 +448,35 @@ def _solve_general(lp: LinearProgram) -> LPOutcome:
                 if free[i]:
                     yield cols[i] + 1, -v
 
-    # every row is scaled by one factor L > 0, the lcm of the row and rhs
-    # denominators, and negated where its rhs is negative (sigma = -1);
-    # the objective is scaled by K > 0, and negated for a max.  The rows go
-    # onto sparse integer columns, each slack a column of its own
-    L = lcm(*{a.denominator for coeffs in lp.row_coeffs for a in coeffs},
-            *{b.denominator for b in lp.row_rhs})
+    # row r is scaled by its own factor L_r > 0, the lcm of its and its
+    # rhs's denominators, and negated where its rhs is negative, so by
+    # s_r = sigma_r * L_r; the objective is scaled by K > 0, and negated
+    # for a max.  The rows go onto sparse integer columns, each slack a
+    # column of its own
+    scales = []
+    for coeffs, b in zip(lp.row_coeffs, lp.row_rhs):
+        L_r = lcm(*{a.denominator for a in coeffs}, b.denominator)
+        scales.append(-L_r if b < 0 else L_r)
     columns = [[] for _ in range(width)]
-    rhs, sigma = [], []
-    for r, (coeffs, rel, b) in enumerate(zip(lp.row_coeffs, lp.row_rels, lp.row_rhs)):
-        s = -L if b < 0 else L
+    rhs = []
+    for r, (coeffs, rel, b, s) in enumerate(zip(lp.row_coeffs, lp.row_rels, lp.row_rhs, scales)):
         for j, v in spread(coeffs, s):
             columns[j].append((r, v))
         if rel != EQ:
             columns.append([(r, s if rel == LE else -s)])
         rhs.append(b.numerator * (s // b.denominator))
-        sigma.append(1 if s > 0 else -1)
     K = lcm(*{a.denominator for a in lp.objective})
     k = K if lp.sense == MIN else -K
     c = [0] * len(columns)
     for j, v in spread(lp.objective, k):
         c[j] = v
 
-    res = _solve_standard(columns, rhs, c)
+    # row r's artificial stands for L_r / L times the artificial of the
+    # same row scaled by the common L = lcm(L_r), so the phase-1 cost
+    # L / L_r gives phase 1 the objective, the pivots and the Farkas
+    # vector of one common scale
+    L = lcm(*scales)
+    res = _solve_standard(columns, rhs, c, [L // abs(s) for s in scales])
 
     def map_back(xs):
         """standard values -> original variables (points and rays alike)."""
@@ -442,19 +486,20 @@ def _solve_general(lp: LinearProgram) -> LPOutcome:
         return Unbounded(point=map_back(res["point"]), ray=map_back(res["ray"]))
 
     if res["status"] == "optimal":
-        # the integer program's value is k times the original one, and its
-        # duals are K / (sigma * L) times the original ones
+        # the integer program's value is k times the original one, and the
+        # dual of row r is K / s_r times the original one
         return Optimal(
             value=res["value"] / k,
             point=map_back(res["point"]),
-            row_duals=tuple(sg * L * y / K for sg, y in zip(sigma, res["duals"])),
+            row_duals=tuple(s * y / K for s, y in zip(scales, res["duals"])),
         )
 
-    # infeasible: a Farkas vector is invariant under positive scaling, so
-    # only sigma folds back onto the original rows; a nonnegative
-    # variable's zero bound takes up the rest of its column, tau, which
-    # must vanish on a free variable
-    w = [sg * y for sg, y in zip(sigma, res["farkas"])]
+    # infeasible: with the phase-1 costs above, the kernel's Farkas vector
+    # is that of the rows scaled by the common L, and a Farkas vector is
+    # invariant under positive scaling, so s_r / L folds it back onto the
+    # original rows; a nonnegative variable's zero bound takes up the rest
+    # of its column, tau, which must vanish on a free variable
+    w = [s * y / L for s, y in zip(scales, res["farkas"])]
     zlo = []
     for i in range(n):
         tau = sum((w[j] * frac(row[i]) for j, row in enumerate(lp.row_coeffs)
@@ -508,7 +553,7 @@ class LPBuilder:
         for rname, cmap, rel, b in self._rows:
             dense = [ZERO] * len(names)
             for v, a in cmap.items():
-                dense[index[v]] += frac(a)
+                dense[index[v]] = frac(a)
             coeffs.append(tuple(dense))
             rels.append(rel)
             rhs.append(b)

@@ -79,12 +79,19 @@ def parse_cone(spec, market: MarketModel) -> ExchangeCone:
     raise ValidationError("exchange", f"unknown cone kind {kind!r}")
 
 
+_TOO_DEEP = "the document is nested too deeply"
+
+
 def parse_model(doc: dict) -> ModelFile:
-    _reject_floats(doc)
-    market = build_market(doc)
-    exchange = None
-    if "exchange" in doc:
-        exchange = parse_cone(doc["exchange"], market)
+    # the float scan and the cone parser recurse once per nesting level
+    try:
+        _reject_floats(doc)
+        market = build_market(doc)
+        exchange = None
+        if "exchange" in doc:
+            exchange = parse_cone(doc["exchange"], market)
+    except RecursionError:
+        raise ValidationError("$", _TOO_DEEP) from None
     claims = None
     if "claims" in doc:
         claims = claim_vector(market, doc["claims"])
@@ -99,6 +106,8 @@ def load_model(path: str) -> ModelFile:
         raise ValidationError(path, f"JSON parse error at line {e.lineno}, column {e.colno}: {e.msg}")
     except (OSError, UnicodeDecodeError) as e:
         raise ValidationError(path, f"cannot read the file: {e}")
+    except RecursionError:
+        raise ValidationError(path, _TOO_DEEP) from None
     if not isinstance(doc, dict):
         raise ValidationError(path, "top-level JSON value must be an object")
     return parse_model(doc)

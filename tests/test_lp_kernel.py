@@ -5,7 +5,9 @@ Both kernels use Bland's rule, and scaling the rows and the costs by
 positive integers changes no sign or ratio comparison, so they must make the
 same pivots in the same order, which a spy on each kernel's ``pivot(r, j)``
 records, and return outcomes equal by repr: status, point, duals, value,
-Farkas vector, ray.  Whole programs go through ``lp.solve``, which compiles
+Farkas vector, ray.  On the standard forms the spies also read, after each
+pivot, every live row of the basis inverse with its right-hand side: the
+integer kernel's sparse row over its stamp must equal the reference's row.  Whole programs go through ``lp.solve``, which compiles
 them to sparse integer columns, and ``fraction_kernel.solve``, which
 compiles them to the ``Fraction`` standard form; that checks the unscaling
 of the duals and the value as well as the pivots.  The hand-written
@@ -33,25 +35,38 @@ F = Fraction
 
 
 @contextlib.contextmanager
-def pivots(kernel):
-    """The (row, column) of every pivot that ``kernel`` makes while open."""
+def pivots(kernel, state=None):
+    """The (row, column) of every pivot that ``kernel`` makes while open,
+    with ``state(tab)`` read after the pivot when ``state`` is given."""
     real = kernel.pivot
     made = []
 
     def spy(tab, r, j, *rest):
-        made.append((r, j))
         real(tab, r, j, *rest)
+        made.append((r, j) if state is None else (r, j, state(tab)))
 
     with mock.patch.object(kernel, "pivot", spy):
         yield made
 
 
+def inverse_rows(tab):
+    """The integer kernel's rows of B^-1 with the rhs, each over its stamp."""
+    return [[F(row.get(i, 0), s) for i in range(tab.m + 1)]
+            for row, s in zip(tab.rows, tab.scale)]
+
+
+def reference_inverse_rows(tab):
+    """The reference tableau's artificial block (B^-1) with the rhs."""
+    return [row[tab.n:tab.n + tab.m] + row[-1:] for row in tab.rows]
+
+
 def both(A, b, c):
-    """Both kernels on the integer standard form min c.x, Ax = b, x >= 0."""
+    """Both kernels on the integer standard form min c.x, Ax = b, x >= 0,
+    with the same basis inverse after every pivot."""
     cols = [[(r, row[j]) for r, row in enumerate(A) if row[j]] for j in range(len(c))]
-    with pivots(lp._RevisedSimplex) as new_pivots:
-        new = lp._solve_standard(cols, b, c)
-    with pivots(fraction_kernel._Tableau) as old_pivots:
+    with pivots(lp._RevisedSimplex, inverse_rows) as new_pivots:
+        new = lp._solve_standard(cols, b, c, [1] * len(b))
+    with pivots(fraction_kernel._Tableau, reference_inverse_rows) as old_pivots:
         old = fraction_kernel._solve_standard([[F(v) for v in row] for row in A],
                                               [F(v) for v in b], [F(v) for v in c], len(c))
     assert new_pivots == old_pivots
@@ -108,6 +123,23 @@ def test_rational_standard_forms_agree_with_fraction_kernel(data):
 
 
 @st.composite
+def integer_standard_form(draw):
+    m = draw(st.integers(0, 5))
+    n = draw(st.integers(1, 6))
+    entry = st.integers(-4, 4)
+    A = [[draw(entry) for _ in range(n)] for _ in range(m)]
+    b = [draw(st.integers(0, 6)) for _ in range(m)]
+    c = [draw(entry) for _ in range(n)]
+    return A, b, c
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_standard_form())
+def test_integer_standard_forms_keep_the_reference_inverse(data):
+    both(*data)
+
+
+@st.composite
 def mixed_program(draw):
     """A general program whose rows, rhs and objective mix denominators."""
     n = draw(st.integers(1, 4))
@@ -144,6 +176,26 @@ def test_builtin_analysis_programs_agree_with_fraction_kernel(name):
         for program in programs:
             agree(program)
     assert made
+
+
+def test_builtin_programs_skip_rows_and_refresh_stale_pivot_rows():
+    """A pivot leaves each row with a zero in the entering column untouched,
+    so a later pivot row can be stale (its stamp is not den); the built-in
+    analyses run both branches of the lazy scaling."""
+    seen = {"skip": 0, "stale": 0}
+    real = lp._RevisedSimplex.pivot
+
+    def spy(tab, r, j, col, d):
+        seen["skip"] += sum(1 for rr, f in enumerate(col) if rr != r and not f)
+        seen["stale"] += tab.scale[r] != tab.den
+        real(tab, r, j, col, d)
+
+    with mock.patch.object(lp._RevisedSimplex, "pivot", spy):
+        for name in example_names():
+            analyze(parse_model(example_document(name)))
+            if seen["skip"] and seen["stale"]:
+                break
+    assert seen["skip"] and seen["stale"], seen
 
 
 def test_redundant_rows_are_dropped_alike():

@@ -273,6 +273,36 @@ def test_cli_rejects_malformed_model_files(case, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("invalid: ")
 
 
+def _nested_sum_cone(depth):
+    cone = {"kind": "Y0", "t": 0}
+    for _ in range(depth):
+        cone = {"kind": "sum", "parts": [cone]}
+    return cone
+
+
+def test_cli_rejects_an_over_nested_model_file(tmp_path, capsys):
+    # json.dumps itself cannot encode this depth, so the text is spliced
+    from collective_arb import cli
+
+    depth = 800
+    doc = example_document("toy71")
+    doc["exchange"] = "CONE"
+    cone = '{"kind": "sum", "parts": [' * depth + '{"kind": "Y0", "t": 0}' + "]}" * depth
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc).replace('"CONE"', cone))
+    assert cli.main(["validate", str(path)]) == 1
+    assert capsys.readouterr().err == f"invalid: {path}: the document is nested too deeply\n"
+
+
+def test_parse_rejects_an_over_nested_document():
+    doc = example_document("toy71")
+    doc["exchange"] = _nested_sum_cone(100)
+    assert parse_model(doc).exchange is not None
+    doc["exchange"] = _nested_sum_cone(1000)
+    with pytest.raises(ValidationError, match="nested too deeply"):
+        parse_model(doc)
+
+
 def test_cli_analyze_json_deterministic(tmp_path):
     write_example("toy71", str(tmp_path))
     path = str(tmp_path / "toy71.json")
