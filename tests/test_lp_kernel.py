@@ -5,13 +5,14 @@ Both kernels use Bland's rule, and scaling the rows and the costs by
 positive integers changes no sign or ratio comparison, so they must make the
 same pivots in the same order, which a spy on each kernel's ``pivot(r, j)``
 records, and return outcomes equal by repr: status, point, duals, value,
-Farkas vector, ray.  On the standard forms the spies also read, after each
-pivot, every live row of the basis inverse with its right-hand side: the
-integer kernel's sparse row over its stamp must equal the reference's row.  Whole programs go through ``lp.solve``, which compiles
+Farkas vector, ray.  Whole programs go through ``lp.solve``, which compiles
 them to sparse integer columns, and ``fraction_kernel.solve``, which
 compiles them to the ``Fraction`` standard form; that checks the unscaling
-of the duals and the value as well as the pivots.  The hand-written
-standard forms compare the two kernels on the same integer data.
+of the duals and the value as well as the pivots.  The integer standard
+forms compare the two kernels on the same data, and there the spies also
+read every live row of the basis inverse with its right-hand side after
+each pivot: the integer kernel's sparse row over its stamp must equal the
+reference's row.
 """
 
 import contextlib
