@@ -498,12 +498,13 @@ def _solve_general(lp: LinearProgram) -> LPOutcome:
     # is that of the rows scaled by the common L, and a Farkas vector is
     # invariant under positive scaling, so s_r / L folds it back onto the
     # original rows; a nonnegative variable's zero bound takes up the rest
-    # of its column, tau, which must vanish on a free variable
-    w = [s * y / L for s, y in zip(scales, res["farkas"])]
+    # of its column, tau, which must vanish on a free variable; column
+    # cols[i] holds s_r * a_ri, so tau_i = sum of y_r * s_r * a_ri / L
+    y = res["farkas"]
+    w = [s * y_r / L for s, y_r in zip(scales, y)]
     zlo = []
     for i in range(n):
-        tau = sum((w[j] * frac(row[i]) for j, row in enumerate(lp.row_coeffs)
-                   if w[j] and row[i]), ZERO)
+        tau = sum((y[r] * v for r, v in columns[cols[i]]), ZERO) / L
         if tau > 0 or (free[i] and tau):
             raise InternalInvariantError(
                 f"Farkas multiplier of the bounds of variable {i} has the wrong sign")

@@ -18,6 +18,9 @@ floats rejected):
 Cone specs: {"kind":"Y0","t":t} | {"kind":"grouping","groups":[[...]],"t":t}
 | {"kind":"span","generators":[matrix...]} | {"kind":"sum","parts":[...]}
 | {"kind":"zero"}.
+
+Objects and arrays nest at most 256 deep, which leaves room for a sum cone
+about 127 deep; a deeper document is rejected, from any caller alike.
 """
 
 from __future__ import annotations
@@ -40,15 +43,23 @@ class ModelFile:
     raw: dict
 
 
-def _reject_floats(node, path="$"):
+# the float scan and the cone parser recurse once per level; a bound of the
+# document's own keeps them inside Python's recursion limit from any caller
+_MAX_DEPTH = 256
+_TOO_DEEP = "the document is nested too deeply"
+
+
+def _reject_floats(node, path="$", depth=1):
     if isinstance(node, float):
         raise ValidationError(path, "rationals must be strings like '5/6', not floats")
+    if isinstance(node, (dict, list)) and depth > _MAX_DEPTH:
+        raise ValidationError("$", _TOO_DEEP)
     if isinstance(node, dict):
         for k, v in node.items():
-            _reject_floats(v, f"{path}.{k}")
+            _reject_floats(v, f"{path}.{k}", depth + 1)
     elif isinstance(node, list):
         for k, v in enumerate(node):
-            _reject_floats(v, f"{path}[{k}]")
+            _reject_floats(v, f"{path}[{k}]", depth + 1)
 
 
 def parse_cone(spec, market: MarketModel) -> ExchangeCone:
@@ -79,19 +90,12 @@ def parse_cone(spec, market: MarketModel) -> ExchangeCone:
     raise ValidationError("exchange", f"unknown cone kind {kind!r}")
 
 
-_TOO_DEEP = "the document is nested too deeply"
-
-
 def parse_model(doc: dict) -> ModelFile:
-    # the float scan and the cone parser recurse once per nesting level
-    try:
-        _reject_floats(doc)
-        market = build_market(doc)
-        exchange = None
-        if "exchange" in doc:
-            exchange = parse_cone(doc["exchange"], market)
-    except RecursionError:
-        raise ValidationError("$", _TOO_DEEP) from None
+    _reject_floats(doc)
+    market = build_market(doc)
+    exchange = None
+    if "exchange" in doc:
+        exchange = parse_cone(doc["exchange"], market)
     claims = None
     if "claims" in doc:
         claims = claim_vector(market, doc["claims"])
@@ -106,7 +110,7 @@ def load_model(path: str) -> ModelFile:
         raise ValidationError(path, f"JSON parse error at line {e.lineno}, column {e.colno}: {e.msg}")
     except (OSError, UnicodeDecodeError) as e:
         raise ValidationError(path, f"cannot read the file: {e}")
-    except RecursionError:
+    except RecursionError:  # json.load recurses before any depth check
         raise ValidationError(path, _TOO_DEEP) from None
     if not isinstance(doc, dict):
         raise ValidationError(path, "top-level JSON value must be an object")

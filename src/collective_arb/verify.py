@@ -13,6 +13,11 @@ independently of ``lp``, whose integer compile it audits: from ``lp`` it
 takes only the program and outcome types, a few constants and ``frac``.
 A certificate vector of the wrong length, or with an entry that is not an
 int or a Fraction, fails the check.
+
+The market-level checkers share two checks, since a single market is the
+one-row, no-cone case of each collective certificate: ``_check_dual_rows``
+for witness, measure and polar rows, and ``_payoff_rows`` (gains plus an
+exchange) for arbitrages and hedges.
 """
 
 from __future__ import annotations
@@ -28,6 +33,13 @@ from .market import gains_basis
 
 def _fail(msg: str):
     raise InternalInvariantError(msg)
+
+
+def _check_length(values, n: int, what: str) -> None:
+    """A certificate field holds exactly n entries: an extra one must not
+    pass unseen through a zip, nor a missing one raise IndexError."""
+    if len(values) != n:
+        _fail(f"{what} length {len(values)} differs from {n}")
 
 
 def _dot(a, b) -> Fraction:
@@ -59,8 +71,7 @@ def check_lp_outcome(lp: LinearProgram, outcome) -> None:
 def _scaled(values, n: int, what: str):
     """(D, V) for an exact rational vector of length n: ints and Fractions
     only, since a float or a bool is no certificate entry."""
-    if len(values) != n:
-        _fail(f"{what} length {len(values)} differs from {n}")
+    _check_length(values, n, what)
     den, nonzero = 1, []
     for i, v in enumerate(values):
         if type(v) is not Fraction and (type(v) is bool or not isinstance(v, (int, Fraction))):
@@ -85,6 +96,21 @@ def _idot(u: dict, v: dict) -> int:
     if len(u) > len(v):
         u, v = v, u
     return sum([a * v[i] for i, a in u.items() if i in v])
+
+
+def _row_combination(rows, D, Y, E):
+    """(E', y.A, y.b) for y_j = Y_j / D, the last two times E', the lcm of E
+    and of every D * L_j with Y_j != 0; y.A is held as {index: value}."""
+    for j in Y:
+        E = lcm(E, D * rows[j][0])
+    combo, total = {}, 0
+    for j, yj in Y.items():
+        L, A, B = rows[j]
+        w = yj * (E // (D * L))
+        total += w * B
+        for i, a in A.items():
+            combo[i] = combo.get(i, 0) + w * a
+    return E, combo, total
 
 
 def _check_feasible_point(lp: LinearProgram, rows, point) -> list:
@@ -136,17 +162,10 @@ def _check_optimal(lp: LinearProgram, out: Optimal) -> None:
 
     # reduced costs d = c - y.A, column by column over the rows with a
     # nonzero dual, and the dual objective y.b, both times E
-    E = Dc
-    for j in Y:
-        E = lcm(E, Dy * rows[j][0])
+    E, yA, dual_value = _row_combination(rows, Dy, Y, Dc)
     d = {i: v * (E // Dc) for i, v in C.items()}
-    dual_value = 0
-    for j, yj in Y.items():
-        L, A, B = rows[j]
-        w = yj * (E // (Dy * L))
-        dual_value += w * B
-        for i, a in A.items():
-            d[i] = d.get(i, 0) - w * a
+    for i, v in yA.items():
+        d[i] = d.get(i, 0) - v
     for i in sorted(d):
         if d[i] > 0:
             # the lower bound is 0, so it adds nothing to the dual value
@@ -172,16 +191,7 @@ def _check_infeasible(lp: LinearProgram, out: Infeasible) -> None:
 
     # w.A + zlo and w.b + zlo.lower, times E; the lower bounds are 0
     rows = {j: _scaled_row(lp, j) for j in W}
-    E = Dz
-    for j, (L, _, _) in rows.items():
-        E = lcm(E, Dw * L)
-    combo, rhs_total = {}, 0
-    for j, wj in W.items():
-        L, A, B = rows[j]
-        w = wj * (E // (Dw * L))
-        for i, a in A.items():
-            combo[i] = combo.get(i, 0) + w * a
-        rhs_total += w * B
+    E, combo, rhs_total = _row_combination(rows, Dw, W, Dz)
     for i in sorted(Z.keys() | Zup.keys()):
         zl = Z.get(i, 0)
         if zl < 0:
@@ -218,198 +228,167 @@ def _check_unbounded(lp: LinearProgram, out: Unbounded) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _check_length(values, n: int, what: str) -> None:
-    """A certificate field holds exactly n entries: an extra one must not
-    pass unseen through a zip, nor a missing one raise IndexError."""
-    if len(values) != n:
-        _fail(f"{what} length {len(values)} differs from {n}")
+def _gains_bases(market, cone=None, agent=None):
+    """The gains bases of a certificate's rows: every agent's under a cone,
+    else agent ``agent``'s alone, else the pooled market's."""
+    if cone is not None:
+        return market.gains
+    if agent is not None:
+        return [gains_basis(market, agent)]
+    return market.full_market.gains
 
 
-def _combine(gens, coeffs, n_atoms):
-    _check_length(coeffs, len(gens), "strategy")
-    row = [ZERO] * n_atoms
-    for g, c in zip(gens, coeffs):
-        if c:
-            for w in range(n_atoms):
-                row[w] += frac(c) * g.vector[w]
-    return tuple(row)
+def _check_dual_rows(rows, bases, cone, weight, strict, mass_one, what) -> None:
+    """Dual rows polar to the gains and to ``cone`` (None for no cone): one
+    row per gains basis, with one entry per atom weight, each entry > 0
+    (``strict``) or >= 0, each row summing to one under ``mass_one``.
+    Weighted by ``weight``, each row has zero value against every generator
+    of its basis, and the rows together are <= 0 on each ray and = 0 on
+    each lineality generator."""
+    if len(rows) != len(bases):
+        _fail(f"{what} row count mismatch")
+    weighted = []
+    for row, gens in zip(rows, bases):
+        if len(row) != len(weight):
+            _fail(f"{what} row length mismatch")
+        row = [frac(v) for v in row]
+        if any(v <= 0 if strict else v < 0 for v in row):
+            _fail(f"{what} not strictly positive" if strict else f"{what} has a negative entry")
+        if mass_one and sum(row) != 1:
+            _fail(f"{what} row does not sum to one")
+        row = [p * v for p, v in zip(weight, row)]
+        if any(_dot(row, g.vector) for g in gens):
+            _fail(f"{what} not orthogonal to a gains generator")
+        weighted.append(row)
+    if cone is not None:
+        def value(gen):
+            return sum((_dot(row, r) for row, r in zip(weighted, gen.rows)), ZERO)
+
+        if any(value(r) > 0 for r in cone.rays):
+            _fail(f"{what} positive against a cone ray")
+        if any(value(l) for l in cone.lineality):
+            _fail(f"{what} not orthogonal to the cone lineality")
 
 
-def _exchange_rows(cone, ray_coeffs, lin_coeffs):
-    n, N = cone.n_atoms, cone.n_agents
+def _exchange_rows(cone, ray_coeffs, lin_coeffs, reported, what):
+    """The exchange's rows from its coefficients, which are nonnegative on
+    the rays; the reported rows must equal them."""
     _check_length(ray_coeffs, len(cone.rays), "exchange ray coefficients")
     _check_length(lin_coeffs, len(cone.lineality), "exchange lineality coefficients")
-    rows = [[ZERO] * n for _ in range(N)]
-    for c, g in zip(ray_coeffs, cone.rays):
-        if frac(c) < 0:
-            _fail("negative coefficient on a cone ray")
-        for i in range(N):
-            for w in range(n):
-                rows[i][w] += frac(c) * g.rows[i][w]
-    for c, g in zip(lin_coeffs, cone.lineality):
-        for i in range(N):
-            for w in range(n):
-                rows[i][w] += frac(c) * g.rows[i][w]
-    return tuple(tuple(r) for r in rows)
+    if any(frac(c) < 0 for c in ray_coeffs):
+        _fail("negative coefficient on a cone ray")
+    rows = [[ZERO] * cone.n_atoms for _ in range(cone.n_agents)]
+    for c, g in zip((*ray_coeffs, *lin_coeffs), cone.generators):
+        c = frac(c)
+        if c:
+            for row, gen_row in zip(rows, g.rows):
+                for w, v in enumerate(gen_row):
+                    row[w] += c * v
+    rows = tuple(tuple(r) for r in rows)
+    if tuple(tuple(r) for r in reported) != rows:
+        _fail(f"{what} rows differ from their coefficients")
+    return rows
+
+
+def _payoff_rows(bases, coeffs, reported, n_atoms, exchange=None) -> list:
+    """Each row's gains from its strategy coefficients, checked against the
+    reported gains rows when they are given, plus the exchange's row when
+    there is an exchange."""
+    _check_length(coeffs, len(bases), "strategy rows")
+    if reported is not None:
+        _check_length(reported, len(bases), "gains rows")
+    rows = []
+    for i, gens in enumerate(bases):
+        _check_length(coeffs[i], len(gens), "strategy")
+        row = [ZERO] * n_atoms
+        for g, c in zip(gens, coeffs[i]):
+            if c:
+                for w in range(n_atoms):
+                    row[w] += frac(c) * g.vector[w]
+        if reported is not None and tuple(reported[i]) != tuple(row):
+            _fail("reported gains row differs from recomputation")
+        if exchange is not None:
+            row = [v + e for v, e in zip(row, exchange[i])]
+        rows.append(row)
+    return rows
+
+
+def _check_hedge(m, payoff, claims, value, what) -> None:
+    """Cash m at a total cost of ``value``, and m_i + payoff_i >= claim_i."""
+    if sum(map(frac, m), ZERO) != frac(value):
+        _fail(f"{what} cost does not match the reported value")
+    for m_i, row, claim in zip(m, payoff, claims.rows):
+        m_i = frac(m_i)
+        if any(m_i + v < frac(c) for v, c in zip(row, claim)):
+            _fail(f"{what} fails to dominate a claim")
 
 
 def verify_arbitrage_found(market, cert, cone=None, agent=None) -> None:
     """Recompute the gains (and exchange) from the reported coefficients and
     check: every row nonnegative, total strictly positive."""
-    if agent is None and cone is None:
-        bases = market.full_market.gains
-    elif cone is None:
-        bases = [gains_basis(market, agent)]
-    else:
-        bases = market.gains
-    _check_length(cert.strategy_coeffs, len(bases), "strategy rows")
-    if cert.gains_rows is not None:
-        _check_length(cert.gains_rows, len(bases), "gains rows")
-    rows = []
-    for i, gens in enumerate(bases):
-        row = _combine(gens, cert.strategy_coeffs[i], market.n_atoms)
-        if cert.gains_rows is not None and tuple(cert.gains_rows[i]) != row:
-            _fail("reported gains row differs from recomputation")
-        rows.append(list(row))
+    ex = None
     if cone is not None:
-        ex = _exchange_rows(cone, cert.exchange.ray_coeffs, cert.exchange.lin_coeffs)
-        if tuple(tuple(r) for r in cert.exchange.rows) != ex:
-            _fail("reported exchange rows differ from recomputation")
-        for i in range(len(rows)):
-            for w in range(market.n_atoms):
-                rows[i][w] += ex[i][w]
-    total = ZERO
-    for row in rows:
-        for v in row:
-            if v < 0:
-                _fail("arbitrage payoff negative somewhere")
-            total += v
-    if not total > 0:
+        e = cert.exchange
+        ex = _exchange_rows(cone, e.ray_coeffs, e.lin_coeffs, e.rows, "reported exchange")
+    rows = _payoff_rows(_gains_bases(market, cone, agent), cert.strategy_coeffs,
+                        cert.gains_rows, market.n_atoms, ex)
+    if any(v < 0 for row in rows for v in row):
+        _fail("arbitrage payoff negative somewhere")
+    if not sum(map(sum, rows)) > 0:
         _fail("arbitrage payoff not strictly positive anywhere")
 
 
 def verify_single_market_witness(market, q_row, agent=None) -> None:
     """Strictly positive probability row killing every gains generator."""
-    gens = market.full_market.gains[0] if agent is None else gains_basis(market, agent)
-    if len(q_row) != market.n_atoms:
-        _fail("witness length mismatch")
-    if any(frac(v) <= 0 for v in q_row):
-        _fail("witness not strictly positive")
-    if sum(map(frac, q_row)) != 1:
-        _fail("witness does not sum to one")
-    for g in gens:
-        if _dot(q_row, g.vector) != 0:
-            _fail("witness expectation of a zero-cost gain is nonzero")
+    _check_dual_rows((q_row,), _gains_bases(market, agent=agent), None,
+                     (1,) * market.n_atoms, True, True, "witness")
 
 
 def verify_polar_witness(market, cone, rows, strict=True) -> None:
     """Element of the polar of the super-replicable set: nonnegative (or
     strictly positive) rows, zero value against every agent's gains
-    generators, nonpositive against rays, zero against lineality."""
-    P = market.space.prob
-    N, n = market.n_agents, market.n_atoms
-    if len(rows) != N:
-        _fail("polar witness row count mismatch")
-    for row in rows:
-        if len(row) != n:
-            _fail("polar witness row length mismatch")
-        for v in row:
-            if strict and frac(v) <= 0:
-                _fail("polar witness not strictly positive")
-            if not strict and frac(v) < 0:
-                _fail("polar witness negative")
-
-    def weighted(i, vec):
-        return sum((P[w] * frac(rows[i][w]) * frac(vec[w]) for w in range(n)), ZERO)
-
-    for i, gens in enumerate(market.gains):
-        for g in gens:
-            if weighted(i, g.vector) != 0:
-                _fail("polar witness not orthogonal to a gains generator")
-    for r in cone.rays:
-        if sum((weighted(i, r.rows[i]) for i in range(N)), ZERO) > 0:
-            _fail("polar witness positive against a cone ray")
-    for l in cone.lineality:
-        if sum((weighted(i, l.rows[i]) for i in range(N)), ZERO) != 0:
-            _fail("polar witness not orthogonal to the cone lineality")
+    generators, nonpositive against rays, zero against lineality; values
+    are taken under the reference probability."""
+    _check_dual_rows(rows, market.gains, cone, market.space.prob, strict, False,
+                     "polar witness")
 
 
 def verify_measure_vector(market, cone, mv, strict=True) -> None:
     """Vector of martingale measures satisfying the cone polarity."""
-    N, n = market.n_agents, market.n_atoms
-    rows = mv.densities
-    if len(rows) != N:
-        _fail("measure vector row count mismatch")
-    for row in rows:
-        if len(row) != n:
-            _fail("measure row length mismatch")
-        for v in row:
-            if strict and frac(v) <= 0:
-                _fail("measure not strictly positive")
-            if not strict and frac(v) < 0:
-                _fail("measure has a negative probability")
-        if sum(map(frac, row)) != 1:
-            _fail("measure row does not sum to one")
-    for i, gens in enumerate(market.gains):
-        for g in gens:
-            if _dot(rows[i], g.vector) != 0:
-                _fail("martingale equality fails for a gains generator")
-    for r in cone.rays:
-        total = sum((_dot(rows[i], r.rows[i]) for i in range(N)), ZERO)
-        if total > 0:
-            _fail("polarity inequality fails on a ray")
-    for l in cone.lineality:
-        total = sum((_dot(rows[i], l.rows[i]) for i in range(N)), ZERO)
-        if total != 0:
-            _fail("polarity equality fails on a lineality generator")
+    _check_dual_rows(mv.densities, market.gains, cone, (1,) * market.n_atoms, strict, True,
+                     "measure")
 
 
 def verify_primal_optimizer(market, cone, g, opt, value) -> None:
     """Recompute every row of m + gains + exchange and check domination of
     the claims and the reported total cost."""
-    n, N = market.n_atoms, market.n_agents
     for field in ("m", "strategy_coeffs", "gains_rows"):
-        _check_length(getattr(opt, field), N, f"optimizer {field}")
-    if sum(map(frac, opt.m), ZERO) != frac(value):
-        _fail("optimizer cost does not match the reported value")
-    ex = _exchange_rows(cone, opt.ray_coeffs, opt.lin_coeffs)
-    if tuple(tuple(r) for r in opt.exchange_rows) != ex:
-        _fail("exchange rows differ from their coefficients")
-    for i, gens in enumerate(market.gains):
-        gains = _combine(gens, opt.strategy_coeffs[i], n)
-        if tuple(opt.gains_rows[i]) != gains:
-            _fail("gains rows differ from their coefficients")
-        for w in range(n):
-            if frac(opt.m[i]) + gains[w] + ex[i][w] < frac(g.rows[i][w]):
-                _fail("optimizer fails to dominate a claim")
+        _check_length(getattr(opt, field), market.n_agents, f"optimizer {field}")
+    ex = _exchange_rows(cone, opt.ray_coeffs, opt.lin_coeffs, opt.exchange_rows, "exchange")
+    payoff = _payoff_rows(market.gains, opt.strategy_coeffs, opt.gains_rows, market.n_atoms, ex)
+    _check_hedge(opt.m, payoff, g, value, "optimizer")
 
 
 def verify_fairness(market, cone, g, fr) -> None:
     """Re-check every fairness identity from raw data."""
-    N, n = market.n_agents, market.n_atoms
     for field in ("m_tilde", "k_tilde_coeffs", "shift"):
-        _check_length(getattr(fr, field), N, f"fairness {field}")
+        _check_length(getattr(fr, field), market.n_agents, f"fairness {field}")
     verify_measure_vector(market, cone, fr.q_hat, strict=False)
     verify_primal_optimizer(market, cone, g, fr.raw, fr.value)
+    q = fr.q_hat.densities
     if sum(map(frac, fr.shift), ZERO) != 0:
         _fail("raw exchange dual costs do not net to zero")
-    for i in range(N):
-        if _dot(fr.q_hat.densities[i], fr.raw.exchange_rows[i]) != frac(fr.shift[i]):
+    for i in range(market.n_agents):
+        if _dot(q[i], fr.raw.exchange_rows[i]) != frac(fr.shift[i]):
             _fail("shift differs from the exchange's dual cost")
-        if frac(fr.m_tilde[i]) != _dot(fr.q_hat.densities[i], g.rows[i]):
+        if frac(fr.m_tilde[i]) != _dot(q[i], g.rows[i]):
             _fail("allocation differs from the dual expectation of the claim")
-    if sum(map(frac, fr.m_tilde), ZERO) != frac(fr.value):
-        _fail("allocations do not sum to the collective price")
 
     # the canonical exchange: a cone element, zero dual cost per agent, and
     # together with its strategies it dominates the claims at the fair costs
-    ex = _exchange_rows(cone, fr.y_tilde_ray_coeffs, fr.y_tilde_lin_coeffs)
-    if tuple(tuple(r) for r in fr.y_tilde_rows) != ex:
-        _fail("canonical exchange rows differ from their coefficients")
-    for i in range(N):
-        if _dot(fr.q_hat.densities[i], ex[i]) != 0:
-            _fail("canonical exchange has nonzero cost under the dual measure")
-        gains = _combine(market.gains[i], fr.k_tilde_coeffs[i], n)
-        for w in range(n):
-            if frac(fr.m_tilde[i]) + gains[w] + ex[i][w] < frac(g.rows[i][w]):
-                _fail("canonical optimizer fails to dominate a claim")
+    ex = _exchange_rows(cone, fr.y_tilde_ray_coeffs, fr.y_tilde_lin_coeffs, fr.y_tilde_rows,
+                        "canonical exchange")
+    if any(_dot(q_i, ex_i) for q_i, ex_i in zip(q, ex)):
+        _fail("canonical exchange has nonzero cost under the dual measure")
+    payoff = _payoff_rows(market.gains, fr.k_tilde_coeffs, None, market.n_atoms, ex)
+    _check_hedge(fr.m_tilde, payoff, g, fr.value, "canonical optimizer")

@@ -303,6 +303,23 @@ def test_parse_rejects_an_over_nested_document():
         parse_model(doc)
 
 
+def _under_frames(frames, call):
+    return call() if frames == 0 else _under_frames(frames - 1, call)
+
+
+def test_nesting_limit_does_not_depend_on_the_callers_stack():
+    # 300 sums are 602 levels: inside Python's recursion limit at the top
+    # level, beyond it under 500 more frames
+    doc = example_document("toy71")
+    doc["exchange"] = _nested_sum_cone(300)
+    errors = []
+    for frames in (0, 500):
+        with pytest.raises(ValidationError) as caught:
+            _under_frames(frames, lambda: parse_model(doc))
+        errors.append(str(caught.value))
+    assert errors == ["$: the document is nested too deeply"] * 2
+
+
 def test_cli_analyze_json_deterministic(tmp_path):
     write_example("toy71", str(tmp_path))
     path = str(tmp_path / "toy71.json")

@@ -9,7 +9,7 @@ import pytest
 from collective_arb import verify
 from collective_arb.arbitrage import (MeasureVector, detect_NA_agent, detect_NCA,
                                       find_emm_vector, polar_witness)
-from collective_arb.cones import make_span, make_Y0
+from collective_arb.cones import make_rays, make_span, make_Y0
 from collective_arb.errors import InternalInvariantError
 from collective_arb.lp import (GE, LE, MAX, MIN, Infeasible, LinearProgram, Optimal,
                                Unbounded, solve)
@@ -199,6 +199,66 @@ def test_arbitrage_checker_rejects_a_missing_strategy_row(toy_market):
     bad = _tamper(cert, "strategy_coeffs", _drop_last)
     with pytest.raises(InternalInvariantError, match="strategy rows length 1 differs from 2"):
         verify_arbitrage_found(toy_market, bad, cone=cone)
+
+
+# The toy market's dual rows: each agent's unique martingale measure, and
+# the same rows as densities over the reference probability (1/2, 1/2).
+# Both are polar to the deterministic transfers Y0(0), but not to the
+# transfer ((1, 0), (-1, 0)) as a ray or as a line: 1/2 - 1/6 > 0.
+TOY_MEASURES = ((F(1, 2), F(1, 2)), (F(1, 6), F(5, 6)))
+TOY_DENSITIES = ((F(1), F(1)), (F(1, 3), F(5, 3)))
+_TRANSFER = [["1", "0"], ["-1", "0"]]
+
+# checker(market, cone, rows, strict) and its untampered rows on Y0(0)
+DUAL_ROW_CHECKERS = {
+    "witness": (lambda m, cone, rows, strict:
+                verify_single_market_witness(m, rows[0], agent=0), TOY_MEASURES),
+    "measure": (lambda m, cone, rows, strict:
+                verify_measure_vector(m, cone, MeasureVector(densities=rows), strict=strict),
+                TOY_MEASURES),
+    "polar": (lambda m, cone, rows, strict:
+              verify_polar_witness(m, cone, rows, strict=strict), TOY_DENSITIES),
+}
+
+
+def _first_row(change):
+    return lambda rows: (tuple(change(rows[0])),) + tuple(rows[1:])
+
+
+# (checkers, tamper of the rows, strict, cone, message); every message
+# names the property that fails and nothing else does
+DUAL_ROW_TAMPERS = {
+    "zero-entry": ("witness measure polar", _first_row(lambda r: (F(0),) + r[1:]),
+                   True, "Y0", "not strictly positive"),
+    "negative-entry": ("measure polar", _first_row(lambda r: (-r[0],) + r[1:]),
+                       False, "Y0", "negative"),
+    "mass-not-one": ("witness measure", _first_row(lambda r: [2 * v for v in r]),
+                     True, "Y0", "does not sum to one"),
+    "missing-row": ("measure polar", lambda rows: tuple(rows[:-1]),
+                    True, "Y0", "row count mismatch"),
+    "short-row": ("witness measure polar", _first_row(lambda r: r[:-1]),
+                  True, "Y0", "length mismatch"),
+    "long-row": ("witness measure polar", _first_row(lambda r: r + (F(1),)),
+                 True, "Y0", "length mismatch"),
+    "nonzero-on-gains": ("witness measure polar",
+                         _first_row(lambda r: (r[0] * F(2, 3), r[1] * F(4, 3))),
+                         True, "Y0", "gain"),
+    "positive-on-a-ray": ("measure polar", lambda rows: rows, True, "ray", "ray"),
+    "nonzero-on-lineality": ("measure polar", lambda rows: rows, True, "line", "lineality"),
+}
+
+
+@pytest.mark.parametrize("checker, tamper", [
+    (checker, tamper) for tamper, (names, *_) in DUAL_ROW_TAMPERS.items()
+    for checker in names.split()])
+def test_dual_row_checkers_reject_tampered_rows(toy_market, checker, tamper):
+    check, rows = DUAL_ROW_CHECKERS[checker]
+    _, change, strict, cone, message = DUAL_ROW_TAMPERS[tamper]
+    cones = {"Y0": make_Y0(toy_market, 0), "ray": make_rays(toy_market, [_TRANSFER]),
+             "line": make_span(toy_market, [_TRANSFER])}
+    check(toy_market, cones["Y0"], rows, strict)
+    with pytest.raises(InternalInvariantError, match=message):
+        check(toy_market, cones[cone], change(rows), strict)
 
 
 def test_polar_witness_respects_reference_weights():
