@@ -199,23 +199,36 @@ def polar_witness(market: MarketModel, cone: ExchangeCone) -> Optional[PayoffMat
 
 
 def detect_NA_agent(market: MarketModel, agent: int) -> ArbitrageCertificate:
-    """Classical single-market arbitrage for one agent, with certificate."""
-    gens = gains_basis(market, agent)
-    hit = _search_arbitrage(market, [gens], None)
-    if hit is not None:
-        strat, rows, _ = hit
-        return ArbitrageCertificate(found=True, strategy_coeffs=strat, gains_rows=rows)
-    hit = interior_point(market.n_atoms, [gens], None)
-    if hit is None or hit[0] <= 0:
-        raise InternalInvariantError(
-            f"no arbitrage for agent {agent} yet no equivalent martingale measure")
-    return ArbitrageCertificate(found=False, dual_witness=hit[1])
+    """Classical single-market arbitrage for one agent, with certificate.
+    By the FTAP the interior point decides alone: a least probability > 0
+    is an equivalent martingale measure, so the search runs only without
+    one (agents mostly have none to find)."""
+    return _detect_NA(market, agent, search_first=False)
 
 
 def detect_NA_global(market: MarketModel) -> ArbitrageCertificate:
     """Classical arbitrage in the pooled market of all assets: the one agent
-    of `market.full_market`."""
-    return detect_NA_agent(market.full_market, 0)
+    of `market.full_market`.  Arbitrage is common there, so the search runs
+    first."""
+    return _detect_NA(market.full_market, 0, search_first=True)
+
+
+def _detect_NA(market: MarketModel, agent: int, search_first: bool) -> ArbitrageCertificate:
+    """The arbitrage search and the interior point, in the order given,
+    until one of them decides."""
+    gens = gains_basis(market, agent)
+    hit = _search_arbitrage(market, [gens], None) if search_first else None
+    if hit is None:
+        point = interior_point(market.n_atoms, [gens], None)
+        if point is not None and point[0] > 0:
+            return ArbitrageCertificate(found=False, dual_witness=point[1])
+        if not search_first:
+            hit = _search_arbitrage(market, [gens], None)
+    if hit is None:
+        raise InternalInvariantError(
+            f"no arbitrage for agent {agent} yet no equivalent martingale measure")
+    strat, rows, _ = hit
+    return ArbitrageCertificate(found=True, strategy_coeffs=strat, gains_rows=rows)
 
 
 def detect_NCA(market: MarketModel, cone: ExchangeCone) -> ArbitrageCertificate:

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Mapping, Optional, Sequence
 
 from .errors import ValidationError
@@ -60,6 +61,17 @@ def partition_join(p: Partition, q: Partition) -> Partition:
     for a, t in tag.items():
         groups.setdefault(tuple(t), []).append(a)
     return _canon_partition(groups.values())
+
+
+def scaled_nonzeros(values) -> tuple:
+    """(D, {k: D * values[k]}) over the nonzero entries of a rational vector,
+    D the lcm of their denominators: the integer form in which the
+    certificate checker compares."""
+    den = 1
+    for v in values:
+        if v and den % v.denominator:
+            den = lcm(den, v.denominator)
+    return den, {k: v.numerator * (den // v.denominator) for k, v in enumerate(values) if v}
 
 
 def constant_on(row: Sequence[Fraction], partition: Partition) -> bool:
@@ -154,6 +166,11 @@ class PayoffMatrix:
     def column_sums(self) -> tuple:
         return tuple(sum(r[w] for r in self.rows) for w in range(len(self.rows[0])))
 
+    @cached_property
+    def scaled(self) -> tuple:
+        """``scaled_nonzeros`` of the rows read flat, entry (i, w) at i * n + w."""
+        return scaled_nonzeros([v for row in self.rows for v in row])
+
     def __neg__(self) -> "PayoffMatrix":
         return PayoffMatrix(rows=tuple(tuple(-v for v in r) for r in self.rows))
 
@@ -183,6 +200,10 @@ class GainsGenerator:
     t: int
     block: tuple
     vector: tuple
+
+    @cached_property
+    def scaled(self) -> tuple:
+        return scaled_nonzeros(self.vector)
 
     def label(self, market: MarketModel) -> str:
         atoms = ",".join(market.space.atoms[a] for a in self.block)
@@ -395,7 +416,7 @@ def gains_row(gens, coeffs, n_atoms: int) -> tuple:
     row = [ZERO] * n_atoms
     for g, c in zip(gens, coeffs):
         if c:
-            for w in range(n_atoms):
+            for w in g.block:  # the vector is zero off its block
                 row[w] += c * g.vector[w]
     return tuple(row)
 

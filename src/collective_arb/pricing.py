@@ -2,12 +2,17 @@
 
 All price functionals are exact LPs over the gains generators and the
 exchange-cone generators; -inf and +inf are first-class outcomes mapped
-from LP unboundedness.  The dual of the collective super-replication price
-is solved as its own program for every cone: the supremum of the claims'
-expectations over the polytope of martingale measure vectors compatible
-with the exchange cone, which is the LP dual of the price's program.  The
-classical single-market price and its dual are these programs with one
-agent's gains generators, one claim row and no exchange cone.
+from LP unboundedness.  One outcome of a super-replication program holds
+both sides of its price (``price_certificate``): a finite price comes with
+its hedge, the optimal point, and with a vector of martingale measures
+polar to the cone, the ``dom{i}_{w}`` row duals, whose total claim
+expectation is the price; -inf comes with a ray, a hedge of the zero claim
+with negative total cash, which makes the price -inf for every claim.  The
+dual program, the supremum of the claims' expectations over those measure
+vectors, is kept as a library function (``dual_rho_Y``,
+``rho_agent_plus_dual``).  The classical single-market price and its dual
+are these programs with one agent's gains generators, one claim row and no
+exchange cone.
 """
 
 from __future__ import annotations
@@ -43,6 +48,24 @@ class PrimalOptimizer:
     ray_coeffs: tuple
     lin_coeffs: tuple
     exchange_rows: tuple
+
+
+@dataclass(frozen=True)
+class PriceCertificate:
+    """Both sides of a super-replication price.  For a finite ``value``,
+    ``hedge`` is the program's optimal point and ``measures`` its
+    ``dom{i}_{w}`` row duals: one martingale measure per claim row, polar to
+    the cone (of one total mass, not one each, when the rows share their
+    cash).  For -inf, ``hedge`` is the program's ray, a hedge of the zero
+    claim with negative total cash, and ``measures`` is None."""
+
+    value: Ext
+    hedge: PrimalOptimizer
+    measures: Optional[tuple]
+
+    @property
+    def optimizer(self) -> Optional[PrimalOptimizer]:
+        return self.hedge if self.value.finite else None
 
 
 @dataclass(frozen=True)
@@ -89,13 +112,12 @@ def rho_agent_plus(market: MarketModel, agent: int, claim_row):
     Returns (Ext value, optimizer dict or None); -inf exactly when the
     agent's martingale polytope is empty (a scalable everywhere-positive
     gain exists)."""
-    row = _agent_claim_row(market, agent, claim_row)
-    value, opt = _super_replication(market.n_atoms, [gains_basis(market, agent)], None,
-                                    [row], what="single-market super-replication")
+    cert = price_certificate(market, None, [claim_row], agent=agent)
+    opt = cert.optimizer
     if opt is None:
-        return value, None
-    return value, {"m": opt.m[0], "strategy": opt.strategy_coeffs[0],
-                   "gains_row": opt.gains_rows[0]}
+        return cert.value, None
+    return cert.value, {"m": opt.m[0], "strategy": opt.strategy_coeffs[0],
+                        "gains_row": opt.gains_rows[0]}
 
 
 def rho_agent_plus_dual(market: MarketModel, agent: int, claim_row) -> Ext:
@@ -124,42 +146,53 @@ def pi_N_plus(market: MarketModel, g: ClaimVector) -> Ext:
 # ---------------------------------------------------------------------------
 
 
-def _super_replication(n_atoms: int, gens_per_row, cone: Optional[ExchangeCone],
-                       claim_rows, shared_m: bool = False,
-                       what: str = "collective super-replication"):
-    """Least total cash (one amount for all rows when ``shared_m``) so that
-    trading in each row's gains generators, plus one exchange from the cone
-    unless it is None, dominates every claim row; -inf when unbounded."""
+def price_certificate(market: MarketModel, cone: Optional[ExchangeCone], claim_rows,
+                      agent: Optional[int] = None, shared_m: bool = False) -> PriceCertificate:
+    """Super-replication with its certificate: the least total cash (one
+    amount for all rows when ``shared_m``) so that trading in each agent's
+    gains generators, plus one exchange from the cone unless it is None,
+    dominates every claim row; -inf when unbounded.  With ``agent``, the
+    program of that agent alone on its one claim row, with no cone."""
+    n, gens_per_row, what = market.n_atoms, market.gains, "collective"
+    if agent is not None:
+        claim_rows = [_agent_claim_row(market, agent, claim_rows[0])]
+        gens_per_row, cone, what = [gains_basis(market, agent)], None, "single-market"
     b = LPBuilder(MIN)
     if shared_m:
         cash = [b.var("m", obj=1)] * len(gens_per_row)
     else:
         cash = [b.var(f"m{i}", obj=1) for i in range(len(gens_per_row))]
-    pos = Positions(b, n_atoms, gens_per_row, cone)
+    pos = Positions(b, n, gens_per_row, cone)
     for i, claim in enumerate(claim_rows):
-        for w in range(n_atoms):
+        for w in range(n):
             b.row(f"dom{i}_{w}", {cash[i]: Fraction(1), **pos.payoff(i, w)}, GE, claim[w])
     sol = b.solve()
     if sol.status == "unbounded":
-        return Ext.neg_inf(), None
-    _expect_optimal(sol, what)
-    p = sol.primal()
+        value, p, measures = Ext.neg_inf(), sol.ray(), None
+    else:
+        _expect_optimal(sol, f"{what} super-replication")
+        # the program's rows are the dom rows, claim row by claim row
+        duals = sol.outcome.row_duals
+        value, p = Ext.of(sol.value), sol.primal()
+        measures = tuple(duals[i * n:(i + 1) * n] for i in range(len(claim_rows)))
     strat, gains, mu, nu, exchange_rows = pos.read(p)
-    opt = PrimalOptimizer(m=tuple(p[v] for v in cash), strategy_coeffs=strat,
-                          gains_rows=gains, ray_coeffs=mu, lin_coeffs=nu,
-                          exchange_rows=exchange_rows)
-    return Ext.of(sol.value), opt
+    hedge = PrimalOptimizer(m=tuple(p[v] for v in cash), strategy_coeffs=strat,
+                            gains_rows=gains, ray_coeffs=mu, lin_coeffs=nu,
+                            exchange_rows=exchange_rows)
+    return PriceCertificate(value, hedge, measures)
 
 
 def rho_Y_plus(market: MarketModel, cone: ExchangeCone, g: ClaimVector):
     """Collective super-replication: least total cash so that, with trading
     and one exchange from the cone, every agent dominates its claim."""
-    return _super_replication(market.n_atoms, market.gains, cone, g.rows)
+    cert = price_certificate(market, cone, g.rows)
+    return cert.value, cert.optimizer
 
 
 def pi_Y_plus(market: MarketModel, cone: ExchangeCone, g: ClaimVector):
     """Least single amount covering any one of the claims with cooperation."""
-    return _super_replication(market.n_atoms, market.gains, cone, g.rows, shared_m=True)
+    cert = price_certificate(market, cone, g.rows, shared_m=True)
+    return cert.value, cert.optimizer
 
 
 def rho_Y_minus(market: MarketModel, cone: ExchangeCone, g: ClaimVector) -> Ext:
@@ -216,8 +249,16 @@ def dual_rho_Y(market: MarketModel, cone: ExchangeCone, g: ClaimVector):
                              what="compatible-measure dual")
     if not value.finite or not cone.meta.contains_RN0:
         return value, None
-    _, rows = interior_point(market.n_atoms, market.gains, cone, face=(g.rows, value.value))
-    return value, MeasureVector(densities=rows)
+    return value, optimal_face_measures(market, cone, g, value.value)
+
+
+def optimal_face_measures(market: MarketModel, cone: ExchangeCone, g: ClaimVector,
+                          value: Fraction) -> MeasureVector:
+    """The canonical interior point (maximal minimum atom probability) of
+    the measure vectors polar to the cone under which the claims' total
+    expectation is ``value``, the finite price rho_Y_plus(g)."""
+    _, rows = interior_point(market.n_atoms, market.gains, cone, face=(g.rows, value))
+    return MeasureVector(densities=rows)
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,25 @@ CLI maps to exit code 2.  All numbers serialize as rational strings (or
 "-inf"/"+inf"/"absent"), atoms are always referenced by label, and the
 section order is fixed, so identical inputs yield byte-identical reports.
 
-The analysis solves only what the report needs.  Four quantities are read
+The analysis solves only what the report prints.  These answers are read
 off a certificate it has already verified, or off an exact identity,
 instead of a program of their own:
 
+* each agent's no-arbitrage: the interior point of the agent's martingale
+  measures is solved first, and a least probability > 0 is a verified
+  equivalent martingale measure, so an arbitrage is searched for only
+  without one (the pooled market, where arbitrage is common, searches
+  first);
+* the dual side of every super-replication price (rho_i, rho_N_minus,
+  rho_Y, rho_Y_minus, and pi_Y, pi_Y_minus when computed): one outcome of
+  the price's program holds both sides (``pricing.price_certificate``), a
+  hedge with martingale measure rows of equal claim expectation, or for
+  -inf a ray, and ``verify.verify_price_certificate`` checks them; so
+  ``dual_value`` is rho_Y, and only the optimal face's interior point,
+  which prints ``dual_optimizer``, is solved;
+* a sub-replication price whose reflected super-replication program has
+  -inf: the verified ray is a ray of the reflected program too, so the
+  price is +inf;
 * the polar-witness check after a verified collective arbitrage: by the
   collective fundamental theorem of asset pricing, a strictly positive z
   orthogonal to every agent's gains and polar to the cone would give the
@@ -29,8 +44,9 @@ instead of a program of their own:
   pi_Y, so rho_Y = N * pi_Y for every claim vector (the paper's finite-market
   identity), and pi_Y = rho_Y / N, pi_Y_minus = rho_Y_minus / N.
 
-``tests/instance_checks.py`` solves all four on random instances and checks
-each against the certificate or identity that replaces it here.
+``tests/instance_checks.py`` solves the dropped programs on random
+instances and checks each against the certificate or identity that
+replaces it here.
 """
 
 from __future__ import annotations
@@ -44,9 +60,8 @@ from .errors import FairnessUnavailable, InternalInvariantError, ValidationError
 from .ext import Ext, ext_max, ext_sum
 from .market import MarketModel
 from .model_io import ModelFile
-from .pricing import (cooperation_from_prices, dual_rho_Y, fairness_from_prices,
-                      pi_Y_minus, pi_Y_plus, rho_agent_plus, rho_agent_plus_dual,
-                      rho_N_minus, rho_Y_minus, rho_Y_plus)
+from .pricing import (PriceCertificate, cooperation_from_prices, fairness_from_prices,
+                      optimal_face_measures, price_certificate)
 
 ALL_SECTIONS = ("na", "nca", "ftap", "price", "fairness")
 
@@ -210,14 +225,28 @@ def analyze(model: ModelFile, sections=None) -> dict:
     return report
 
 
+def _price(market, cone, rows, agent=None, shared_m=False) -> PriceCertificate:
+    """The super-replication price of ``rows`` (``price_certificate``), its
+    certificate verified."""
+    cert = price_certificate(market, cone, rows, agent=agent, shared_m=shared_m)
+    verify.verify_price_certificate(market, cone, rows, cert, agent=agent, shared_m=shared_m)
+    return cert
+
+
+def _sub_price(market, cone, cert, rows, agent=None, shared_m=False) -> Ext:
+    """The sub-replication price -rho_+(-rows) of the program that gave the
+    verified ``cert`` on ``rows``.  A ray there is one of the program on
+    -rows too, so -inf there makes this +inf without a program."""
+    if not cert.value.finite:
+        return Ext.pos_inf()
+    negated = tuple(tuple(-v for v in row) for row in rows)
+    return -_price(market, cone, negated, agent, shared_m).value
+
+
 def _pricing_section(market, cone, claims) -> dict:
-    rho_i = []
-    for i in range(market.n_agents):
-        v, _ = rho_agent_plus(market, i, claims.rows[i])
-        dual_v = rho_agent_plus_dual(market, i, claims.rows[i])
-        if v != dual_v:
-            raise InternalInvariantError("single-market duality gap")
-        rho_i.append(v)
+    agent_certs = [_price(market, None, (claims.rows[i],), agent=i)
+                   for i in range(market.n_agents)]
+    rho_i = [c.value for c in agent_certs]
     rho_n = ext_sum(rho_i)
     pi_n = ext_max(rho_i)
 
@@ -233,20 +262,26 @@ def _pricing_section(market, cone, claims) -> dict:
         # with every deterministic zero-sum transfer in the cone, rho_Y = N * pi_Y
         # for each claim vector, so pi_Y and pi_Y_minus need no program of their own
         share = Fraction(1, market.n_agents) if cone.meta.contains_RN0 else None
-        rho_y, opt = rho_Y_plus(market, cone, claims)
-        pi_y = rho_y * share if share else pi_Y_plus(market, cone, claims)[0]
-        dual_v, dual_mv = dual_rho_Y(market, cone, claims)
-        if dual_v != rho_y:
-            raise InternalInvariantError("collective pricing-hedging duality gap")
+        rho_cert = _price(market, cone, claims.rows)
+        rho_y, opt = rho_cert.value, rho_cert.optimizer
+        if share:
+            pi_y = rho_y * share
+        else:
+            pi_cert = _price(market, cone, claims.rows, shared_m=True)
+            pi_y = pi_cert.value
+        # rho_Y's verified measure rows, or its ray, certify the dual value;
+        # the optimal face's interior point is printed, so it is solved
+        dual_v, dual_mv = rho_y, None
+        if share and rho_y.finite:
+            dual_mv = optimal_face_measures(market, cone, claims, rho_y.value)
+            verify.verify_measure_vector(market, cone, dual_mv, strict=False)
         if not (rho_y <= rho_n and pi_y <= pi_n):
             raise InternalInvariantError("cooperative price exceeds stand-alone price")
-        if opt is not None:
-            verify.verify_primal_optimizer(market, cone, claims, opt, rho_y.value)
-        if dual_mv is not None:
-            verify.verify_measure_vector(market, cone, dual_mv, strict=False)
-        rho_ym = rho_Y_minus(market, cone, claims)
-        pi_ym = rho_ym * share if share else pi_Y_minus(market, cone, claims)
-        rho_nm = rho_N_minus(market, claims)
+        rho_ym = _sub_price(market, cone, rho_cert, claims.rows)
+        pi_ym = (rho_ym * share if share
+                 else _sub_price(market, cone, pi_cert, claims.rows, shared_m=True))
+        rho_nm = ext_sum(_sub_price(market, None, c, (claims.rows[i],), agent=i)
+                         for i, c in enumerate(agent_certs))
         prices.update(rho_Y=rho_y, pi_Y=pi_y)
         out.update({
             "rho_Y": _val(rho_y),

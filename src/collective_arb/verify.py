@@ -14,10 +14,16 @@ takes only the program and outcome types, a few constants and ``frac``.
 A certificate vector of the wrong length, or with an entry that is not an
 int or a Fraction, fails the check.
 
-The market-level checkers share two checks, since a single market is the
-one-row, no-cone case of each collective certificate: ``_check_dual_rows``
-for witness, measure and polar rows, and ``_payoff_rows`` (gains plus an
-exchange) for arbitrages and hedges.
+The market-level checkers compare integer numerators over nonzeros in the
+same way; the generators of the model's gains and cones come in that form
+(their cached ``scaled``).  They share two checks, since a single market is
+the one-row, no-cone case of each collective certificate:
+``_check_dual_rows`` for witness, measure, polar and price-measure rows,
+and ``_payoff_rows`` (gains plus an exchange) for arbitrages, hedges and
+rays.  ``verify_price_certificate`` checks both sides of a
+super-replication price from its program's one outcome, so every price a
+report prints is verified.  A certificate entry that is not an int or a
+Fraction fails every check.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import InternalInvariantError
+from .ext import Ext
 from .lp import (GE, LE, MIN, Infeasible, LinearProgram, Optimal, Unbounded,
                  ZERO, frac)
 from .market import gains_basis
@@ -40,10 +47,6 @@ def _check_length(values, n: int, what: str) -> None:
     pass unseen through a zip, nor a missing one raise IndexError."""
     if len(values) != n:
         _fail(f"{what} length {len(values)} differs from {n}")
-
-
-def _dot(a, b) -> Fraction:
-    return sum((frac(x) * frac(y) for x, y in zip(a, b)), ZERO)
 
 
 def check_lp_outcome(lp: LinearProgram, outcome) -> None:
@@ -226,6 +229,7 @@ def _check_unbounded(lp: LinearProgram, out: Unbounded) -> None:
 # ---------------------------------------------------------------------------
 # market / arbitrage / pricing certificates
 # ---------------------------------------------------------------------------
+# A matrix of N rows over n atoms is held flat: entry (i, w) at i * n + w.
 
 
 def _gains_bases(market, cone=None, agent=None):
@@ -238,31 +242,66 @@ def _gains_bases(market, cone=None, agent=None):
     return market.full_market.gains
 
 
-def _check_dual_rows(rows, bases, cone, weight, strict, mass_one, what) -> None:
+def _combination(D, C, gens):
+    """(E, V) of sum_k (C_k / D) * gens[k] over the generators' ``scaled``
+    forms; V may hold zeros where terms cancel."""
+    return _row_combination({k: (*gens[k].scaled, 0) for k in C}, D, C, 1)[:2]
+
+
+def _equal(a, b) -> bool:
+    """Two (D, V) vectors are the same rational vector."""
+    (Da, A), (Db, B) = a, b
+    return all(A.get(k, 0) * Db == B.get(k, 0) * Da for k in A.keys() | B.keys())
+
+
+def _scalar(v, what: str) -> Fraction:
+    D, V = _scaled((v,), 1, what)
+    return Fraction(V.get(0, 0), D)
+
+
+def _rdot(a, b) -> Fraction:
+    """Exact dot product of two rational vectors of one length."""
+    (Da, A), (Db, B) = _scaled(a, len(a), "row"), _scaled(b, len(a), "row")
+    return Fraction(_idot(A, B), Da * Db)
+
+
+def _check_dual_rows(rows, bases, cone, weight, strict, mass, what) -> None:
     """Dual rows polar to the gains and to ``cone`` (None for no cone): one
     row per gains basis, with one entry per atom weight, each entry > 0
-    (``strict``) or >= 0, each row summing to one under ``mass_one``.
+    (``strict``) or >= 0.  ``mass`` is "row" when each row sums to one,
+    "total" when all rows together do, and None for no mass rule.
     Weighted by ``weight``, each row has zero value against every generator
     of its basis, and the rows together are <= 0 on each ray and = 0 on
     each lineality generator."""
     if len(rows) != len(bases):
         _fail(f"{what} row count mismatch")
-    weighted = []
+    n = len(weight)
+    _, P = _scaled(weight, n, "atom weights")
+    scaled = []
     for row, gens in zip(rows, bases):
-        if len(row) != len(weight):
+        if len(row) != n:
             _fail(f"{what} row length mismatch")
-        row = [frac(v) for v in row]
-        if any(v <= 0 if strict else v < 0 for v in row):
+        D, R = _scaled(row, n, what)
+        if strict and len(R) < n or any(v < 0 for v in R.values()):
             _fail(f"{what} not strictly positive" if strict else f"{what} has a negative entry")
-        if mass_one and sum(row) != 1:
+        if mass == "row" and sum(R.values()) != D:
             _fail(f"{what} row does not sum to one")
-        row = [p * v for p, v in zip(weight, row)]
-        if any(_dot(row, g.vector) for g in gens):
+        # the weighted row, times D and the weights' common denominator
+        Q = {w: v * P[w] for w, v in R.items() if w in P}
+        if any(_idot(Q, g.scaled[1]) for g in gens):
             _fail(f"{what} not orthogonal to a gains generator")
-        weighted.append(row)
+        scaled.append((D, R, Q))
+    E = 1
+    for D, _, _ in scaled:
+        E = lcm(E, D)
+    if mass == "total" and sum(sum(R.values()) * (E // D) for D, R, _ in scaled) != E:
+        _fail(f"{what} rows do not sum to one in total")
     if cone is not None:
+        flat = {i * n + w: v * (E // D) for i, (D, _, Q) in enumerate(scaled)
+                for w, v in Q.items()}
+
         def value(gen):
-            return sum((_dot(row, r) for row, r in zip(weighted, gen.rows)), ZERO)
+            return _idot(flat, gen.scaled[1])
 
         if any(value(r) > 0 for r in cone.rays):
             _fail(f"{what} positive against a cone ray")
@@ -271,21 +310,17 @@ def _check_dual_rows(rows, bases, cone, weight, strict, mass_one, what) -> None:
 
 
 def _exchange_rows(cone, ray_coeffs, lin_coeffs, reported, what):
-    """The exchange's rows from its coefficients, which are nonnegative on
-    the rays; the reported rows must equal them."""
-    _check_length(ray_coeffs, len(cone.rays), "exchange ray coefficients")
+    """The exchange's rows, flat (E, V), from its coefficients, which are
+    nonnegative on the rays; the reported rows must equal them."""
+    N, n, n_rays = cone.n_agents, cone.n_atoms, len(cone.rays)
+    _check_length(ray_coeffs, n_rays, "exchange ray coefficients")
     _check_length(lin_coeffs, len(cone.lineality), "exchange lineality coefficients")
-    if any(frac(c) < 0 for c in ray_coeffs):
+    D, C = _scaled((*ray_coeffs, *lin_coeffs), len(cone.generators), "exchange coefficients")
+    if any(v < 0 for k, v in C.items() if k < n_rays):
         _fail("negative coefficient on a cone ray")
-    rows = [[ZERO] * cone.n_atoms for _ in range(cone.n_agents)]
-    for c, g in zip((*ray_coeffs, *lin_coeffs), cone.generators):
-        c = frac(c)
-        if c:
-            for row, gen_row in zip(rows, g.rows):
-                for w, v in enumerate(gen_row):
-                    row[w] += c * v
-    rows = tuple(tuple(r) for r in rows)
-    if tuple(tuple(r) for r in reported) != rows:
+    rows = _combination(D, C, cone.generators)
+    if (reported is None or len(reported) != N or any(len(r) != n for r in reported)
+            or not _equal(_scaled([v for r in reported for v in r], N * n, what), rows)):
         _fail(f"{what} rows differ from their coefficients")
     return rows
 
@@ -293,33 +328,52 @@ def _exchange_rows(cone, ray_coeffs, lin_coeffs, reported, what):
 def _payoff_rows(bases, coeffs, reported, n_atoms, exchange=None) -> list:
     """Each row's gains from its strategy coefficients, checked against the
     reported gains rows when they are given, plus the exchange's row when
-    there is an exchange."""
+    there is an exchange (flat, as ``_exchange_rows`` returns it); each row
+    as (D, V)."""
     _check_length(coeffs, len(bases), "strategy rows")
     if reported is not None:
         _check_length(reported, len(bases), "gains rows")
     rows = []
     for i, gens in enumerate(bases):
-        _check_length(coeffs[i], len(gens), "strategy")
-        row = [ZERO] * n_atoms
-        for g, c in zip(gens, coeffs[i]):
-            if c:
-                for w in range(n_atoms):
-                    row[w] += frac(c) * g.vector[w]
-        if reported is not None and tuple(reported[i]) != tuple(row):
+        D, V = _combination(*_scaled(coeffs[i], len(gens), "strategy"), gens)
+        if reported is not None and (
+                len(reported[i]) != n_atoms
+                or not _equal(_scaled(reported[i], n_atoms, "gains row"), (D, V))):
             _fail("reported gains row differs from recomputation")
         if exchange is not None:
-            row = [v + e for v, e in zip(row, exchange[i])]
-        rows.append(row)
+            Dx, X = exchange
+            lo = i * n_atoms
+            L = lcm(D, Dx)
+            V = {w: v * (L // D) for w, v in V.items()}
+            for k, v in X.items():
+                if lo <= k < lo + n_atoms:
+                    V[k - lo] = V.get(k - lo, 0) + v * (L // Dx)
+            D = L
+        rows.append((D, V))
     return rows
 
 
-def _check_hedge(m, payoff, claims, value, what) -> None:
-    """Cash m at a total cost of ``value``, and m_i + payoff_i >= claim_i."""
-    if sum(map(frac, m), ZERO) != frac(value):
+def _cash(m, shared_m, what):
+    """(D, M) of cash m and its cost: the total, or with ``shared_m`` the
+    one amount that every m_i must hold."""
+    D, M = _scaled(m, len(m), f"{what} cash")
+    if shared_m and any(M.get(i, 0) != M.get(0, 0) for i in range(len(m))):
+        _fail(f"{what} cash differs between the claim rows")
+    return D, M, Fraction(M.get(0, 0) if shared_m else sum(M.values()), D)
+
+
+def _check_hedge(m, payoff, claim_rows, value, what, shared_m=False) -> None:
+    """Cash m at a cost (``_cash``) of ``value``, and m_i + payoff_i >=
+    claim_i."""
+    Dm, M, cost = _cash(m, shared_m, what)
+    if cost != _scalar(value, "value"):
         _fail(f"{what} cost does not match the reported value")
-    for m_i, row, claim in zip(m, payoff, claims.rows):
-        m_i = frac(m_i)
-        if any(m_i + v < frac(c) for v, c in zip(row, claim)):
+    for i, ((D, P), claim) in enumerate(zip(payoff, claim_rows)):
+        n = len(claim)
+        Dc, C = _scaled(claim, n, "claim row")
+        L = lcm(Dm, D, Dc)
+        cash, fp, fc = M.get(i, 0) * (L // Dm), L // D, L // Dc
+        if any(cash + P.get(w, 0) * fp < C.get(w, 0) * fc for w in range(n)):
             _fail(f"{what} fails to dominate a claim")
 
 
@@ -329,19 +383,21 @@ def verify_arbitrage_found(market, cert, cone=None, agent=None) -> None:
     ex = None
     if cone is not None:
         e = cert.exchange
+        if e is None:
+            _fail("arbitrage under a cone reports no exchange")
         ex = _exchange_rows(cone, e.ray_coeffs, e.lin_coeffs, e.rows, "reported exchange")
     rows = _payoff_rows(_gains_bases(market, cone, agent), cert.strategy_coeffs,
                         cert.gains_rows, market.n_atoms, ex)
-    if any(v < 0 for row in rows for v in row):
+    if any(v < 0 for _, V in rows for v in V.values()):
         _fail("arbitrage payoff negative somewhere")
-    if not sum(map(sum, rows)) > 0:
+    if not any(v for _, V in rows for v in V.values()):
         _fail("arbitrage payoff not strictly positive anywhere")
 
 
 def verify_single_market_witness(market, q_row, agent=None) -> None:
     """Strictly positive probability row killing every gains generator."""
     _check_dual_rows((q_row,), _gains_bases(market, agent=agent), None,
-                     (1,) * market.n_atoms, True, True, "witness")
+                     (1,) * market.n_atoms, True, "row", "witness")
 
 
 def verify_polar_witness(market, cone, rows, strict=True) -> None:
@@ -349,46 +405,89 @@ def verify_polar_witness(market, cone, rows, strict=True) -> None:
     strictly positive) rows, zero value against every agent's gains
     generators, nonpositive against rays, zero against lineality; values
     are taken under the reference probability."""
-    _check_dual_rows(rows, market.gains, cone, market.space.prob, strict, False,
+    _check_dual_rows(rows, market.gains, cone, market.space.prob, strict, None,
                      "polar witness")
 
 
 def verify_measure_vector(market, cone, mv, strict=True) -> None:
     """Vector of martingale measures satisfying the cone polarity."""
-    _check_dual_rows(mv.densities, market.gains, cone, (1,) * market.n_atoms, strict, True,
+    _check_dual_rows(mv.densities, market.gains, cone, (1,) * market.n_atoms, strict, "row",
                      "measure")
+
+
+def _hedge_payoff(bases, cone, h, n_atoms, what) -> list:
+    """The payoff rows of hedge ``h`` (a ``pricing.PrimalOptimizer``): its
+    gains plus, under a cone, its exchange; ``what`` names it."""
+    for field in ("m", "strategy_coeffs", "gains_rows"):
+        _check_length(getattr(h, field), len(bases), f"{what} {field}")
+    ex = None
+    if cone is not None:
+        ex = _exchange_rows(cone, h.ray_coeffs, h.lin_coeffs, h.exchange_rows, f"{what} exchange")
+    return _payoff_rows(bases, h.strategy_coeffs, h.gains_rows, n_atoms, ex)
 
 
 def verify_primal_optimizer(market, cone, g, opt, value) -> None:
     """Recompute every row of m + gains + exchange and check domination of
     the claims and the reported total cost."""
-    for field in ("m", "strategy_coeffs", "gains_rows"):
-        _check_length(getattr(opt, field), market.n_agents, f"optimizer {field}")
-    ex = _exchange_rows(cone, opt.ray_coeffs, opt.lin_coeffs, opt.exchange_rows, "exchange")
-    payoff = _payoff_rows(market.gains, opt.strategy_coeffs, opt.gains_rows, market.n_atoms, ex)
-    _check_hedge(opt.m, payoff, g, value, "optimizer")
+    payoff = _hedge_payoff(market.gains, cone, opt, market.n_atoms, "optimizer")
+    _check_hedge(opt.m, payoff, g.rows, value, "optimizer")
+
+
+def verify_price_certificate(market, cone, claim_rows, cert, agent=None,
+                             shared_m=False) -> None:
+    """Both sides of a super-replication price (``pricing.PriceCertificate``)
+    on ``claim_rows``: the collective program of ``cone``, or with ``agent``
+    that agent's single-market program (one claim row, no cone), with one
+    cash amount for every row when ``shared_m``.
+
+    A finite price needs its hedge to dominate the claims at that cost, and
+    its measure rows to be martingale measures polar to the cone, of mass
+    one per row (in total when ``shared_m``), under which the claims' total
+    expectation is the price: by weak duality no hedge costs less.  -inf
+    needs its ray, a hedge of the zero claim at negative cost, which any
+    hedge may add at every scale."""
+    bases = _gains_bases(market, cone, agent)
+    h, n = cert.hedge, market.n_atoms
+    payoff = _hedge_payoff(bases, cone, h, n, "hedge")
+    if cert.value.finite:
+        value = cert.value.value
+        _check_hedge(h.m, payoff, claim_rows, value, "hedge", shared_m)
+        if cert.measures is None:
+            _fail("finite price without measure rows")
+        _check_dual_rows(cert.measures, bases, cone, (1,) * n, False,
+                         "total" if shared_m else "row", "price measure")
+        if sum((_rdot(q, c) for q, c in zip(cert.measures, claim_rows)), ZERO) != value:
+            _fail("claims' expectation under the price measures differs from the price")
+    elif cert.value == Ext.neg_inf():
+        cost = _cash(h.m, shared_m, "price ray")[2]
+        if not cost < 0:
+            _fail("price ray does not lower the cash")
+        _check_hedge(h.m, payoff, [(ZERO,) * n] * len(bases), cost, "price ray", shared_m)
+    else:
+        _fail(f"super-replication price {cert.value} has no certificate")
 
 
 def verify_fairness(market, cone, g, fr) -> None:
     """Re-check every fairness identity from raw data."""
+    N = market.n_agents
     for field in ("m_tilde", "k_tilde_coeffs", "shift"):
-        _check_length(getattr(fr, field), market.n_agents, f"fairness {field}")
+        _check_length(getattr(fr, field), N, f"fairness {field}")
     verify_measure_vector(market, cone, fr.q_hat, strict=False)
     verify_primal_optimizer(market, cone, g, fr.raw, fr.value)
     q = fr.q_hat.densities
-    if sum(map(frac, fr.shift), ZERO) != 0:
+    if sum(_scaled(fr.shift, N, "fairness shift")[1].values()) != 0:
         _fail("raw exchange dual costs do not net to zero")
-    for i in range(market.n_agents):
-        if _dot(q[i], fr.raw.exchange_rows[i]) != frac(fr.shift[i]):
+    for i in range(N):
+        if _rdot(q[i], fr.raw.exchange_rows[i]) != _scalar(fr.shift[i], "fairness shift"):
             _fail("shift differs from the exchange's dual cost")
-        if frac(fr.m_tilde[i]) != _dot(q[i], g.rows[i]):
+        if _scalar(fr.m_tilde[i], "fairness m_tilde") != _rdot(q[i], g.rows[i]):
             _fail("allocation differs from the dual expectation of the claim")
 
     # the canonical exchange: a cone element, zero dual cost per agent, and
     # together with its strategies it dominates the claims at the fair costs
     ex = _exchange_rows(cone, fr.y_tilde_ray_coeffs, fr.y_tilde_lin_coeffs, fr.y_tilde_rows,
                         "canonical exchange")
-    if any(_dot(q_i, ex_i) for q_i, ex_i in zip(q, ex)):
+    if any(_rdot(q_i, ex_i) for q_i, ex_i in zip(q, fr.y_tilde_rows)):
         _fail("canonical exchange has nonzero cost under the dual measure")
     payoff = _payoff_rows(market.gains, fr.k_tilde_coeffs, None, market.n_atoms, ex)
-    _check_hedge(fr.m_tilde, payoff, g, fr.value, "canonical optimizer")
+    _check_hedge(fr.m_tilde, payoff, g.rows, fr.value, "canonical optimizer")

@@ -16,7 +16,8 @@ from collective_arb.ext import Ext
 from collective_arb.lp import GE, LPBuilder, MIN
 from collective_arb.market import PayoffMatrix, agents_join_partition, gains_basis
 from collective_arb.pricing import (claim_vector, dual_rho_Y, fairness_allocation,
-                                    pi_N_plus, pi_Y_minus, pi_Y_plus, rho_agent_plus,
+                                    pi_N_plus, pi_Y_minus, pi_Y_plus, price_certificate,
+                                    rho_agent_plus,
                                     rho_agent_plus_dual, rho_full_market,
                                     rho_N_minus, rho_N_plus, rho_Y_minus,
                                     rho_Y_plus, value_of_cooperation)
@@ -167,6 +168,20 @@ def check_instance(market, cone, info, claims, rng):
     assert dual_v == rho_y
     if dual_mv is not None:
         verify.verify_measure_vector(market, cone, dual_mv, strict=False)
+
+    # (c) each super-replication program's own outcome certifies its price
+    # (report.analyze's check): a hedge and measure rows, or a ray, which
+    # is a ray of the program on the negated claims too
+    programs = [(None, (claims.rows[i],), {"agent": i}) for i in range(market.n_agents)]
+    programs += [(cone, claims.rows, {}), (cone, claims.rows, {"shared_m": True})]
+    for (c, rows, kw), value in zip(programs, rho_i + [rho_y, pi_y]):
+        negated = tuple(tuple(-v for v in row) for row in rows)
+        certs = [price_certificate(market, c, r, **kw) for r in (rows, negated)]
+        for r, cert in zip((rows, negated), certs):
+            verify.verify_price_certificate(market, c, r, cert, **kw)
+        assert certs[0].value == value
+        if value == Ext.neg_inf():
+            assert certs[1].value == value
 
     # (d) symmetrisation under deterministic transfers, for the super- and
     # the sub-replication price

@@ -10,6 +10,7 @@ the scan that keeps ``assert`` statements out of the package.
 """
 
 import ast
+import dataclasses
 import os
 import pathlib
 import subprocess
@@ -20,7 +21,6 @@ import pytest
 from collective_arb import lp, report
 from collective_arb.errors import InternalInvariantError
 from collective_arb.examples_builtin import example_document, write_example
-from collective_arb.ext import Ext
 from collective_arb.model_io import parse_model
 
 _FORCED_UNBOUNDED = """
@@ -80,9 +80,20 @@ def test_cli_exits_2_on_a_tampered_certificate_under_python_O(tmp_path):
 
 
 def test_duality_check_fires_when_the_price_is_minus_inf(monkeypatch):
-    # toy71-span has rho_Y = -inf; a finite dual value there is a gap too
-    monkeypatch.setattr(report, "dual_rho_Y", lambda *args: (Ext.of(0), None))
-    with pytest.raises(InternalInvariantError, match="duality gap"):
+    # toy71-span has rho_Y = -inf, and so the dual value -inf, both certified
+    # by the program's ray: a hedge of the zero claim at negative cost; with
+    # its cash turned around, the ray certifies nothing
+    certificate = report.price_certificate
+
+    def tampered(*args, **kwargs):
+        cert = certificate(*args, **kwargs)
+        if cert.value.finite:
+            return cert
+        m = tuple(-v for v in cert.hedge.m)
+        return dataclasses.replace(cert, hedge=dataclasses.replace(cert.hedge, m=m))
+
+    monkeypatch.setattr(report, "price_certificate", tampered)
+    with pytest.raises(InternalInvariantError, match="price ray does not lower the cash"):
         report.analyze(parse_model(example_document("toy71-span")))
 
 

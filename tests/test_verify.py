@@ -14,10 +14,11 @@ from collective_arb.errors import InternalInvariantError
 from collective_arb.lp import (GE, LE, MAX, MIN, Infeasible, LinearProgram, Optimal,
                                Unbounded, solve)
 from collective_arb.market import build_market
-from collective_arb.pricing import claim_vector, fairness_allocation, rho_Y_plus
+from collective_arb.pricing import (claim_vector, fairness_allocation, price_certificate,
+                                    rho_Y_plus)
 from collective_arb.verify import (check_lp_outcome, verify_arbitrage_found,
                                    verify_fairness, verify_measure_vector,
-                                   verify_polar_witness,
+                                   verify_polar_witness, verify_price_certificate,
                                    verify_primal_optimizer,
                                    verify_single_market_witness)
 
@@ -199,6 +200,57 @@ def test_arbitrage_checker_rejects_a_missing_strategy_row(toy_market):
     bad = _tamper(cert, "strategy_coeffs", _drop_last)
     with pytest.raises(InternalInvariantError, match="strategy rows length 1 differs from 2"):
         verify_arbitrage_found(toy_market, bad, cone=cone)
+
+
+def test_arbitrage_checker_rejects_a_missing_exchange(toy_market):
+    # an AttributeError before, which the CLI does not map to exit code 2
+    cone = make_Y0(toy_market, 1)
+    cert = detect_NCA(toy_market, cone)
+    assert cert.found and cert.exchange is not None
+    with pytest.raises(InternalInvariantError, match="reports no exchange"):
+        verify_arbitrage_found(toy_market, dataclasses.replace(cert, exchange=None), cone=cone)
+
+
+def _inexact_entries(tree_market):
+    """(checker call, message) with one float or bool certificate entry; each
+    raised TypeError, not InternalInvariantError, before."""
+    cone = make_Y0(tree_market, 1)
+    g = claim_vector(tree_market, TREE_CLAIMS)
+    value, opt = rho_Y_plus(tree_market, cone, g)
+    cert = price_certificate(tree_market, cone, g.rows)
+    row = cert.measures[0]
+    return {
+        "witness-float": (lambda: verify_single_market_witness(
+            tree_market, (0.5,) + row[1:], agent=0), "witness entry 0"),
+        "witness-bool": (lambda: verify_single_market_witness(
+            tree_market, (True,) + row[1:], agent=0), "witness entry 0"),
+        "measure-float": (lambda: verify_measure_vector(
+            tree_market, cone, MeasureVector(densities=(row, (0.25,) + row[1:])), strict=False),
+            "measure entry 0"),
+        "optimizer-cash-float": (lambda: verify_primal_optimizer(
+            tree_market, cone, g, dataclasses.replace(opt, m=(float(opt.m[0]),) + opt.m[1:]),
+            value.value), "optimizer cash entry 0"),
+        "optimizer-value-float": (lambda: verify_primal_optimizer(
+            tree_market, cone, g, opt, float(value.value)), "value entry 0"),
+        "price-strategy-bool": (lambda: verify_price_certificate(
+            tree_market, cone, g.rows, dataclasses.replace(cert, hedge=dataclasses.replace(
+                cert.hedge, strategy_coeffs=((True,) + cert.hedge.strategy_coeffs[0][1:],)
+                + cert.hedge.strategy_coeffs[1:]))), "strategy entry 0"),
+    }
+
+
+@pytest.mark.parametrize("case", ["witness-float", "witness-bool", "measure-float",
+                                  "optimizer-cash-float", "optimizer-value-float",
+                                  "price-strategy-bool"])
+def test_market_checkers_reject_an_inexact_entry(tree_market, case):
+    call, message = _inexact_entries(tree_market)[case]
+    with pytest.raises(InternalInvariantError, match=f"{message} is not an int or a Fraction"):
+        call()
+
+
+def test_witness_checker_rejects_a_float_row(toy_market):
+    with pytest.raises(InternalInvariantError, match="not an int or a Fraction: 0.5"):
+        verify_single_market_witness(toy_market, (0.5, 0.5), agent=0)
 
 
 # The toy market's dual rows: each agent's unique martingale measure, and

@@ -1,11 +1,13 @@
-"""Mutation tests: the integer LP checker against the dense ``Fraction``
-reference checker in ``fraction_checker.py``.
+"""Mutation tests: the integer certificate checkers against the dense
+``Fraction`` reference checkers in ``fraction_checker.py``.
 
-Seeded random programs give certificates of every outcome kind.  Both
-checkers must accept each certificate the kernel produces, and for every
-mutant (one entry of one certificate vector, or the value, moved by +1, -1
-or +1/3, or its sign flipped) they must give the same verdict: both accept,
-or both reject with the same message.
+Seeded random programs give LP certificates of every outcome kind; the
+built-in models and seeded random instances give market-level ones
+(witnesses, arbitrages, measure vectors, hedges, fairness results and
+price certificates).  Both checkers must accept each certificate the engine
+produces, and for every mutant (one entry of one certificate vector, or the
+value, moved by +1, -1 or +1/3, or its sign flipped) they must give the
+same verdict: both accept, or both reject with the same message.
 """
 
 import dataclasses
@@ -14,9 +16,15 @@ from fractions import Fraction
 import pytest
 
 import fraction_checker
-from collective_arb import lp
+from collective_arb import lp, verify
+from collective_arb.arbitrage import (detect_NA_agent, detect_NA_global, detect_NCA,
+                                      find_emm_vector)
 from collective_arb.errors import InternalInvariantError
-from collective_arb.randgen import seeded_rng
+from collective_arb.examples_builtin import example_document, example_names
+from collective_arb.ext import Ext
+from collective_arb.model_io import parse_model
+from collective_arb.pricing import fairness_allocation, price_certificate, rho_Y_plus
+from collective_arb.randgen import random_claims, random_cone, random_market, seeded_rng
 from collective_arb.verify import check_lp_outcome
 
 F = Fraction
@@ -103,3 +111,107 @@ def test_both_checkers_judge_every_mutant_alike(kind):
     # most single-entry changes break a certificate; some keep it valid, such
     # as a point moved along an optimal face or a ray scaled by its sign
     assert total > 300 and rejected > total // 2, (rejected, total)
+
+
+# ---------------------------------------------------------------------------
+# market-level checkers
+# ---------------------------------------------------------------------------
+
+
+def _moves(v):
+    return {v + 1, v - 1, v + F(1, 3), -v} - {v}
+
+
+def _entry_mutants(x):
+    """Copies of a certificate with one rational entry (or a finite price)
+    moved by +1, -1 or +1/3, or its sign flipped."""
+    if isinstance(x, Ext):
+        for v in _moves(x.value) if x.finite else ():
+            yield Ext.of(v)
+    elif isinstance(x, (int, Fraction)) and not isinstance(x, bool):
+        yield from _moves(x)
+    elif isinstance(x, tuple):
+        for k, item in enumerate(x):
+            for new in _entry_mutants(item):
+                yield x[:k] + (new,) + x[k + 1:]
+    elif dataclasses.is_dataclass(x):
+        for f in dataclasses.fields(x):
+            for new in _entry_mutants(getattr(x, f.name)):
+                yield dataclasses.replace(x, **{f.name: new})
+
+
+def _negated(rows):
+    return tuple(tuple(-v for v in row) for row in rows)
+
+
+def _market_certificates(market, cone, claims):
+    """(check, certificate) for every market-level certificate of one
+    analysis; check(checker_module, certificate) runs one checker."""
+    out = []
+
+    def arbitrage_or_witness(cert, **where):
+        if cert.found:
+            out.append((lambda chk, c: chk.verify_arbitrage_found(market, c, **where), cert))
+        elif "cone" in where:
+            out.append((lambda chk, c: chk.verify_polar_witness(market, cone, c),
+                        cert.dual_witness))
+        else:
+            out.append((lambda chk, c: chk.verify_single_market_witness(market, c, **where),
+                        cert.dual_witness[0]))
+
+    for i in range(market.n_agents):
+        arbitrage_or_witness(detect_NA_agent(market, i), agent=i)
+    arbitrage_or_witness(detect_NA_global(market))
+    arbitrage_or_witness(detect_NCA(market, cone), cone=cone)
+    mv = find_emm_vector(market, cone)
+    if mv is not None:
+        out.append((lambda chk, c: chk.verify_measure_vector(market, cone, c), mv))
+
+    programs = [(None, (claims.rows[i],), {"agent": i}) for i in range(market.n_agents)]
+    programs += [(cone, claims.rows, {}), (cone, claims.rows, {"shared_m": True})]
+    for c, rows, kw in programs:
+        for signed in (rows, _negated(rows)):
+            cert = price_certificate(market, c, signed, **kw)
+            out.append((lambda chk, x, c=c, signed=signed, kw=kw:
+                        chk.verify_price_certificate(market, c, signed, x, **kw), cert))
+    value, opt = rho_Y_plus(market, cone, claims)
+    if opt is not None:
+        out.append((lambda chk, x: chk.verify_primal_optimizer(market, cone, claims, x,
+                                                               value.value), opt))
+        if cone.meta.contains_RN0:
+            fr = fairness_allocation(market, cone, claims)
+            out.append((lambda chk, x: chk.verify_fairness(market, cone, claims, x), fr))
+    return out
+
+
+def _instances():
+    for name in example_names():
+        model = parse_model(example_document(name))
+        yield name, model.market, model.exchange, model.claims
+    rng = seeded_rng()
+    for k in range(6):
+        market = random_market(rng)
+        cone, _ = random_cone(rng, market)
+        yield f"random{k}", market, cone, random_claims(rng, market)
+
+
+MARKET_CASES = [(name, *case) for name, *instance in _instances()
+                for case in _market_certificates(*instance)]
+
+
+def test_both_market_checkers_accept_every_engine_certificate():
+    for name, check, cert in MARKET_CASES:
+        check(verify, cert)
+        check(fraction_checker, cert)
+
+
+def test_both_market_checkers_judge_every_mutant_alike():
+    rejected = total = 0
+    for name, check, cert in MARKET_CASES:
+        for mutant in _entry_mutants(cert):
+            new = _verdict(check, verify, mutant)
+            old = _verdict(check, fraction_checker, mutant)
+            assert new == old, (name, cert, mutant)
+            total += 1
+            rejected += new is not None
+    assert total > 1000 and rejected > total // 2, (rejected, total)
