@@ -9,7 +9,9 @@ arithmetic; the pair of tests realizes, and constantly exercises, the
 collective version of the fundamental theorem of asset pricing on finite
 outcome spaces.  A single market is the collective case with one row of
 gains generators and no cone: its arbitrage search and its interior
-martingale measure are the collective programs at that size.
+martingale measure are the collective programs at that size.  Every
+dual-row program (the interior points, the polar witness, the expectation
+supremum, the coordinate ranges) takes its rows from ``install_emm_system``.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from typing import Optional
 
 from .cones import ExchangeCone, Positions
 from .errors import InternalInvariantError, ValidationError
+from .ext import Ext
 from .lp import EQ, GE, LE, LPBuilder, MAX, MIN, ZERO
 from .market import MarketModel, PayoffMatrix, check_index, gains_basis
 
@@ -94,54 +97,55 @@ class MartingalePolytope:
     n_atoms: int
     generators: tuple
 
-    def install(self, b: LPBuilder, prefix: str) -> list:
-        names = [b.var(f"{prefix}_{w}", lo=0) for w in range(self.n_atoms)]
-        b.row(f"{prefix}_mass", {v: Fraction(1) for v in names}, EQ, 1)
-        for k, g in enumerate(self.generators):
-            coeffs = {names[w]: g.vector[w] for w in range(self.n_atoms) if g.vector[w]}
-            b.row(f"{prefix}_mart{k}", coeffs, EQ, 0)
-        return names
-
 
 def martingale_polytope(market: MarketModel, agent: int) -> MartingalePolytope:
     return MartingalePolytope(n_atoms=market.n_atoms, generators=gains_basis(market, agent))
 
 
 def install_emm_system(b: LPBuilder, n_atoms: int, gens_per_row,
-                       cone: Optional[ExchangeCone]):
-    """Variables and rows for vectors of martingale measures, one per row of
-    gains generators, polar to the exchange cone: <= 0 against rays, = 0
-    against lineality; no polarity rows when ``cone`` is None."""
-    names = [MartingalePolytope(n_atoms, gens).install(b, f"q{i}")
-             for i, gens in enumerate(gens_per_row)]
-    if cone is not None:
-        _polar_rows(b, names, cone, (Fraction(1),) * n_atoms)
+                       cone: Optional[ExchangeCone], weight=None, mass: str = "row"):
+    """Variables ``q{i}_{w} >= 0``, one row per row of gains generators,
+    under the rule of ``verify._check_dual_rows``: weighted by ``weight``
+    (all ones when None), each row (mass "row") or all rows together
+    ("total") have unit mass, each row has zero value against its gains
+    generators, and the rows together are <= 0 against each cone ray and
+    = 0 against each lineality generator (no cone rows when ``cone`` is
+    None).  Unit weights and mass "row" give vectors of martingale measures;
+    the reference probabilities and mass "total" give the polar elements of
+    the super-replicable set, which differ only in that normalisation."""
+    weight = (1,) * n_atoms if weight is None else weight
+    names = [[b.var(f"q{i}_{w}", lo=0) for w in range(n_atoms)]
+             for i in range(len(gens_per_row))]
+
+    def functional(rows):
+        return {names[i][w]: weight[w] * v for i, row in rows
+                for w, v in enumerate(row) if v}
+
+    ones = (1,) * n_atoms
+    for i, gens in enumerate(gens_per_row):
+        if mass == "row":
+            b.row(f"q{i}_mass", functional([(i, ones)]), EQ, 1)
+        for k, g in enumerate(gens):
+            b.row(f"q{i}_mart{k}" if mass == "row" else f"orth{i}_{k}",
+                  functional([(i, g.vector)]), EQ, 0)
+    polar = () if cone is None else ((LE, "ray", cone.rays), (EQ, "lin", cone.lineality))
+    for rel, kind, gens in polar:
+        for k, g in enumerate(gens):
+            b.row(f"polar_{kind}{k}", functional(enumerate(g.rows)), rel, 0)
+    if mass == "total":
+        b.row("mass", functional((i, ones) for i in range(len(names))), EQ, 1)
     return names
 
 
-def _polar_rows(b: LPBuilder, names, cone: ExchangeCone, weight) -> None:
-    """Rows making the variables ``names[i][w]`` polar to the cone under the
-    atom weights: sum_{i,w} weight[w] * g.rows[i][w] * names[i][w] is <= 0
-    for each ray g and = 0 for each lineality generator g."""
-
-    def functional(g):
-        return {names[i][w]: weight[w] * v for i, row in enumerate(g.rows)
-                for w, v in enumerate(row) if v}
-
-    for k, r in enumerate(cone.rays):
-        b.row(f"polar_ray{k}", functional(r), LE, 0)
-    for k, l in enumerate(cone.lineality):
-        b.row(f"polar_lin{k}", functional(l), EQ, 0)
-
-
-def interior_point(n_atoms: int, gens_per_row, cone: Optional[ExchangeCone], face=None):
-    """(least probability, measure rows) of the measure vector of
-    ``install_emm_system`` maximizing its least atom probability; None when
-    there is none.  ``face = (rows, value)``, an optimal face of sum_i
+def interior_point(n_atoms: int, gens_per_row, cone: Optional[ExchangeCone], face=None,
+                   weight=None, mass: str = "row"):
+    """(least entry, rows) of the point of ``install_emm_system`` (with its
+    ``weight`` and ``mass``) maximizing its least entry; None when there is
+    none.  ``face = (rows, value)``, an optimal face of sum_i
     E_{q_i}[rows[i]], restricts it to that face, which is never empty."""
     b = LPBuilder(MAX)
     eps = b.var("eps", obj=1)
-    names = install_emm_system(b, n_atoms, gens_per_row, cone)
+    names = install_emm_system(b, n_atoms, gens_per_row, cone, weight, mass)
     for i, row in enumerate(names):
         for w, v in enumerate(row):
             b.row(f"int{i}_{w}", {v: Fraction(1), eps: Fraction(-1)}, GE, 0)
@@ -159,6 +163,23 @@ def interior_point(n_atoms: int, gens_per_row, cone: Optional[ExchangeCone], fac
     return sol.value, tuple(tuple(p[v] for v in row) for row in names)
 
 
+def _expectation_sup(n_atoms: int, gens_per_row, cone: Optional[ExchangeCone],
+                     claim_rows, what: str) -> Ext:
+    """Supremum of sum_i E_{q_i}[claim_rows[i]] over the measure vectors of
+    ``install_emm_system``; -inf when there are none."""
+    b = LPBuilder(MAX)
+    names = install_emm_system(b, n_atoms, gens_per_row, cone)
+    for vs, row in zip(names, claim_rows):
+        for v, c in zip(vs, row):
+            b.add_objective(v, c)
+    sol = b.solve()
+    if sol.status == "infeasible":
+        return Ext.neg_inf()
+    if sol.status != "optimal":
+        raise InternalInvariantError(f"{what} LP ended {sol.status}")
+    return Ext.of(sol.value)
+
+
 def find_emm_vector(market: MarketModel, cone: ExchangeCone) -> Optional[MeasureVector]:
     """Canonical strictly positive element of the compatible-measure
     polytope, or None when no equivalent element exists."""
@@ -169,28 +190,14 @@ def find_emm_vector(market: MarketModel, cone: ExchangeCone) -> Optional[Measure
 
 
 def polar_witness(market: MarketModel, cone: ExchangeCone) -> Optional[PayoffMatrix]:
-    """Strictly positive element of the polar of the super-replicable set,
-    normalised to unit total mass under the reference probabilities; None
-    when only the zero functional is polar-feasible with z > 0 impossible."""
-    P = market.space.prob
-    N, n = market.n_agents, market.n_atoms
-    b = LPBuilder(MAX)
-    eps = b.var("eps", obj=1)
-    names = [[b.var(f"z{i}_{w}", lo=0) for w in range(n)] for i in range(N)]
-    for i in range(N):
-        for w in range(n):
-            b.row(f"int{i}_{w}", {names[i][w]: Fraction(1), eps: Fraction(-1)}, GE, 0)
-    for i, gens in enumerate(market.gains):
-        for k, g in enumerate(gens):
-            coeffs = {names[i][w]: P[w] * g.vector[w] for w in range(n) if g.vector[w]}
-            b.row(f"orth{i}_{k}", coeffs, EQ, 0)
-    _polar_rows(b, names, cone, P)
-    b.row("mass", {names[i][w]: P[w] for i in range(N) for w in range(n)}, EQ, 1)
-    sol = b.solve()
-    if sol.status != "optimal" or sol.value <= 0:
+    """Canonical strictly positive element of the polar of the
+    super-replicable set, of unit total mass under the reference
+    probabilities, or None when no strictly positive element exists."""
+    hit = interior_point(market.n_atoms, market.gains, cone,
+                         weight=market.space.prob, mass="total")
+    if hit is None or hit[0] <= 0:
         return None
-    p = sol.primal()
-    return PayoffMatrix(rows=tuple(tuple(p[v] for v in row) for row in names))
+    return PayoffMatrix(rows=hit[1])
 
 
 # ---------------------------------------------------------------------------
@@ -256,18 +263,17 @@ def detect_NCA(market: MarketModel, cone: ExchangeCone) -> ArbitrageCertificate:
 def emm_coordinate_range(market: MarketModel, cone: ExchangeCone, agent: int,
                          atom: int):
     """Exact (min, max) of one atom probability over the compatible-measure
-    polytope; None when the polytope is empty."""
+    polytope; None when the polytope is empty.  The min is -sup(-q)."""
     check_index(agent, market.n_agents, "agent")
     check_index(atom, market.n_atoms, "atom")
     out = []
-    for sense in (MIN, MAX):
-        b = LPBuilder(sense)
-        names = install_emm_system(b, market.n_atoms, market.gains, cone)
-        b.add_objective(names[agent][atom], 1)
-        sol = b.solve()
-        if sol.status != "optimal":
+    for sign in (-1, 1):
+        rows = [[sign if (i, w) == (agent, atom) else 0 for w in range(market.n_atoms)]
+                for i in range(market.n_agents)]
+        sup = _expectation_sup(market.n_atoms, market.gains, cone, rows, "coordinate range")
+        if not sup.finite:
             return None
-        out.append(sol.value)
+        out.append(sign * sup.value)
     return tuple(out)
 
 

@@ -46,7 +46,7 @@ class Ext:
         return self.kind == 0 and self.value < other.value
 
     def __hash__(self):
-        return hash((self.kind, self.value))
+        return hash(self.value) if self.kind == 0 else hash((self.kind, None))
 
     def __neg__(self):
         return Ext(-self.kind, None if self.kind else -self.value)

@@ -9,8 +9,8 @@ polar to the cone, the ``dom{i}_{w}`` row duals, whose total claim
 expectation is the price; -inf comes with a ray, a hedge of the zero claim
 with negative total cash, which makes the price -inf for every claim.  The
 dual program, the supremum of the claims' expectations over those measure
-vectors, is kept as a library function (``dual_rho_Y``,
-``rho_agent_plus_dual``).  The classical single-market price and its dual
+vectors, is ``arbitrage._expectation_sup``, kept for ``dual_rho_Y`` and
+``rho_agent_plus_dual``.  The classical single-market price and its dual
 are these programs with one agent's gains generators, one claim row and no
 exchange cone.
 """
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .arbitrage import MeasureVector, install_emm_system, interior_point
+from .arbitrage import MeasureVector, _expectation_sup, interior_point
 from .cones import ExchangeCone, Positions
 from .errors import FairnessUnavailable, InternalInvariantError, ValidationError
 from .ext import Ext, ext_max, ext_sum
@@ -214,22 +214,6 @@ def rho_N_minus(market: MarketModel, g: ClaimVector) -> Ext:
 # ---------------------------------------------------------------------------
 # duality
 # ---------------------------------------------------------------------------
-
-
-def _expectation_sup(n_atoms: int, gens_per_row, cone: Optional[ExchangeCone],
-                     claim_rows, what: str) -> Ext:
-    """Supremum of sum_i E_{q_i}[claim_rows[i]] over the measure vectors of
-    ``install_emm_system``; -inf when there are none."""
-    b = LPBuilder(MAX)
-    names = install_emm_system(b, n_atoms, gens_per_row, cone)
-    for vs, row in zip(names, claim_rows):
-        for v, c in zip(vs, row):
-            b.add_objective(v, c)
-    sol = b.solve()
-    if sol.status == "infeasible":
-        return Ext.neg_inf()
-    _expect_optimal(sol, what)
-    return Ext.of(sol.value)
 
 
 def dual_rho_Y(market: MarketModel, cone: ExchangeCone, g: ClaimVector):

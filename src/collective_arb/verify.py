@@ -470,7 +470,7 @@ def verify_price_certificate(market, cone, claim_rows, cert, agent=None,
 def verify_fairness(market, cone, g, fr) -> None:
     """Re-check every fairness identity from raw data."""
     N = market.n_agents
-    for field in ("m_tilde", "k_tilde_coeffs", "shift"):
+    for field in ("m_tilde", "allocations", "per_agent_prices", "k_tilde_coeffs", "shift"):
         _check_length(getattr(fr, field), N, f"fairness {field}")
     verify_measure_vector(market, cone, fr.q_hat, strict=False)
     verify_primal_optimizer(market, cone, g, fr.raw, fr.value)
@@ -480,8 +480,10 @@ def verify_fairness(market, cone, g, fr) -> None:
     for i in range(N):
         if _rdot(q[i], fr.raw.exchange_rows[i]) != _scalar(fr.shift[i], "fairness shift"):
             _fail("shift differs from the exchange's dual cost")
-        if _scalar(fr.m_tilde[i], "fairness m_tilde") != _rdot(q[i], g.rows[i]):
-            _fail("allocation differs from the dual expectation of the claim")
+        expectation = _rdot(q[i], g.rows[i])
+        for field in ("m_tilde", "allocations", "per_agent_prices"):
+            if _scalar(getattr(fr, field)[i], f"fairness {field}") != expectation:
+                _fail(f"fairness {field} differs from the dual expectation of the claim")
 
     # the canonical exchange: a cone element, zero dual cost per agent, and
     # together with its strategies it dominates the claims at the fair costs

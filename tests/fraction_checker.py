@@ -313,7 +313,7 @@ def verify_price_certificate(market, cone, claim_rows, cert, agent=None,
 
 
 def verify_fairness(market, cone, g, fr) -> None:
-    for field in ("m_tilde", "k_tilde_coeffs", "shift"):
+    for field in ("m_tilde", "allocations", "per_agent_prices", "k_tilde_coeffs", "shift"):
         _check_length(getattr(fr, field), market.n_agents, f"fairness {field}")
     verify_measure_vector(market, cone, fr.q_hat, strict=False)
     verify_primal_optimizer(market, cone, g, fr.raw, fr.value)
@@ -323,8 +323,9 @@ def verify_fairness(market, cone, g, fr) -> None:
     for i in range(market.n_agents):
         if _dot(q[i], fr.raw.exchange_rows[i]) != frac(fr.shift[i]):
             _fail("shift differs from the exchange's dual cost")
-        if frac(fr.m_tilde[i]) != _dot(q[i], g.rows[i]):
-            _fail("allocation differs from the dual expectation of the claim")
+        for field in ("m_tilde", "allocations", "per_agent_prices"):
+            if frac(getattr(fr, field)[i]) != _dot(q[i], g.rows[i]):
+                _fail(f"fairness {field} differs from the dual expectation of the claim")
     ex = _exchange_rows(cone, fr.y_tilde_ray_coeffs, fr.y_tilde_lin_coeffs, fr.y_tilde_rows,
                         "canonical exchange")
     if any(_dot(q_i, ex_i) for q_i, ex_i in zip(q, ex)):

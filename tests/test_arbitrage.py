@@ -5,13 +5,15 @@ import pytest
 from collective_arb.arbitrage import (detect_NA_agent, detect_NA_global,
                                       detect_NCA, emm_coordinate_range,
                                       emm_is_singleton, find_emm_vector,
-                                      martingale_polytope, polar_witness)
+                                      install_emm_system, martingale_polytope,
+                                      polar_witness)
 from collective_arb.cones import cone_add, make_span, make_Y0, make_zero
 from collective_arb.errors import ValidationError
 from collective_arb.examples_builtin import example_document
-from collective_arb.lp import LPBuilder, MIN
+from collective_arb.lp import EQ, GE, LE, LPBuilder, MAX, MIN
 from collective_arb.market import build_market
 from collective_arb.model_io import parse_model
+from collective_arb.randgen import random_cone, random_market, seeded_rng
 from collective_arb.verify import (verify_arbitrage_found, verify_measure_vector,
                                    verify_polar_witness,
                                    verify_single_market_witness)
@@ -23,10 +25,87 @@ F = Fraction
 
 
 def polytope_member(market, agent):
+    polytope = martingale_polytope(market, agent)
     b = LPBuilder(MIN)
-    names = martingale_polytope(market, agent).install(b, "q")
+    names, = install_emm_system(b, polytope.n_atoms, [polytope.generators], None)
     sol = b.solve()
     return None if sol.status != "optimal" else tuple(sol.primal()[v] for v in names)
+
+
+# The polar-witness and coordinate-range programs as they were written by
+# hand before ``install_emm_system`` built every dual-row program; the seeded
+# test below holds the library's optima to theirs.
+
+def _reference_polar_rows(b, names, cone, weight):
+    for rel, gens in ((LE, cone.rays), (EQ, cone.lineality)):
+        for k, g in enumerate(gens):
+            b.row(f"polar{rel}{k}", {names[i][w]: weight[w] * v for i, row in enumerate(g.rows)
+                                     for w, v in enumerate(row) if v}, rel, 0)
+
+
+def reference_polar_optimum(market, cone):
+    """The largest least entry of a polar element of unit mass under P;
+    None when it is not positive or there is no such element."""
+    P, n = market.space.prob, market.n_atoms
+    b = LPBuilder(MAX)
+    eps = b.var("eps", obj=1)
+    names = [[b.var(f"z{i}_{w}", lo=0) for w in range(n)] for i in range(market.n_agents)]
+    for i, row in enumerate(names):
+        for w, v in enumerate(row):
+            b.row(f"int{i}_{w}", {v: F(1), eps: F(-1)}, GE, 0)
+    for i, gens in enumerate(market.gains):
+        for k, g in enumerate(gens):
+            b.row(f"orth{i}_{k}", {names[i][w]: P[w] * g.vector[w] for w in range(n)
+                                   if g.vector[w]}, EQ, 0)
+    _reference_polar_rows(b, names, cone, P)
+    b.row("mass", {v: P[w] for row in names for w, v in enumerate(row)}, EQ, 1)
+    sol = b.solve()
+    return sol.value if sol.status == "optimal" and sol.value > 0 else None
+
+
+def reference_coordinate_range(market, cone, agent, atom):
+    """(min, max) of q_agent(atom) over the compatible measure vectors, one
+    MIN and one MAX program; None when there are none."""
+    n, out = market.n_atoms, []
+    for sense in (MIN, MAX):
+        b = LPBuilder(sense)
+        names = [[b.var(f"q{i}_{w}", lo=0) for w in range(n)] for i in range(market.n_agents)]
+        for i, gens in enumerate(market.gains):
+            b.row(f"q{i}_mass", {v: F(1) for v in names[i]}, EQ, 1)
+            for k, g in enumerate(gens):
+                b.row(f"q{i}_mart{k}", {names[i][w]: g.vector[w] for w in range(n)
+                                        if g.vector[w]}, EQ, 0)
+        _reference_polar_rows(b, names, cone, (F(1),) * n)
+        b.add_objective(names[agent][atom], 1)
+        sol = b.solve()
+        if sol.status != "optimal":
+            return None
+        out.append(sol.value)
+    return tuple(out)
+
+
+def test_dual_optima_match_the_hand_built_programs():
+    """On seeded random markets and cones: the least entry of the polar
+    witness is the hand-built program's optimum, and every coordinate range
+    is its MIN and MAX programs' values."""
+    rng = seeded_rng()
+    seen = {"witness": 0, "no witness": 0, "range": 0, "wide range": 0, "empty": 0}
+    for _ in range(40):
+        market = random_market(rng)
+        cone, _ = random_cone(rng, market)
+        z, best = polar_witness(market, cone), reference_polar_optimum(market, cone)
+        if best is None:
+            assert z is None
+        else:
+            assert z is not None and min(min(row) for row in z.rows) == best
+        seen["no witness" if best is None else "witness"] += 1
+        for agent in range(market.n_agents):
+            for atom in range(market.n_atoms):
+                bounds = emm_coordinate_range(market, cone, agent, atom)
+                assert bounds == reference_coordinate_range(market, cone, agent, atom)
+                seen["empty" if bounds is None else "range"] += 1
+                seen["wide range"] += bounds is not None and bounds[0] < bounds[1]
+    assert all(seen.values()), seen
 
 
 def test_na_agents_toy(toy_market):

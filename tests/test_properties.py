@@ -1,6 +1,8 @@
 """Randomized invariant battery at a moderate sample size (the acceptance
 suite reruns it on >= 500 instances), plus converse-failure seeds."""
 
+from fractions import Fraction
+
 import pytest
 
 from collective_arb import lp
@@ -73,3 +75,12 @@ def test_ext_arithmetic_conventions():
     assert Ext.of(3) * 2 == Ext.of(6)
     assert Ext.neg_inf() * -1 == Ext.pos_inf()
     assert str(Ext.of("5/6")) == "5/6"
+
+
+def test_ext_hash_agrees_with_equality():
+    # a finite Ext equals its Fraction, so a set or a dict key must not
+    # tell them apart
+    for v in (1, Fraction(5, 6), -3):
+        assert Ext.of(v) == v and hash(Ext.of(v)) == hash(v)
+    assert len({Ext.of(1), 1, Fraction(1), Ext.of("1")}) == 1
+    assert len({Ext.neg_inf(), Ext.pos_inf(), Ext.of(0), 0}) == 3

@@ -136,6 +136,17 @@ def test_fairness_checker_rejects_tampered_allocation(tree_market):
         verify_fairness(tree_market, cone, g, bad)
 
 
+@pytest.mark.parametrize("tamper", [{"allocations": (0, 99)}, {"per_agent_prices": (7,)}],
+                         ids=["allocations", "per-agent-prices"])
+def test_fairness_checker_rejects_tampered_printed_fields(tree_market, tamper):
+    # report.analyze prints both fields, so the checker must hold each to E_{q_i}[g_i]
+    cone = make_Y0(tree_market, 1)
+    g = claim_vector(tree_market, TREE_CLAIMS)
+    fr = fairness_allocation(tree_market, cone, g)
+    with pytest.raises(InternalInvariantError):
+        verify_fairness(tree_market, cone, g, dataclasses.replace(fr, **tamper))
+
+
 def _extend_first(rows, value):
     return (tuple(rows[0]) + (value,),) + tuple(rows[1:])
 
