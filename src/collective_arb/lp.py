@@ -15,16 +15,15 @@ compiles each program straight to sparse integer columns and an integer
 right-hand side, each row scaled by its own factor ``L_r > 0`` and the
 objective by one ``K > 0``, and it alone knows them: it divides them back
 out of the duals, the Farkas vector and the value.  ``_solve_standard`` and
-``_RevisedSimplex`` see integers only.  The state is the basis inverse of
-Bareiss's fraction-free elimination, ``den * B^-1`` with the right-hand
-side, kept as sparse rows that are scaled lazily: a pivot updates only the
-rows with a nonzero in the entering column, and each row carries the
-denominator it was last updated at.  The columns of ``A`` are never
-updated: Bland's rule prices them on demand and computes only the entering
-column for the ratio test.  Points, duals, Farkas vectors and rays are
-converted to `fractions.Fraction` once, at the end.  There are no
-tolerances anywhere.  Results are deterministic: identical programs yield
-identical outcomes.
+``_RevisedSimplex`` see integers only.  The state is the basis inverse
+``B^-1`` with the right-hand side, kept as sparse integer rows, each in
+lowest terms over its own positive stamp, so that its integers are as large
+as the values they stand for.  A pivot updates only the rows with a nonzero
+in the entering column.  The columns of ``A`` are never updated: Bland's
+rule prices them on demand and computes only the entering column for the
+ratio test.  Points, duals, Farkas vectors and rays are converted to
+`fractions.Fraction` once, at the end.  There are no tolerances anywhere.
+Results are deterministic: identical programs yield identical outcomes.
 
 Every variable is either free or nonnegative.  Those are the two kinds the
 finite duality of the paper needs: cash, strategy and lineality weights are
@@ -37,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Mapping, Optional, Union
 
 from .errors import InternalInvariantError
@@ -177,32 +176,29 @@ LPOutcome = Union[Optimal, Infeasible, Unbounded]
 
 
 class _RevisedSimplex:
-    """Revised simplex state over sparse, lazily scaled rows of the integer
-    basis inverse.
+    """Revised simplex state over sparse rows of the basis inverse, each in
+    lowest terms over its own stamp.
 
     The structural columns ``cols`` are sparse integer columns, lists of
-    ``(row, value)`` pairs, and are never updated.  ``den > 0`` is the
-    basis determinant of Bareiss's fraction-free elimination, which would
-    keep every row of ``B^-1`` (over the original rows, the block the
-    artificial columns of a full tableau would carry) with its right-hand
-    side as ``m + 1`` integers over ``den``.  Here each live row ``r`` is
-    kept only as a dict of its nonzeros, key ``m`` for the right-hand side,
-    over its own stamp ``scale[r]``: the ``den`` at which the row was last
-    updated.  A pivot leaves a row's part of ``B^-1`` alone unless the
-    row's entry of the entering column is nonzero, so such a row is not
-    touched at all.  ``y`` holds the simplex multipliers ``c_B B^-1`` over
-    the same ``m + 1`` columns (its last entry is the objective value), as
-    a dense list over its own stamp ``y_scale``.
+    ``(row, value)`` pairs, and are never updated.  Each live row ``r`` of
+    ``B^-1`` (the block the artificial columns of a full tableau would
+    carry) with its right-hand side is a dict of its nonzero integers, key
+    ``m`` for the right-hand side, over its own stamp ``scale[r] > 0``, and
+    the gcd of the integers and the stamp is 1.  ``y`` holds the simplex
+    multipliers ``c_B B^-1`` over the same ``m + 1`` columns (its last
+    entry is the objective value) alike, as a dense list over ``y_scale``.
 
     A column's reduced cost is priced on demand as ``y_scale * c_j - y .
     A_j`` and its tableau column as ``row_r . A_j`` per row; each is the
     true value times a positive stamp, so Bland's sign tests and the ratio
     test's ``rhs_r / a_r`` (where a row's stamp cancels) make the same
-    pivots as a full tableau.  A pivot on ``p`` (the pivot row brought to
-    ``den`` first if it is stale) updates each row with a nonzero entry
-    ``f`` by ``a' = (a*p - f*v) // scale[r]``, which is Bareiss's integer
-    row over ``p``, so the division is exact, and stamps it ``p``; then
-    ``den`` becomes ``p``.
+    pivots as a full tableau.  A pivot on ``p`` sets the pivot row ``P`` to
+    ``P / p``, negated if ``p < 0``.  That is in lowest terms, since a row
+    in lowest terms over ``s`` has content 1: its ``B^-1`` part times the
+    integer basis is ``s`` times a unit row, so the content divides ``s``.
+    Each row ``R`` over ``s`` whose entry ``f`` of the entering column is
+    nonzero becomes ``(p*R - f*P) / (s*p)``, divided by the gcd of its
+    integers and its stamp; a row with a zero there is not touched.
     """
 
     def __init__(self, cols, rhs):
@@ -211,7 +207,6 @@ class _RevisedSimplex:
         self.n = len(cols)
         self.rows = [{r: 1, m: b} if b else {r: 1} for r, b in enumerate(rhs)]
         self.scale = [1] * m
-        self.den = 1
         self.basis = [self.n + r for r in range(m)]
         self.orig_index = list(range(m))  # live row -> input row
         self.c = None
@@ -221,16 +216,21 @@ class _RevisedSimplex:
     def set_costs(self, c, c_art):
         """Integer costs ``c`` over the structural columns and ``c_art``
         over the artificial ones, one per input row."""
-        n, den = self.n, self.den
+        n, s_y = self.n, lcm(*self.scale)
         self.c = c
         y = [0] * (self.m + 1)
         for row, s, bj in zip(self.rows, self.scale, self.basis):
             cb = c[bj] if bj < n else c_art[bj - n]
             if cb:
-                # cb * den * B^-1 row, exact: the row over den is Bareiss's
+                k = cb * (s_y // s)
                 for i, v in row.items():
-                    y[i] += cb * v * den // s
-        self.y, self.y_scale = y, den
+                    y[i] += k * v
+        self._set_y(y, s_y)
+
+    def _set_y(self, y, s):
+        """Keep ``y`` over the stamp ``s > 0`` in lowest terms."""
+        g = gcd(s, *y)
+        self.y, self.y_scale = ([a // g for a in y], s // g) if g > 1 else (y, s)
 
     def price(self, j):
         """The reduced cost of column j times ``y_scale``."""
@@ -253,42 +253,35 @@ class _RevisedSimplex:
     def pivot(self, r, j, col, d):
         """Bring column j into the basis at row r, given its tableau column
         ``col`` and its priced reduced cost ``d``."""
-        rows, scale, den = self.rows, self.scale, self.den
+        rows, scale = self.rows, self.scale
         prow, p = rows[r], col[r]
-        s = scale[r]
-        if s != den or p < 0:
-            # bring a stale pivot row to den; a negative pivot negates the
-            # pivot row, which keeps the new denominator positive
-            g = den if p > 0 else -den
-            prow = {i: v * g // s for i, v in prow.items()}
-            p = p * g // s
+        if p < 0:
+            prow, p = {i: -v for i, v in prow.items()}, -p
         rows[r], scale[r] = prow, p
         for rr, f in enumerate(col):
             if f and rr != r:
-                # each entry becomes (a*p - f*v) // s: off the pivot row's
-                # keys that is a*p // s, and only on them can an entry
-                # cancel, which is then dropped
-                s, row = scale[rr], rows[rr]
-                new = {i: a * p // s for i, a in row.items()}
+                # with gcd(f, p) cancelled first, a row whose multiplier q
+                # is 1 is updated in place
+                g = gcd(f, p)
+                q, f = p // g, f // g
+                row = {i: a * q for i, a in rows[rr].items()} if q > 1 else rows[rr]
                 for i, v in prow.items():
-                    if i in row:
-                        a = (row[i] * p - f * v) // s
-                        if a:
-                            new[i] = a
-                        else:
-                            del new[i]
+                    a = row[i] - f * v if i in row else -f * v
+                    if a:
+                        row[i] = a
                     else:
-                        new[i] = -f * v // s
-                rows[rr], scale[rr] = new, p
+                        del row[i]
+                s = scale[rr] * q
+                g = gcd(s, *row.values())
+                if g > 1:
+                    row, s = {i: a // g for i, a in row.items()}, s // g
+                rows[rr], scale[rr] = row, s
         # y takes the cost row's update with the opposite sign
         if d:
-            s = self.y_scale
             y = [a * p for a in self.y]
             for i, v in prow.items():
                 y[i] += d * v
-            self.y = [a // s for a in y]
-            self.y_scale = p
-        self.den = p
+            self._set_y(y, self.y_scale * p)
         self.basis[r] = j
 
     def run(self):

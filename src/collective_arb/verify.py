@@ -269,14 +269,15 @@ def _check_dual_rows(rows, bases, cone, weight, strict, mass, what) -> None:
     """Dual rows polar to the gains and to ``cone`` (None for no cone): one
     row per gains basis, with one entry per atom weight, each entry > 0
     (``strict``) or >= 0.  ``mass`` is "row" when each row sums to one,
-    "total" when all rows together do, and None for no mass rule.
+    "total" when all rows together have unit mass under ``weight``, and
+    None for no mass rule.
     Weighted by ``weight``, each row has zero value against every generator
     of its basis, and the rows together are <= 0 on each ray and = 0 on
     each lineality generator."""
     if len(rows) != len(bases):
         _fail(f"{what} row count mismatch")
     n = len(weight)
-    _, P = _scaled(weight, n, "atom weights")
+    Dw, P = _scaled(weight, n, "atom weights")
     scaled = []
     for row, gens in zip(rows, bases):
         if len(row) != n:
@@ -294,7 +295,7 @@ def _check_dual_rows(rows, bases, cone, weight, strict, mass, what) -> None:
     E = 1
     for D, _, _ in scaled:
         E = lcm(E, D)
-    if mass == "total" and sum(sum(R.values()) * (E // D) for D, R, _ in scaled) != E:
+    if mass == "total" and sum(sum(Q.values()) * (E // D) for D, _, Q in scaled) != E * Dw:
         _fail(f"{what} rows do not sum to one in total")
     if cone is not None:
         flat = {i * n + w: v * (E // D) for i, (D, _, Q) in enumerate(scaled)
@@ -404,8 +405,9 @@ def verify_polar_witness(market, cone, rows, strict=True) -> None:
     """Element of the polar of the super-replicable set: nonnegative (or
     strictly positive) rows, zero value against every agent's gains
     generators, nonpositive against rays, zero against lineality; values
-    are taken under the reference probability."""
-    _check_dual_rows(rows, market.gains, cone, market.space.prob, strict, None,
+    are taken under the reference probability, under which the rows
+    together have unit mass."""
+    _check_dual_rows(rows, market.gains, cone, market.space.prob, strict, "total",
                      "polar witness")
 
 

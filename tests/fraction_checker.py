@@ -147,7 +147,8 @@ def _check_unbounded(lp: LinearProgram, out: Unbounded) -> None:
 # integers over nonzeros: every check walks whole dense rows in ``Fraction``
 # arithmetic.  Two things were added with the price certificates, in the
 # same arithmetic: the "total" mass rule of ``_check_dual_rows`` (for the
-# shared-cash pi programs) with ``_check_hedge``'s shared cash, and
+# shared-cash pi programs, and under the reference probability for the
+# polar witness) with ``_check_hedge``'s shared cash, and
 # ``verify_price_certificate``, composed of these checks as in ``verify``.
 
 
@@ -176,8 +177,8 @@ def _check_dual_rows(rows, bases, cone, weight, strict, mass, what) -> None:
             _fail(f"{what} not strictly positive" if strict else f"{what} has a negative entry")
         if mass == "row" and sum(row) != 1:
             _fail(f"{what} row does not sum to one")
-        total += sum(row)
         row = [p * v for p, v in zip(weight, row)]
+        total += sum(row)
         if any(_dot(row, g.vector) for g in gens):
             _fail(f"{what} not orthogonal to a gains generator")
         weighted.append(row)
@@ -266,7 +267,7 @@ def verify_single_market_witness(market, q_row, agent=None) -> None:
 
 
 def verify_polar_witness(market, cone, rows, strict=True) -> None:
-    _check_dual_rows(rows, market.gains, cone, market.space.prob, strict, None,
+    _check_dual_rows(rows, market.gains, cone, market.space.prob, strict, "total",
                      "polar witness")
 
 

@@ -11,15 +11,17 @@ compiles them to the ``Fraction`` standard form; that checks the unscaling
 of the duals and the value as well as the pivots.  The integer standard
 forms compare the two kernels on the same data, and there the spies also
 read every live row of the basis inverse with its right-hand side after
-each pivot: the integer kernel's sparse row over its stamp must equal the
-reference's row.
+each pivot: the integer kernel's sparse row over its stamp must be in
+lowest terms, as ``y`` must, and equal the reference's row.
 """
 
 import contextlib
 import os
+import pathlib
 import subprocess
 import sys
 from fractions import Fraction
+from math import gcd
 from unittest import mock
 
 import pytest
@@ -28,8 +30,8 @@ from hypothesis import given, settings, strategies as st
 import fraction_kernel
 from collective_arb import lp
 from collective_arb.examples_builtin import example_document, example_names
-from collective_arb.model_io import parse_model
-from collective_arb.report import analyze
+from collective_arb.model_io import load_model, parse_model
+from collective_arb.report import analyze, render_json
 from test_lp import small_lp
 
 F = Fraction
@@ -51,7 +53,12 @@ def pivots(kernel, state=None):
 
 
 def inverse_rows(tab):
-    """The integer kernel's rows of B^-1 with the rhs, each over its stamp."""
+    """The integer kernel's rows of B^-1 with the rhs, each over its stamp,
+    once every live row and ``y`` are seen to be in lowest terms over a
+    positive stamp, with no stored zero."""
+    for row, s in zip(tab.rows, tab.scale):
+        assert s > 0 and gcd(s, *row.values()) == 1 and all(row.values()), (row, s)
+    assert tab.y_scale > 0 and gcd(tab.y_scale, *tab.y) == 1, (tab.y, tab.y_scale)
     return [[F(row.get(i, 0), s) for i in range(tab.m + 1)]
             for row, s in zip(tab.rows, tab.scale)]
 
@@ -179,24 +186,53 @@ def test_builtin_analysis_programs_agree_with_fraction_kernel(name):
     assert made
 
 
-def test_builtin_programs_skip_rows_and_refresh_stale_pivot_rows():
-    """A pivot leaves each row with a zero in the entering column untouched,
-    so a later pivot row can be stale (its stamp is not den); the built-in
-    analyses run both branches of the lazy scaling."""
-    seen = {"skip": 0, "stale": 0}
+def test_builtin_programs_skip_rows():
+    """A pivot leaves each row with a zero in the entering column
+    untouched; the built-in analyses take that path."""
+    skipped = 0
     real = lp._RevisedSimplex.pivot
 
     def spy(tab, r, j, col, d):
-        seen["skip"] += sum(1 for rr, f in enumerate(col) if rr != r and not f)
-        seen["stale"] += tab.scale[r] != tab.den
+        nonlocal skipped
+        skipped += sum(1 for rr, f in enumerate(col) if rr != r and not f)
         real(tab, r, j, col, d)
 
     with mock.patch.object(lp._RevisedSimplex, "pivot", spy):
         for name in example_names():
             analyze(parse_model(example_document(name)))
-            if seen["skip"] and seen["stale"]:
+            if skipped:
                 break
-    assert seen["skip"] and seen["stale"], seen
+    assert skipped
+
+
+LARGE = pathlib.Path(__file__).parent / "golden" / "large"
+
+
+def test_large_tree_report_is_pinned_and_its_integers_stay_small():
+    """The analysis of a T=4, N=3 binomial tree whose agents share one
+    measure: there is no collective arbitrage, so all 21 programs of the
+    report are solved, the largest with 147 rows.  Its report matches the
+    golden byte for byte, and every integer the kernel stores after a pivot
+    (row entries, stamps, ``y`` and its stamp) fits in 64 bits, since a
+    row in lowest terms is as large as its values, not as the basis
+    determinant.  The model is ``bench/trees.py``'s draw, made with
+
+        python3 -c 'import json, random, sys; sys.path.insert(0, "bench"); import trees; print(json.dumps(trees.tree_doc(random.Random("x/4/3"), 4, 3, "shared", {"kind": "Y0", "t": 3}), indent=2))' > tests/golden/large/tree-T4N3-shared.json
+
+    and the golden is its ``render_json(analyze(load_model(...)))``."""
+    widest = 0
+    real = lp._RevisedSimplex.pivot
+
+    def spy(tab, r, j, col, d):
+        nonlocal widest
+        real(tab, r, j, col, d)
+        stored = [tab.y_scale, *tab.y, *tab.scale, *(v for row in tab.rows for v in row.values())]
+        widest = max(widest, *(v.bit_length() for v in stored))
+
+    with mock.patch.object(lp._RevisedSimplex, "pivot", spy):
+        report = render_json(analyze(load_model(str(LARGE / "tree-T4N3-shared.json"))))
+    assert report == (LARGE / "tree-T4N3-shared.report.json").read_text(encoding="utf-8")
+    assert 0 < widest <= 64, widest
 
 
 def test_redundant_rows_are_dropped_alike():

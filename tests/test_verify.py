@@ -265,11 +265,12 @@ def test_witness_checker_rejects_a_float_row(toy_market):
 
 
 # The toy market's dual rows: each agent's unique martingale measure, and
-# the same rows as densities over the reference probability (1/2, 1/2).
+# the same rows as densities over the reference probability (1/2, 1/2),
+# halved so that together they have unit mass, as a polar witness does.
 # Both are polar to the deterministic transfers Y0(0), but not to the
 # transfer ((1, 0), (-1, 0)) as a ray or as a line: 1/2 - 1/6 > 0.
 TOY_MEASURES = ((F(1, 2), F(1, 2)), (F(1, 6), F(5, 6)))
-TOY_DENSITIES = ((F(1), F(1)), (F(1, 3), F(5, 3)))
+TOY_DENSITIES = ((F(1, 2), F(1, 2)), (F(1, 6), F(5, 6)))
 _TRANSFER = [["1", "0"], ["-1", "0"]]
 
 # checker(market, cone, rows, strict) and its untampered rows on Y0(0)
@@ -297,6 +298,8 @@ DUAL_ROW_TAMPERS = {
                        False, "Y0", "negative"),
     "mass-not-one": ("witness measure", _first_row(lambda r: [2 * v for v in r]),
                      True, "Y0", "does not sum to one"),
+    "doubled": ("polar", lambda rows: tuple(tuple(2 * v for v in r) for r in rows),
+                True, "Y0", "do not sum to one in total"),
     "missing-row": ("measure polar", lambda rows: tuple(rows[:-1]),
                     True, "Y0", "row count mismatch"),
     "short-row": ("witness measure polar", _first_row(lambda r: r[:-1]),
