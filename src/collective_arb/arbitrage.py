@@ -112,7 +112,11 @@ def install_emm_system(b: LPBuilder, n_atoms: int, gens_per_row,
     = 0 against each lineality generator (no cone rows when ``cone`` is
     None).  Unit weights and mass "row" give vectors of martingale measures;
     the reference probabilities and mass "total" give the polar elements of
-    the super-replicable set, which differ only in that normalisation."""
+    the super-replicable set, which differ only in that normalisation.
+    The cone must have ``n_atoms`` atoms and one row per row of gains
+    generators."""
+    if cone is not None and (cone.n_agents, cone.n_atoms) != (len(gens_per_row), n_atoms):
+        raise ValidationError("cone", "cone shape does not match the market")
     weight = (1,) * n_atoms if weight is None else weight
     names = [[b.var(f"q{i}_{w}", lo=0) for w in range(n_atoms)]
              for i in range(len(gens_per_row))]
@@ -241,8 +245,6 @@ def _detect_NA(market: MarketModel, agent: int, search_first: bool) -> Arbitrage
 def detect_NCA(market: MarketModel, cone: ExchangeCone) -> ArbitrageCertificate:
     """Collective arbitrage: per-agent trades plus an exchange from the cone
     making every agent's payoff nonnegative and the total strictly positive."""
-    if (cone.n_agents, cone.n_atoms) != (market.n_agents, market.n_atoms):
-        raise ValidationError("cone", "cone shape does not match the market")
     hit = _search_arbitrage(market, market.gains, cone)
     if hit is not None:
         strat, rows, exchange = hit

@@ -92,12 +92,16 @@ class Positions:
     cone": ``h{i}_{k}`` for agent i's gains generator k, then ``mu{k} >= 0``
     per ray and free ``nu{k}`` per lineality generator of ``cone``, declared
     on ``b`` in that order (the simplex breaks ties by column order).
-    ``cone`` may be None: trading alone."""
+    ``cone`` may be None: trading alone.  The cone must have ``n_atoms``
+    atoms and, when there are gains rows, one row per agent of them."""
 
     def __init__(self, b: LPBuilder, n_atoms: int, gens_per_agent,
                  cone: Optional[ExchangeCone]):
         self.n_atoms = n_atoms
         self.gens = tuple(gens_per_agent)
+        if cone is not None and (cone.n_atoms != n_atoms
+                                 or self.gens and cone.n_agents != len(self.gens)):
+            raise ValidationError("cone", "cone shape does not match the market")
         self.cone = cone
         self.rays = cone.rays if cone is not None else ()
         self.lineality = cone.lineality if cone is not None else ()

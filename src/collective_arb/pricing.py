@@ -1,6 +1,6 @@
 """Super- and sub-replication pricing, duality, fairness and cooperation.
 
-All price functionals are exact LPs over the gains generators and the
+The price functionals are exact LPs over the gains generators and the
 exchange-cone generators; -inf and +inf are first-class outcomes mapped
 from LP unboundedness.  One outcome of a super-replication program holds
 both sides of its price (``price_certificate``): a finite price comes with
@@ -12,7 +12,10 @@ dual program, the supremum of the claims' expectations over those measure
 vectors, is ``arbitrage._expectation_sup``, kept for ``dual_rho_Y`` and
 ``rho_agent_plus_dual``.  The classical single-market price and its dual
 are these programs with one agent's gains generators, one claim row and no
-exchange cone.
+exchange cone.  One price is an identity rather than a program: an agent's
+replication cost under a fixed martingale measure, which fairness reports
+per agent, is the claim's expectation (``rho_under_measure``), so fairness
+solves only its canonical exchange.
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ from .cones import ExchangeCone, Positions
 from .errors import FairnessUnavailable, InternalInvariantError, ValidationError
 from .ext import Ext, ext_max, ext_sum
 from .lp import EQ, GE, LE, LPBuilder, MAX, MIN, ZERO, frac
-from .market import (MarketModel, PayoffMatrix, check_index, constant_on, gains_basis,
-                     payoff_matrix)
+from .market import (MarketModel, PayoffMatrix, _rational, check_index, constant_on,
+                     gains_basis, payoff_matrix)
 
 ClaimVector = PayoffMatrix  # one claim row per agent, measurable per row
 
@@ -97,7 +100,7 @@ def _agent_claim_row(market: MarketModel, agent: int, claim_row) -> tuple:
     """The claim row as Fractions, checked against the agent's market: a
     real agent, one entry per atom, measurable at the terminal date."""
     check_index(agent, market.n_agents, "agent", where="claim")
-    row = tuple(frac(v) for v in claim_row)
+    row = tuple(_rational(v, "claim") for v in claim_row)
     if len(row) != market.n_atoms:
         raise ValidationError("claim", f"need {market.n_atoms} entries, got {len(row)}")
     if not constant_on(row, market.terminal_partition(agent)):
@@ -252,44 +255,23 @@ def optimal_face_measures(market: MarketModel, cone: ExchangeCone, g: ClaimVecto
 
 def rho_under_measure(market: MarketModel, agent: int, q_row, claim_row) -> Fraction:
     """Individual super-replication when the agent prices with a fixed
-    measure: trading plus any own-measurable instrument with zero cost
-    under that measure."""
+    martingale measure q: the least cash m such that m, plus trading, plus
+    an instrument constant on each of the agent's terminal blocks and of
+    zero cost under q, dominates the claim.  This is E_q[claim], read off
+    without a program.  Taking expectations under q of a dominating position
+    gives m >= E_q[claim], since q is nonnegative and prices the gains and
+    the instrument at zero; h = 0 with y_B = claim_B - E_q[claim] on each
+    block B attains it."""
     claim_row = _agent_claim_row(market, agent, claim_row)
-    q_row = tuple(frac(v) for v in q_row)
+    q_row = tuple(_rational(v, "measure") for v in q_row)
     if len(q_row) != market.n_atoms:
         raise ValidationError("measure", f"need {market.n_atoms} entries, got {len(q_row)}")
     if any(v < 0 for v in q_row) or sum(q_row) != 1:
         raise ValidationError("measure", "not a probability row: entries must be "
                               "nonnegative and sum to 1")
-    gens = gains_basis(market, agent)
-    # gains and claim are constant on the agent's blocks, so the program is
-    # bounded exactly when q prices every gains generator at zero
-    if any(_dot(q_row, g.vector) for g in gens):
+    if any(_dot(q_row, g.vector) for g in gains_basis(market, agent)):
         raise ValidationError("measure", "not a martingale measure for the agent")
-    blocks = market.terminal_partition(agent)
-    b = LPBuilder(MIN)
-    b.var("m", obj=1)
-    for k in range(len(gens)):
-        b.var(f"h{k}")
-    for k in range(len(blocks)):
-        b.var(f"y{k}")
-    cost = {}
-    for k, blk in enumerate(blocks):
-        c = sum((q_row[w] for w in blk), ZERO)
-        if c:
-            cost[f"y{k}"] = c
-    b.row("zero_cost", cost, EQ, 0)
-    for w in range(market.n_atoms):
-        blk_idx = next(k for k, blk in enumerate(blocks) if w in blk)
-        coeffs = {"m": Fraction(1), f"y{blk_idx}": Fraction(1)}
-        for k, gen in enumerate(gens):
-            if gen.vector[w]:
-                coeffs[f"h{k}"] = gen.vector[w]
-        b.row(f"dom{w}", coeffs, GE, claim_row[w])
-    sol = b.solve()
-    if sol.status != "optimal":
-        raise InternalInvariantError("per-agent fair price LP not optimal")
-    return sol.value
+    return _dot(q_row, claim_row)
 
 
 def fairness_allocation(market: MarketModel, cone: ExchangeCone,
@@ -309,7 +291,9 @@ def fairness_from_prices(market: MarketModel, cone: ExchangeCone, g: ClaimVector
     ``dual()`` as dual_rho_Y, ``primal()`` as rho_Y_plus and ``individual(i)``
     as agent i's rho_agent_plus value.  None is asked for when the cone lacks
     some deterministic zero-sum transfer, so fairness_allocation then solves
-    nothing."""
+    nothing.  Beyond its prices it solves one program, the canonical
+    exchange; each per-agent fair price is an expectation
+    (``rho_under_measure``)."""
     if not cone.meta.contains_RN0:
         raise FairnessUnavailable(
             "fairness needs the cone to contain all deterministic zero-sum transfers")
@@ -416,7 +400,7 @@ def price_compatibility(market: MarketModel, cone: ExchangeCone, g: ClaimVector,
                         prices: Sequence) -> PriceCompatibility:
     """Selling the claims at the quoted prices: do trading plus an exchange
     make every agent's final position nonnegative and someone's positive?"""
-    p = tuple(frac(v) for v in prices)
+    p = tuple(_rational(v, "prices") for v in prices)
     if len(p) != market.n_agents:
         raise ValidationError("prices", "need one price per agent")
     b = LPBuilder(MAX)

@@ -42,7 +42,12 @@ instead of a program of their own:
 * pi_Y and pi_Y_minus, when the cone contains RN0: moving each agent's cash
   by a deterministic zero-sum transfer turns a hedge of rho_Y into one of
   pi_Y, so rho_Y = N * pi_Y for every claim vector (the paper's finite-market
-  identity), and pi_Y = rho_Y / N, pi_Y_minus = rho_Y_minus / N.
+  identity), and pi_Y = rho_Y / N, pi_Y_minus = rho_Y_minus / N;
+* each agent's fair price, its replication cost under its dual-optimal
+  measure q_i: taking expectations under q_i of a dominating position gives
+  a cost >= E_{q_i}[g_i], and cash E_{q_i}[g_i] plus the zero-cost
+  instrument g_i - E_{q_i}[g_i] attains it, so it is E_{q_i}[g_i]
+  (``pricing.rho_under_measure``).
 
 ``tests/instance_checks.py`` solves the dropped programs on random
 instances and checks each against the certificate or identity that

@@ -13,7 +13,7 @@ from collective_arb.arbitrage import (detect_NA_agent, detect_NA_global,
                                       find_emm_vector, polar_witness)
 from collective_arb.cones import cone_add, cone_contains, make_Y0
 from collective_arb.ext import Ext
-from collective_arb.lp import GE, LPBuilder, MIN
+from collective_arb.lp import EQ, GE, LPBuilder, MIN
 from collective_arb.market import PayoffMatrix, agents_join_partition, gains_basis
 from collective_arb.pricing import (claim_vector, dual_rho_Y, fairness_allocation,
                                     pi_N_plus, pi_Y_minus, pi_Y_plus, price_certificate,
@@ -44,6 +44,31 @@ def pi_N_by_its_lp(market, claims):
         return Ext.neg_inf()
     assert sol.status == "optimal"
     return Ext.of(sol.value)
+
+
+def rho_under_measure_by_its_lp(market, agent, q_row, claim_row):
+    """The agent's replication cost under a fixed martingale measure q by its
+    defining LP: the least m such that m, plus a gain of the agent, plus an
+    instrument y constant on each of its terminal blocks with zero cost
+    under q, dominates the claim."""
+    gens = gains_basis(market, agent)
+    blocks = market.terminal_partition(agent)
+    b = LPBuilder(MIN)
+    b.var("m", obj=1)
+    for k in range(len(gens)):
+        b.var(f"h{k}")
+    for k in range(len(blocks)):
+        b.var(f"y{k}")
+    cost = {f"y{k}": sum(F(q_row[w]) for w in blk) for k, blk in enumerate(blocks)}
+    b.row("zero_cost", {v: c for v, c in cost.items() if c}, EQ, 0)
+    for w in range(market.n_atoms):
+        k_w = next(k for k, blk in enumerate(blocks) if w in blk)
+        coeffs = {"m": F(1), f"y{k_w}": F(1)}
+        coeffs.update({f"h{k}": g.vector[w] for k, g in enumerate(gens) if g.vector[w]})
+        b.row(f"dom{w}", coeffs, GE, F(claim_row[w]))
+    sol = b.solve()
+    assert sol.status == "optimal"
+    return sol.value
 
 
 def contains_every_transfer(market, cone):
@@ -221,6 +246,8 @@ def check_instance(market, cone, info, claims, rng):
         verify.verify_fairness(market, cone, claims, fr)
         for i in range(market.n_agents):
             assert Ext.of(fr.allocations[i]) <= rho_i[i]
+            assert fr.per_agent_prices[i] == rho_under_measure_by_its_lp(
+                market, i, fr.q_hat.densities[i], claims.rows[i])
 
         single = emm_is_singleton(market, cone)
         if single is not None:

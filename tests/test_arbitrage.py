@@ -332,3 +332,37 @@ def test_coordinate_range_checks_agent_and_atom(agent, atom):
     with pytest.raises(ValidationError) as err:
         emm_coordinate_range(market, make_zero(market), agent, atom)
     assert err.value.where == ("agent" if agent != 0 else "atom")
+
+
+def _cone_of_another_shape(kind):
+    if kind == "atoms":  # tree72's cone: 2 agents on 6 atoms
+        return parse_model(example_document("tree72")).exchange
+    spec = toy_market_spec()
+    spec["agents"], spec["assets"] = spec["agents"][:1], {"X1": spec["assets"]["X1"]}
+    return make_Y0(build_market(spec), 0)  # 1 agent on the same 2 atoms
+
+
+@pytest.mark.parametrize("kind", ["atoms", "agents"])
+@pytest.mark.parametrize("entry", [
+    "rho_Y_plus", "price_compatibility", "find_emm_vector", "polar_witness",
+    "dual_rho_Y", "emm_coordinate_range", "fairness_allocation", "detect_NCA"])
+def test_cone_of_another_shape_is_rejected(entry, kind):
+    """A cone built on another market is rejected where it meets a program,
+    instead of pricing with it or failing on an index."""
+    from collective_arb import pricing
+
+    doc = parse_model(example_document("toy71"))  # 2 agents, 2 atoms
+    market, g, cone = doc.market, doc.claims, _cone_of_another_shape(kind)
+    call = {
+        "rho_Y_plus": lambda: pricing.rho_Y_plus(market, cone, g),
+        "price_compatibility": lambda: pricing.price_compatibility(market, cone, g, ["0", "0"]),
+        "find_emm_vector": lambda: find_emm_vector(market, cone),
+        "polar_witness": lambda: polar_witness(market, cone),
+        "dual_rho_Y": lambda: pricing.dual_rho_Y(market, cone, g),
+        "emm_coordinate_range": lambda: emm_coordinate_range(market, cone, 0, 0),
+        "fairness_allocation": lambda: pricing.fairness_allocation(market, cone, g),
+        "detect_NCA": lambda: detect_NCA(market, cone),
+    }[entry]
+    with pytest.raises(ValidationError) as err:
+        call()
+    assert (err.value.where, err.value.message) == ("cone", "cone shape does not match the market")

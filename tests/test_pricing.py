@@ -269,10 +269,46 @@ def test_fairness_unavailable_without_rn0(toy_market):
         fairness_allocation(toy_market, span_cone(toy_market), g)
 
 
-def test_rho_under_measure_equals_expectation(tree_market, tree_claims):
+def test_rho_under_measure_equals_expectation(tree_market, tree_claims, monkeypatch):
+    from collective_arb import lp
+
+    solves = []
+    monkeypatch.setattr(lp, "_solve_general", solves.append)
     q = (F(1, 4), F(1, 4), F(0), F(0), F(1, 6), F(1, 3))
     value = rho_under_measure(tree_market, 0, q, tree_claims.rows[0])
     assert value == sum(a * b for a, b in zip(q, map(F, tree_claims.rows[0])))
+    assert solves == []  # read off the identity, no program
+
+
+@pytest.mark.parametrize("q", [("0", "1/2", "1/2", "0"), ("1/4", "1/4", "1/4", "1/4"),
+                               ("1/2", "0", "0", "1/2")])
+def test_rho_under_measure_matches_its_lp(q):
+    """Agent 1 sees only {a,b} | {c,d}; the first and the last q give one
+    atom of each block probability zero."""
+    from instance_checks import rho_under_measure_by_its_lp
+
+    market = build_market(coarse_agent_spec())
+    claim = ("5", "5", "1", "1")
+    value = rho_under_measure(market, 1, q, claim)
+    assert value == rho_under_measure_by_its_lp(market, 1, q, claim)
+    assert value == sum(F(a) * F(b) for a, b in zip(q, claim)) == 3
+
+
+def test_fairness_from_prices_solves_only_its_canonical_exchange(tree_market, tree_claims,
+                                                                 monkeypatch):
+    from collective_arb import lp
+    from collective_arb.pricing import fairness_from_prices
+
+    cone = make_Y0(tree_market, 1)
+    dual = dual_rho_Y(tree_market, cone, tree_claims)
+    primal = rho_Y_plus(tree_market, cone, tree_claims)
+    individual = [rho_agent_plus(tree_market, i, tree_claims.rows[i])[0] for i in range(2)]
+    solves, real = [], lp._solve_general
+    monkeypatch.setattr(lp, "_solve_general", lambda prog: solves.append(prog) or real(prog))
+    fr = fairness_from_prices(tree_market, cone, tree_claims, dual=lambda: dual,
+                              primal=lambda: primal, individual=individual.__getitem__)
+    verify_fairness(tree_market, cone, tree_claims, fr)
+    assert len(solves) == 1
 
 
 def test_price_compatibility_tree(tree_market, tree_claims):
@@ -430,4 +466,30 @@ def test_measure_price_checks_both_rows(q_row, claim_row, where):
     market = parse_model(example_document("toy71")).market  # 2 atoms
     with pytest.raises(ValidationError) as err:
         rho_under_measure(market, 0, q_row, claim_row)
+    assert err.value.where == where
+
+
+@pytest.mark.parametrize("bad", [0.5, True, "x", "1/0"])
+@pytest.mark.parametrize("entry, where", [
+    ("rho_agent_plus", "claim"), ("rho_agent_plus_dual", "claim"),
+    ("rho_under_measure-claim", "claim"), ("rho_under_measure-measure", "measure"),
+    ("rho_full_market", "claim"), ("price_compatibility", "prices")])
+def test_caller_rationals_are_validated(toy_market, entry, where, bad):
+    """A float, a bool or a string that is no rational is a caller's input
+    error, as in claim_vector, not a TypeError, ValueError or
+    ZeroDivisionError."""
+    call = {
+        "rho_agent_plus": lambda: rho_agent_plus(toy_market, 0, [bad, "1"]),
+        "rho_agent_plus_dual": lambda: rho_agent_plus_dual(toy_market, 0, [bad, "1"]),
+        "rho_under_measure-claim":
+            lambda: rho_under_measure(toy_market, 0, ["1/2", "1/2"], [bad, "1"]),
+        "rho_under_measure-measure":
+            lambda: rho_under_measure(toy_market, 0, [bad, "1/2"], ["3", "1"]),
+        "rho_full_market": lambda: rho_full_market(toy_market, [bad, "1"]),
+        "price_compatibility": lambda: price_compatibility(
+            toy_market, make_Y0(toy_market, 0), claim_vector(toy_market, [["3", "1"], ["9", "3"]]),
+            [bad, "1"]),
+    }[entry]
+    with pytest.raises(ValidationError) as err:
+        call()
     assert err.value.where == where
