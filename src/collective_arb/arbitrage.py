@@ -76,10 +76,10 @@ def _search_arbitrage(market: MarketModel, gens_per_row, cone: Optional[Exchange
             for v, c in coeffs.items():
                 total[v] = total.get(v, ZERO) + c
     b.row("gain", total, GE, 1)
-    sol = b.solve()
-    if sol.status != "optimal":
+    out = b.solve()
+    if out.status != "optimal":
         return None
-    strat, rows, mu, nu, ex_rows = pos.read(sol.primal())
+    strat, rows, mu, nu, ex_rows = pos.read(out.point)
     exchange = None if cone is None else ExchangePart(mu, nu, ex_rows)
     return strat, rows, exchange
 
@@ -113,16 +113,16 @@ def install_emm_system(b: LPBuilder, n_atoms: int, gens_per_row,
     None).  Unit weights and mass "row" give vectors of martingale measures;
     the reference probabilities and mass "total" give the polar elements of
     the super-replicable set, which differ only in that normalisation.
-    The cone must have ``n_atoms`` atoms and one row per row of gains
-    generators."""
+    Returns the handles ``q[i][w]``.  The cone must have ``n_atoms`` atoms
+    and one row per row of gains generators."""
     if cone is not None and (cone.n_agents, cone.n_atoms) != (len(gens_per_row), n_atoms):
         raise ValidationError("cone", "cone shape does not match the market")
     weight = (1,) * n_atoms if weight is None else weight
-    names = [[b.var(f"q{i}_{w}", lo=0) for w in range(n_atoms)]
-             for i in range(len(gens_per_row))]
+    q = [[b.var(f"q{i}_{w}", lo=0) for w in range(n_atoms)]
+         for i in range(len(gens_per_row))]
 
     def functional(rows):
-        return {names[i][w]: weight[w] * v for i, row in rows
+        return {q[i][w]: weight[w] * v for i, row in rows
                 for w, v in enumerate(row) if v}
 
     ones = (1,) * n_atoms
@@ -137,8 +137,8 @@ def install_emm_system(b: LPBuilder, n_atoms: int, gens_per_row,
         for k, g in enumerate(gens):
             b.row(f"polar_{kind}{k}", functional(enumerate(g.rows)), rel, 0)
     if mass == "total":
-        b.row("mass", functional((i, ones) for i in range(len(names))), EQ, 1)
-    return names
+        b.row("mass", functional((i, ones) for i in range(len(q))), EQ, 1)
+    return q
 
 
 def interior_point(n_atoms: int, gens_per_row, cone: Optional[ExchangeCone], face=None,
@@ -149,22 +149,21 @@ def interior_point(n_atoms: int, gens_per_row, cone: Optional[ExchangeCone], fac
     E_{q_i}[rows[i]], restricts it to that face, which is never empty."""
     b = LPBuilder(MAX)
     eps = b.var("eps", obj=1)
-    names = install_emm_system(b, n_atoms, gens_per_row, cone, weight, mass)
-    for i, row in enumerate(names):
+    q = install_emm_system(b, n_atoms, gens_per_row, cone, weight, mass)
+    for i, row in enumerate(q):
         for w, v in enumerate(row):
             b.row(f"int{i}_{w}", {v: Fraction(1), eps: Fraction(-1)}, GE, 0)
     if face is not None:
         rows, value = face
-        b.row("opt_face", {v: c for vs, row in zip(names, rows)
+        b.row("opt_face", {v: c for vs, row in zip(q, rows)
                            for v, c in zip(vs, row)}, EQ, value)
-    sol = b.solve()
-    if sol.status == "infeasible" and face is None:
+    out = b.solve()
+    if out.status == "infeasible" and face is None:
         return None
-    if sol.status != "optimal":
+    if out.status != "optimal":
         where = "interior point" if face is None else "optimal-face interior point"
-        raise InternalInvariantError(f"{where} LP ended {sol.status}")
-    p = sol.primal()
-    return sol.value, tuple(tuple(p[v] for v in row) for row in names)
+        raise InternalInvariantError(f"{where} LP ended {out.status}")
+    return out.value, tuple(tuple(out.point[v] for v in row) for row in q)
 
 
 def _expectation_sup(n_atoms: int, gens_per_row, cone: Optional[ExchangeCone],
@@ -172,16 +171,16 @@ def _expectation_sup(n_atoms: int, gens_per_row, cone: Optional[ExchangeCone],
     """Supremum of sum_i E_{q_i}[claim_rows[i]] over the measure vectors of
     ``install_emm_system``; -inf when there are none."""
     b = LPBuilder(MAX)
-    names = install_emm_system(b, n_atoms, gens_per_row, cone)
-    for vs, row in zip(names, claim_rows):
+    q = install_emm_system(b, n_atoms, gens_per_row, cone)
+    for vs, row in zip(q, claim_rows):
         for v, c in zip(vs, row):
             b.add_objective(v, c)
-    sol = b.solve()
-    if sol.status == "infeasible":
+    out = b.solve()
+    if out.status == "infeasible":
         return Ext.neg_inf()
-    if sol.status != "optimal":
-        raise InternalInvariantError(f"{what} LP ended {sol.status}")
-    return Ext.of(sol.value)
+    if out.status != "optimal":
+        raise InternalInvariantError(f"{what} LP ended {out.status}")
+    return Ext.of(out.value)
 
 
 def find_emm_vector(market: MarketModel, cone: ExchangeCone) -> Optional[MeasureVector]:

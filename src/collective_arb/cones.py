@@ -63,13 +63,13 @@ def cone_contains(cone: ExchangeCone, y: PayoffMatrix) -> Membership:
     for i in range(cone.n_agents):
         for w in range(cone.n_atoms):
             b.row(f"c{i}_{w}", pos.exchange(i, w), EQ, y.rows[i][w])
-    sol = b.solve()
-    if sol.status == "optimal":
-        mu, nu = pos.cone_coeffs(sol.primal())
+    out = b.solve()
+    if out.status == "optimal":
+        mu, nu = pos.cone_coeffs(out.point)
         return Membership(contains=True, ray_coeffs=mu, lin_coeffs=nu)
-    if sol.status != "infeasible":
-        raise InternalInvariantError(f"membership LP ended {sol.status}")
-    w = sol.outcome.farkas_rows
+    if out.status != "infeasible":
+        raise InternalInvariantError(f"membership LP ended {out.status}")
+    w = out.farkas_rows
     n = cone.n_atoms
     sep = tuple(tuple(w[i * n + a] for a in range(n)) for i in range(cone.n_agents))
     return Membership(contains=False, separator=sep)
@@ -91,9 +91,10 @@ class Positions:
     """The LP variables of "each agent trades, plus one exchange from the
     cone": ``h{i}_{k}`` for agent i's gains generator k, then ``mu{k} >= 0``
     per ray and free ``nu{k}`` per lineality generator of ``cone``, declared
-    on ``b`` in that order (the simplex breaks ties by column order).
-    ``cone`` may be None: trading alone.  The cone must have ``n_atoms``
-    atoms and, when there are gains rows, one row per agent of them."""
+    on ``b`` in that order (the simplex breaks ties by column order); their
+    handles are ``h[i][k]``, ``mu[k]`` and ``nu[k]``.  ``cone`` may be None:
+    trading alone.  The cone must have ``n_atoms`` atoms and, when there are
+    gains rows, one row per agent of them."""
 
     def __init__(self, b: LPBuilder, n_atoms: int, gens_per_agent,
                  cone: Optional[ExchangeCone]):
@@ -105,41 +106,33 @@ class Positions:
         self.cone = cone
         self.rays = cone.rays if cone is not None else ()
         self.lineality = cone.lineality if cone is not None else ()
-        for i, gens in enumerate(self.gens):
-            for k in range(len(gens)):
-                b.var(f"h{i}_{k}")
-        for k in range(len(self.rays)):
-            b.var(f"mu{k}", lo=0)
-        for k in range(len(self.lineality)):
-            b.var(f"nu{k}")
+        self.h = [[b.var(f"h{i}_{k}") for k in range(len(gens))]
+                  for i, gens in enumerate(self.gens)]
+        self.mu = [b.var(f"mu{k}", lo=0) for k in range(len(self.rays))]
+        self.nu = [b.var(f"nu{k}") for k in range(len(self.lineality))]
 
     def exchange(self, i: int, w: int) -> dict:
         """Coefficients of agent i's exchange payoff at atom w."""
         coeffs = {}
-        for k, r in enumerate(self.rays):
-            if r.rows[i][w]:
-                coeffs[f"mu{k}"] = r.rows[i][w]
-        for k, l in enumerate(self.lineality):
-            if l.rows[i][w]:
-                coeffs[f"nu{k}"] = l.rows[i][w]
+        for v, g in (*zip(self.mu, self.rays), *zip(self.nu, self.lineality)):
+            if g.rows[i][w]:
+                coeffs[v] = g.rows[i][w]
         return coeffs
 
     def payoff(self, i: int, w: int) -> dict:
         """Coefficients of agent i's gains plus exchange at atom w."""
-        coeffs = {f"h{i}_{k}": g.vector[w] for k, g in enumerate(self.gens[i]) if g.vector[w]}
+        coeffs = {v: g.vector[w] for v, g in zip(self.h[i], self.gens[i]) if g.vector[w]}
         coeffs.update(self.exchange(i, w))
         return coeffs
 
     def cone_coeffs(self, point) -> tuple:
-        """(mu, nu) at a name-indexed point."""
-        return (tuple(point[f"mu{k}"] for k in range(len(self.rays))),
-                tuple(point[f"nu{k}"] for k in range(len(self.lineality))))
+        """(mu, nu) at a point of the program."""
+        return tuple(point[v] for v in self.mu), tuple(point[v] for v in self.nu)
 
     def read(self, point) -> tuple:
-        """(strategies, gains rows, mu, nu, exchange rows) at a name-indexed
-        point; the exchange rows are None without a cone."""
-        strat = tuple(tuple(point[f"h{i}_{k}"] for k in range(len(gens)))
-                      for i, gens in enumerate(self.gens))
+        """(strategies, gains rows, mu, nu, exchange rows) at a point of the
+        program; the exchange rows are None without a cone."""
+        strat = tuple(tuple(point[v] for v in hs) for hs in self.h)
         gains = tuple(gains_row(gens, strat[i], self.n_atoms)
                       for i, gens in enumerate(self.gens))
         mu, nu = self.cone_coeffs(point)

@@ -6,7 +6,7 @@ markets).  Every outcome carries an exact certificate:
 
 * ``Optimal``    -- primal point plus row duals; complementary slackness and
                     sign conditions re-verify with plain arithmetic.
-* ``Infeasible`` -- Farkas multipliers over rows and finite bounds combining
+* ``Infeasible`` -- Farkas multipliers over rows and lower bounds combining
                     the constraints into an impossible ``0 > 0`` inequality.
 * ``Unbounded``  -- a feasible point plus an improving feasible ray.
 
@@ -65,14 +65,13 @@ def frac(x) -> Fraction:
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """min/max objective.x subject to rows and per-variable bounds.
+    """min/max objective.x subject to rows and per-variable lower bounds.
 
-    Rows are (coefficients, relation, rhs).  Each variable's bound pair
-    (lower, upper) is ``(None, None)`` for a free variable or ``(0, None)``
-    for a nonnegative one.  ``upper`` is therefore all ``None``; it is kept
-    so that readers of general bounds, such as the certificate checker in
-    ``verify``, see the usual (lower, upper) shape.  All rows must have the
-    same length as the objective, and every number is an int or a Fraction.
+    Rows are (coefficients, relation, rhs).  Each variable's lower bound is
+    ``None`` for a free variable or ``0`` for a nonnegative one; no variable
+    has an upper bound.  All rows must have the same length as the
+    objective, and every number is an int or a Fraction.  ``var_names`` and
+    ``row_names`` only label the listing (``to_text``).
     """
 
     sense: str
@@ -81,7 +80,6 @@ class LinearProgram:
     row_rels: tuple
     row_rhs: tuple
     lower: tuple
-    upper: tuple
     var_names: tuple = ()
     row_names: tuple = ()
 
@@ -97,12 +95,19 @@ class LinearProgram:
                 raise ValueError(f"bad relation {rel!r}")
         if not (len(self.row_coeffs) == len(self.row_rels) == len(self.row_rhs)):
             raise ValueError("inconsistent row data")
-        if not (len(self.lower) == len(self.upper) == n):
+        if len(self.lower) != n:
             raise ValueError("bounds length differs from variable count")
-        for i, bounds in enumerate(zip(self.lower, self.upper)):
-            if bounds not in ((None, None), (0, None)):
-                raise ValueError(f"variable {i} has bounds {bounds}; "
+        for i, lo in enumerate(self.lower):
+            if lo not in (None, 0):
+                raise ValueError(f"variable {i} has lower bound {lo}; "
                                  "only free or nonnegative variables are supported")
+
+    @property
+    def upper(self) -> tuple:
+        """All ``None``: no variable has an upper bound.  Kept read-only for
+        readers of the (lower, upper) shape: the benchmark's tracer
+        (``bench/tracer.py``) hashes it."""
+        return (None,) * len(self.objective)
 
     @property
     def n_vars(self) -> int:
@@ -145,15 +150,20 @@ class Optimal:
 @dataclass(frozen=True)
 class Infeasible:
     """Farkas certificate: with w over rows (w>=0 on >= rows, w<=0 on <= rows)
-    and zlo>=0 / zup<=0 over finite lower/upper bounds,
-    sum_j w_j a_j + zlo + zup = 0 while w.b + zlo.lower + zup.upper > 0.
-    No variable has an upper bound, so ``farkas_upper`` is all zero."""
+    and z>=0 over the lower bounds of the nonnegative variables,
+    sum_j w_j a_j + z = 0 while w.b > 0 (the lower bounds are 0)."""
 
     farkas_rows: tuple
     farkas_lower: tuple
-    farkas_upper: tuple
 
     status = "infeasible"
+
+    @property
+    def farkas_upper(self) -> tuple:
+        """All zero: no variable has an upper bound.  Kept read-only for
+        readers of the (lower, upper) shape: the benchmark's tracer
+        (``bench/tracer.py``) hashes it."""
+        return (ZERO,) * len(self.farkas_lower)
 
 
 @dataclass(frozen=True)
@@ -502,85 +512,68 @@ def _solve_general(lp: LinearProgram) -> LPOutcome:
             raise InternalInvariantError(
                 f"Farkas multiplier of the bounds of variable {i} has the wrong sign")
         zlo.append(ZERO if free[i] else -tau)
-    return Infeasible(farkas_rows=tuple(w), farkas_lower=tuple(zlo), farkas_upper=(ZERO,) * n)
+    return Infeasible(farkas_rows=tuple(w), farkas_lower=tuple(zlo))
 
 
 # ---------------------------------------------------------------------------
-# small builder with named variables/rows, used by every formulation module
+# small builder, used by every formulation module
 # ---------------------------------------------------------------------------
 
 
 class LPBuilder:
-    """Assemble a LinearProgram with named variables and rows."""
+    """Assemble a LinearProgram.  ``var`` returns the variable's handle, its
+    column index; rows and the objective are keyed by handles, and the
+    outcome of ``solve`` is read at them (``out.point[v]``, ``out.ray[v]``).
+    Variable and row names only label the listing (``to_text``, --dump-lp)."""
 
     def __init__(self, sense: str = MIN):
         self.sense = sense
-        self._vars: dict = {}
+        self._vars: dict = {}   # name -> lower bound, in column order
         self._obj: dict = {}
         self._rows: list = []
 
-    def var(self, name: str, lo=None, obj=ZERO) -> str:
+    def var(self, name: str, lo=None, obj=ZERO) -> int:
         """A free variable, or a nonnegative one with ``lo=0``."""
         if name in self._vars:
             raise ValueError(f"duplicate variable {name!r}")
+        v = len(self._vars)
         self._vars[name] = None if lo is None else frac(lo)
         if obj:
-            self._obj[name] = self._obj.get(name, ZERO) + frac(obj)
-        return name
+            self._obj[v] = frac(obj)
+        return v
 
-    def add_objective(self, name: str, coeff) -> None:
-        if name not in self._vars:
-            raise ValueError(f"unknown variable {name!r}")
-        self._obj[name] = self._obj.get(name, ZERO) + frac(coeff)
+    def add_objective(self, v: int, coeff) -> None:
+        if v not in range(len(self._vars)):
+            raise ValueError(f"unknown variable {v!r}")
+        self._obj[v] = self._obj.get(v, ZERO) + frac(coeff)
 
-    def row(self, name: str, coeffs: Mapping[str, Fraction], rel: str, rhs) -> None:
+    def row(self, name: str, coeffs: Mapping[int, Fraction], rel: str, rhs) -> None:
+        handles = range(len(self._vars))
         for v in coeffs:
-            if v not in self._vars:
+            if v not in handles:
                 raise ValueError(f"unknown variable {v!r} in row {name!r}")
         self._rows.append((name, dict(coeffs), rel, frac(rhs)))
 
     def build(self) -> LinearProgram:
-        names = tuple(self._vars)
-        index = {v: i for i, v in enumerate(names)}
-        objective = tuple(self._obj.get(v, ZERO) for v in names)
+        n = len(self._vars)
+        objective = [ZERO] * n
+        for v, a in self._obj.items():
+            objective[v] = a
         coeffs, rels, rhs, rnames = [], [], [], []
         for rname, cmap, rel, b in self._rows:
-            dense = [ZERO] * len(names)
+            dense = [ZERO] * n
             for v, a in cmap.items():
-                dense[index[v]] = frac(a)
+                dense[v] = frac(a)
             coeffs.append(tuple(dense))
             rels.append(rel)
             rhs.append(b)
             rnames.append(rname)
         return LinearProgram(
-            sense=self.sense, objective=objective,
+            sense=self.sense, objective=tuple(objective),
             row_coeffs=tuple(coeffs), row_rels=tuple(rels), row_rhs=tuple(rhs),
-            lower=tuple(self._vars.values()), upper=(None,) * len(names),
-            var_names=names, row_names=tuple(rnames),
+            lower=tuple(self._vars.values()), var_names=tuple(self._vars),
+            row_names=tuple(rnames),
         )
 
-    def solve(self) -> "Solution":
-        lp = self.build()
-        return Solution(lp, solve(lp))
-
-
-class Solution:
-    """Name-indexed view over an LPOutcome."""
-
-    def __init__(self, lp: LinearProgram, outcome: LPOutcome):
-        self.lp = lp
-        self.outcome = outcome
-        self.status = outcome.status
-
-    @property
-    def value(self) -> Fraction:
-        return self.outcome.value
-
-    def primal(self) -> dict:
-        return dict(zip(self.lp.var_names, self.outcome.point))
-
-    def dual(self, row_name: str) -> Fraction:
-        return self.outcome.row_duals[self.lp.row_names.index(row_name)]
-
-    def ray(self) -> dict:
-        return dict(zip(self.lp.var_names, self.outcome.ray))
+    def solve(self) -> LPOutcome:
+        return solve(self.build())

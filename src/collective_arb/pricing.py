@@ -29,8 +29,8 @@ from .cones import ExchangeCone, Positions
 from .errors import FairnessUnavailable, InternalInvariantError, ValidationError
 from .ext import Ext, ext_max, ext_sum
 from .lp import EQ, GE, LE, LPBuilder, MAX, MIN, ZERO, frac
-from .market import (MarketModel, PayoffMatrix, _rational, check_index, constant_on,
-                     gains_basis, payoff_matrix)
+from .market import (MarketModel, PayoffMatrix, _listed, _rational, check_index,
+                     constant_on, gains_basis, payoff_matrix)
 
 ClaimVector = PayoffMatrix  # one claim row per agent, measurable per row
 
@@ -86,9 +86,9 @@ class FairnessResult:
     per_agent_prices: tuple     # individual replication cost under q_hat_i
 
 
-def _expect_optimal(sol, what: str) -> None:
-    if sol.status != "optimal":
-        raise InternalInvariantError(f"{what} LP ended {sol.status}")
+def _expect_optimal(out, what: str) -> None:
+    if out.status != "optimal":
+        raise InternalInvariantError(f"{what} LP ended {out.status}")
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +100,7 @@ def _agent_claim_row(market: MarketModel, agent: int, claim_row) -> tuple:
     """The claim row as Fractions, checked against the agent's market: a
     real agent, one entry per atom, measurable at the terminal date."""
     check_index(agent, market.n_agents, "agent", where="claim")
-    row = tuple(_rational(v, "claim") for v in claim_row)
+    row = tuple(_rational(v, "claim") for v in _listed(claim_row, "claim"))
     if len(row) != market.n_atoms:
         raise ValidationError("claim", f"need {market.n_atoms} entries, got {len(row)}")
     if not constant_on(row, market.terminal_partition(agent)):
@@ -169,14 +169,14 @@ def price_certificate(market: MarketModel, cone: Optional[ExchangeCone], claim_r
     for i, claim in enumerate(claim_rows):
         for w in range(n):
             b.row(f"dom{i}_{w}", {cash[i]: Fraction(1), **pos.payoff(i, w)}, GE, claim[w])
-    sol = b.solve()
-    if sol.status == "unbounded":
-        value, p, measures = Ext.neg_inf(), sol.ray(), None
+    out = b.solve()
+    if out.status == "unbounded":
+        value, p, measures = Ext.neg_inf(), out.ray, None
     else:
-        _expect_optimal(sol, f"{what} super-replication")
+        _expect_optimal(out, f"{what} super-replication")
         # the program's rows are the dom rows, claim row by claim row
-        duals = sol.outcome.row_duals
-        value, p = Ext.of(sol.value), sol.primal()
+        duals = out.row_duals
+        value, p = Ext.of(out.value), out.point
         measures = tuple(duals[i * n:(i + 1) * n] for i in range(len(claim_rows)))
     strat, gains, mu, nu, exchange_rows = pos.read(p)
     hedge = PrimalOptimizer(m=tuple(p[v] for v in cash), strategy_coeffs=strat,
@@ -263,7 +263,7 @@ def rho_under_measure(market: MarketModel, agent: int, q_row, claim_row) -> Frac
     the instrument at zero; h = 0 with y_B = claim_B - E_q[claim] on each
     block B attains it."""
     claim_row = _agent_claim_row(market, agent, claim_row)
-    q_row = tuple(_rational(v, "measure") for v in q_row)
+    q_row = tuple(_rational(v, "measure") for v in _listed(q_row, "measure"))
     if len(q_row) != market.n_atoms:
         raise ValidationError("measure", f"need {market.n_atoms} entries, got {len(q_row)}")
     if any(v < 0 for v in q_row) or sum(q_row) != 1:
@@ -327,8 +327,6 @@ def fairness_from_prices(market: MarketModel, cone: ExchangeCone, g: ClaimVector
         if not (Ext.of(allocations[i]) <= individual(i)):
             raise InternalInvariantError("allocation exceeds individual price")
         per_agent.append(rho_under_measure(market, i, q_hat.densities[i], g.rows[i]))
-        if per_agent[i] != allocations[i]:
-            raise InternalInvariantError("per-agent fair price differs from allocation")
     return FairnessResult(value=primal_value.value, q_hat=q_hat,
                           allocations=allocations, m_tilde=m_tilde,
                           y_tilde_rows=y_rows, y_tilde_ray_coeffs=mu,
@@ -343,29 +341,25 @@ def _minimal_transfer_optimizer(market, cone, g, m_tilde, q_hat):
     N, n = market.n_agents, market.n_atoms
     b = LPBuilder(MIN)
     pos = Positions(b, n, market.gains, cone)
-    for i in range(N):
-        for w in range(n):
-            b.var(f"abs{i}_{w}", lo=0, obj=1)
+    absv = [[b.var(f"abs{i}_{w}", lo=0, obj=1) for w in range(n)] for i in range(N)]
     for i in range(N):
         zero_cost = {}
         for w in range(n):
             ex = pos.exchange(i, w)
             b.row(f"dom{i}_{w}", pos.payoff(i, w), GE, g.rows[i][w] - m_tilde[i])
-            plus = dict(ex)
-            plus[f"abs{i}_{w}"] = Fraction(-1)
-            b.row(f"absp{i}_{w}", plus, LE, 0)
+            b.row(f"absp{i}_{w}", {**ex, absv[i][w]: Fraction(-1)}, LE, 0)
             minus = {v: -c for v, c in ex.items()}
-            minus[f"abs{i}_{w}"] = Fraction(-1)
+            minus[absv[i][w]] = Fraction(-1)
             b.row(f"absm{i}_{w}", minus, LE, 0)
             q = q_hat.densities[i][w]
             if q:
                 for v, c in ex.items():
                     zero_cost[v] = zero_cost.get(v, ZERO) + q * c
         b.row(f"cost{i}", zero_cost, EQ, 0)
-    sol = b.solve()
-    if sol.status != "optimal":
+    out = b.solve()
+    if out.status != "optimal":
         raise InternalInvariantError("minimal-transfer canonicalisation failed")
-    k_coeffs, _, mu, nu, rows = pos.read(sol.primal())
+    k_coeffs, _, mu, nu, rows = pos.read(out.point)
     return mu, nu, k_coeffs, rows
 
 
@@ -400,7 +394,7 @@ def price_compatibility(market: MarketModel, cone: ExchangeCone, g: ClaimVector,
                         prices: Sequence) -> PriceCompatibility:
     """Selling the claims at the quoted prices: do trading plus an exchange
     make every agent's final position nonnegative and someone's positive?"""
-    p = tuple(_rational(v, "prices") for v in prices)
+    p = tuple(_rational(v, "prices") for v in _listed(prices, "prices"))
     if len(p) != market.n_agents:
         raise ValidationError("prices", "need one price per agent")
     b = LPBuilder(MAX)
@@ -416,7 +410,7 @@ def price_compatibility(market: MarketModel, cone: ExchangeCone, g: ClaimVector,
                 total_obj[v] = total_obj.get(v, ZERO) + c
     for v, c in total_obj.items():
         b.add_objective(v, c)
-    sol = b.solve()
+    out = b.solve()
 
     rho_y, _ = rho_Y_plus(market, cone, g)
     scalar_ok = None
@@ -425,17 +419,15 @@ def price_compatibility(market: MarketModel, cone: ExchangeCone, g: ClaimVector,
     elif rho_y == Ext.neg_inf():
         scalar_ok = False
 
-    if sol.status == "infeasible":
+    if out.status == "infeasible":
         return PriceCompatibility(compatible=True, scalar_cost_compatible=scalar_ok)
-    if sol.status == "optimal":
-        gain = sol.value + offset
-        if gain <= 0:
+    point = out.point
+    if out.status == "optimal":
+        if out.value + offset <= 0:
             return PriceCompatibility(compatible=True, scalar_cost_compatible=scalar_ok)
-        point = sol.primal()
     else:
         # ride the improving ray far enough for a strictly positive total
-        point = sol.primal()
-        ray = sol.ray()
+        ray = out.ray
         base = sum((c * point[v] for v, c in total_obj.items()), ZERO) + offset
         slope = sum((c * ray[v] for v, c in total_obj.items()), ZERO)
         if slope <= 0:
@@ -443,7 +435,7 @@ def price_compatibility(market: MarketModel, cone: ExchangeCone, g: ClaimVector,
         tau = (Fraction(1) - base) / slope
         if tau < 0:
             tau = ZERO
-        point = {v: point[v] + tau * ray[v] for v in point}
+        point = tuple(x + tau * r for x, r in zip(point, ray))
     strat, _, mu, nu, exchange_rows = pos.read(point)
     witness = {"strategies": strat, "ray_coeffs": mu, "lin_coeffs": nu,
                "exchange_rows": exchange_rows}

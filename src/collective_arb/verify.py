@@ -184,7 +184,6 @@ def _check_infeasible(lp: LinearProgram, out: Infeasible) -> None:
     n = lp.n_vars
     Dw, W = _scaled(out.farkas_rows, lp.n_rows, "farkas rows")
     Dz, Z = _scaled(out.farkas_lower, n, "farkas lower")
-    _, Zup = _scaled(out.farkas_upper, n, "farkas upper")
     for j, wj in W.items():
         rel = lp.row_rels[j]
         if rel == GE and wj < 0:
@@ -195,14 +194,11 @@ def _check_infeasible(lp: LinearProgram, out: Infeasible) -> None:
     # w.A + zlo and w.b + zlo.lower, times E; the lower bounds are 0
     rows = {j: _scaled_row(lp, j) for j in W}
     E, combo, rhs_total = _row_combination(rows, Dw, W, Dz)
-    for i in sorted(Z.keys() | Zup.keys()):
-        zl = Z.get(i, 0)
+    for i, zl in sorted(Z.items()):
         if zl < 0:
             _fail("farkas bound multiplier sign")
-        if zl and lp.lower[i] is None:
+        if lp.lower[i] is None:
             _fail("farkas uses absent lower bound")
-        if i in Zup:
-            _fail("farkas uses absent upper bound")
         combo[i] = combo.get(i, 0) + zl * (E // Dz)
     if any(combo.values()):
         _fail("farkas combination does not vanish")

@@ -238,4 +238,4 @@ def solve(lp: LinearProgram) -> LPOutcome:
             raise InternalInvariantError(
                 f"Farkas multiplier of the bounds of variable {i} has the wrong sign")
         zlo.append(ZERO if free[i] else -tau)
-    return Infeasible(farkas_rows=tuple(w), farkas_lower=tuple(zlo), farkas_upper=(ZERO,) * n)
+    return Infeasible(farkas_rows=tuple(w), farkas_lower=tuple(zlo))

@@ -30,20 +30,18 @@ def pi_N_by_its_lp(market, claims):
     least m such that m plus some gain of agent i dominates claim i, for
     every agent i at once (-inf when the LP is unbounded)."""
     b = LPBuilder(MIN)
-    b.var("m", obj=1)
+    m = b.var("m", obj=1)
     gens = [gains_basis(market, i) for i in range(market.n_agents)]
-    for i in range(market.n_agents):
-        for k in range(len(gens[i])):
-            b.var(f"h{i}_{k}")
+    h = [[b.var(f"h{i}_{k}") for k in range(len(gens[i]))] for i in range(market.n_agents)]
     for i in range(market.n_agents):
         for w in range(market.n_atoms):
-            gains = {f"h{i}_{k}": g.vector[w] for k, g in enumerate(gens[i]) if g.vector[w]}
-            b.row(f"dom{i}_{w}", {"m": F(1), **gains}, GE, claims.rows[i][w])
-    sol = b.solve()
-    if sol.status == "unbounded":
+            gains = {v: g.vector[w] for v, g in zip(h[i], gens[i]) if g.vector[w]}
+            b.row(f"dom{i}_{w}", {m: F(1), **gains}, GE, claims.rows[i][w])
+    out = b.solve()
+    if out.status == "unbounded":
         return Ext.neg_inf()
-    assert sol.status == "optimal"
-    return Ext.of(sol.value)
+    assert out.status == "optimal"
+    return Ext.of(out.value)
 
 
 def rho_under_measure_by_its_lp(market, agent, q_row, claim_row):
@@ -54,21 +52,19 @@ def rho_under_measure_by_its_lp(market, agent, q_row, claim_row):
     gens = gains_basis(market, agent)
     blocks = market.terminal_partition(agent)
     b = LPBuilder(MIN)
-    b.var("m", obj=1)
-    for k in range(len(gens)):
-        b.var(f"h{k}")
-    for k in range(len(blocks)):
-        b.var(f"y{k}")
-    cost = {f"y{k}": sum(F(q_row[w]) for w in blk) for k, blk in enumerate(blocks)}
+    m = b.var("m", obj=1)
+    h = [b.var(f"h{k}") for k in range(len(gens))]
+    y = [b.var(f"y{k}") for k in range(len(blocks))]
+    cost = {y[k]: sum(F(q_row[w]) for w in blk) for k, blk in enumerate(blocks)}
     b.row("zero_cost", {v: c for v, c in cost.items() if c}, EQ, 0)
     for w in range(market.n_atoms):
         k_w = next(k for k, blk in enumerate(blocks) if w in blk)
-        coeffs = {"m": F(1), f"y{k_w}": F(1)}
-        coeffs.update({f"h{k}": g.vector[w] for k, g in enumerate(gens) if g.vector[w]})
+        coeffs = {m: F(1), y[k_w]: F(1)}
+        coeffs.update({v: g.vector[w] for v, g in zip(h, gens) if g.vector[w]})
         b.row(f"dom{w}", coeffs, GE, F(claim_row[w]))
-    sol = b.solve()
-    assert sol.status == "optimal"
-    return sol.value
+    out = b.solve()
+    assert out.status == "optimal"
+    return out.value
 
 
 def contains_every_transfer(market, cone):

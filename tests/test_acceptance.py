@@ -193,10 +193,9 @@ def test_criterion_5_detection_regimes(tree_market):
         for row in names:
             for v in row:
                 b.add_objective(v, rng.randint(-5, 5))
-        sol = b.solve()
-        assert sol.status == "optimal"
-        p = sol.primal()
-        mv = MeasureVector(densities=tuple(tuple(p[v] for v in row) for row in names))
+        out = b.solve()
+        assert out.status == "optimal"
+        mv = MeasureVector(densities=tuple(tuple(out.point[v] for v in row) for row in names))
         verify.verify_measure_vector(tree_market, cone, mv, strict=False)
         assert_block_equal(mv)
 

@@ -27,9 +27,9 @@ F = Fraction
 def polytope_member(market, agent):
     polytope = martingale_polytope(market, agent)
     b = LPBuilder(MIN)
-    names, = install_emm_system(b, polytope.n_atoms, [polytope.generators], None)
-    sol = b.solve()
-    return None if sol.status != "optimal" else tuple(sol.primal()[v] for v in names)
+    q, = install_emm_system(b, polytope.n_atoms, [polytope.generators], None)
+    out = b.solve()
+    return None if out.status != "optimal" else tuple(out.point[v] for v in q)
 
 
 # The polar-witness and coordinate-range programs as they were written by
@@ -59,8 +59,8 @@ def reference_polar_optimum(market, cone):
                                    if g.vector[w]}, EQ, 0)
     _reference_polar_rows(b, names, cone, P)
     b.row("mass", {v: P[w] for row in names for w, v in enumerate(row)}, EQ, 1)
-    sol = b.solve()
-    return sol.value if sol.status == "optimal" and sol.value > 0 else None
+    out = b.solve()
+    return out.value if out.status == "optimal" and out.value > 0 else None
 
 
 def reference_coordinate_range(market, cone, agent, atom):
@@ -77,10 +77,10 @@ def reference_coordinate_range(market, cone, agent, atom):
                                         if g.vector[w]}, EQ, 0)
         _reference_polar_rows(b, names, cone, (F(1),) * n)
         b.add_objective(names[agent][atom], 1)
-        sol = b.solve()
-        if sol.status != "optimal":
+        outcome = b.solve()
+        if outcome.status != "optimal":
             return None
-        out.append(sol.value)
+        out.append(outcome.value)
     return tuple(out)
 
 

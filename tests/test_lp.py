@@ -18,15 +18,15 @@ from collective_arb.verify import check_lp_outcome
 F = Fraction
 
 
-def lp(sense, objective, rows, bounds):
+def lp(sense, objective, rows, lower):
+    """The program of ``rows`` (coefficients, relation, rhs), each variable
+    free (lower bound None) or nonnegative (lower bound 0)."""
     coeffs = tuple(tuple(F(a) for a in r[0]) for r in rows)
     rels = tuple(r[1] for r in rows)
     rhs = tuple(F(r[2]) for r in rows)
-    lower = tuple(None if lo is None else F(lo) for lo, _ in bounds)
-    upper = tuple(None if up is None else F(up) for _, up in bounds)
     return LinearProgram(sense=sense, objective=tuple(F(c) for c in objective),
                          row_coeffs=coeffs, row_rels=rels, row_rhs=rhs,
-                         lower=lower, upper=upper)
+                         lower=tuple(None if lo is None else F(lo) for lo in lower))
 
 
 def solve_checked(program):
@@ -36,12 +36,12 @@ def solve_checked(program):
 
 
 def test_box_max():
-    out = solve_checked(lp(MAX, [1], [([1], LE, 1)], [(0, None)]))
+    out = solve_checked(lp(MAX, [1], [([1], LE, 1)], [0]))
     assert isinstance(out, Optimal) and out.value == 1 and out.point == (F(1),)
 
 
 def test_unbounded_above():
-    out = solve_checked(lp(MAX, [1], [], [(0, None)]))
+    out = solve_checked(lp(MAX, [1], [], [0]))
     assert isinstance(out, Unbounded)
 
 
@@ -50,31 +50,32 @@ def test_hedging_toy():
     # the two constraints gives m = 2 at h = 1.
     out = solve_checked(lp(MIN, [1, 0],
                            [([1, 1], GE, 3), ([1, -1], GE, 1)],
-                           [(None, None), (None, None)]))
+                           [None, None]))
     assert isinstance(out, Optimal) and out.value == 2
     assert out.point == (F(2), F(1))
 
 
 def test_infeasible_simple():
-    out = solve_checked(lp(MIN, [0], [([1], GE, 2), ([1], LE, 1)], [(None, None)]))
+    out = solve_checked(lp(MIN, [0], [([1], GE, 2), ([1], LE, 1)], [None]))
     assert isinstance(out, Infeasible)
 
 
 def test_infeasible_bounds_only():
     # the empty box 3 <= x <= 2, written as rows on a free variable
-    out = solve_checked(lp(MIN, [1], [([1], GE, 3), ([1], LE, 2)], [(None, None)]))
+    out = solve_checked(lp(MIN, [1], [([1], GE, 3), ([1], LE, 2)], [None]))
     assert isinstance(out, Infeasible)
 
 
 def test_equality_and_range_bounds():
     # 0 <= x, y <= 2: nonnegative variables with their upper bounds as rows
     out = solve_checked(lp(MIN, [1, 1], [([1, 1], EQ, 3), ([1, 0], LE, 2), ([0, 1], LE, 2)],
-                           [(0, None), (0, None)]))
+                           [0, 0]))
     assert isinstance(out, Optimal) and out.value == 3
 
 
-@pytest.mark.parametrize("bounds", [(1, None), (None, 3), (0, 2)])
+@pytest.mark.parametrize("bounds", [F(1)])
 def test_only_free_and_nonnegative_variables(bounds):
+    # a lower bound is None or 0, and there are no upper bounds
     with pytest.raises(ValueError):
         lp(MIN, [1], [], [bounds])
 
@@ -82,18 +83,18 @@ def test_only_free_and_nonnegative_variables(bounds):
 def test_redundant_rows_are_fine():
     out = solve_checked(lp(MIN, [1, 1],
                            [([1, 1], EQ, 2), ([2, 2], EQ, 4), ([1, 1], GE, 2)],
-                           [(0, None), (0, None)]))
+                           [0, 0]))
     assert isinstance(out, Optimal) and out.value == 2
 
 
 def test_max_sense_value_sign():
     out = solve_checked(lp(MAX, [2, -1], [([1, 1], LE, 4), ([1, 0], LE, 3), ([0, 1], LE, 3)],
-                           [(0, None), (0, None)]))
+                           [0, 0]))
     assert isinstance(out, Optimal) and out.value == 6 and out.point == (F(3), F(0))
 
 
 def test_free_variable_negative_solution():
-    out = solve_checked(lp(MIN, [1], [([1], GE, -5)], [(None, None)]))
+    out = solve_checked(lp(MIN, [1], [([1], GE, -5)], [None]))
     assert isinstance(out, Optimal) and out.value == -5
 
 
@@ -101,24 +102,24 @@ def test_determinism_bit_for_bit():
     program = lp(MIN, [1, 2, 0],
                  [([1, 1, 1], GE, 2), ([1, -1, 0], LE, 1), ([0, 1, 1], EQ, 1),
                   ([0, 0, 1], LE, 5)],
-                 [(0, None), (None, None), (0, None)])
+                 [0, None, 0])
     assert repr(solve(program)) == repr(solve(program))
 
 
 def test_builder_round_trip():
     b = LPBuilder(MIN)
-    b.var("m", obj=1)
-    b.var("h")
-    b.row("up", {"m": 1, "h": 1}, GE, 3)
-    b.row("down", {"m": 1, "h": -1}, GE, 1)
-    sol = b.solve()
-    assert sol.status == "optimal" and sol.value == 2
-    assert sol.primal()["h"] == 1
-    assert sol.dual("up") + sol.dual("down") == 1
+    m = b.var("m", obj=1)
+    h = b.var("h")
+    b.row("up", {m: 1, h: 1}, GE, 3)
+    b.row("down", {m: 1, h: -1}, GE, 1)
+    out = b.solve()
+    assert out.status == "optimal" and out.value == 2
+    assert out.point[h] == 1
+    assert sum(out.row_duals) == 1
 
 
 def test_to_text_mentions_rows_and_bounds():
-    program = lp(MIN, [1, 1], [([1, 2], LE, 3)], [(0, None), (None, None)])
+    program = lp(MIN, [1, 1], [([1, 2], LE, 3)], [0, None])
     text = program.to_text()
     assert "subject to" in text and "free" in text and "<= 3" in text
 
@@ -168,8 +169,6 @@ def brute_force_min(program):
         unit = tuple(F(1) if k == i else F(0) for k in range(n))
         if program.lower[i] is not None:
             cand_rows.append((unit, program.lower[i]))
-        if program.upper[i] is not None:
-            cand_rows.append((unit, program.upper[i]))
 
     def feasible(x):
         for j in range(program.n_rows):
@@ -183,8 +182,6 @@ def brute_force_min(program):
                 return False
         for i in range(n):
             if program.lower[i] is not None and x[i] < program.lower[i]:
-                return False
-            if program.upper[i] is not None and x[i] > program.upper[i]:
                 return False
         return True
 
@@ -239,7 +236,7 @@ def small_lp(draw):
             rhs += [lo, lo + draw(st.integers(0, 5))]
     return LinearProgram(sense=sense, objective=objective,
                          row_coeffs=tuple(rows), row_rels=tuple(rels),
-                         row_rhs=tuple(rhs), lower=tuple(lower), upper=(None,) * n)
+                         row_rhs=tuple(rhs), lower=tuple(lower))
 
 
 @settings(max_examples=250, deadline=None)
@@ -275,8 +272,7 @@ def _scipy_linprog(program, objective):
         else:
             a_eq.append(row)
             b_eq.append(rhs)
-    bounds = [(None if lo is None else float(lo), None if up is None else float(up))
-              for lo, up in zip(program.lower, program.upper)]
+    bounds = [(None if lo is None else float(lo), None) for lo in program.lower]
     return linprog(objective, A_ub=a_ub or None, b_ub=b_ub or None,
                    A_eq=a_eq or None, b_eq=b_eq or None,
                    bounds=bounds, method="highs")
@@ -286,7 +282,7 @@ def _scipy_linprog(program, objective):
 # reports it infeasible
 _HIGHS_CALLS_INFEASIBLE = lp(MIN, [0, 1, 0],
                              [([1, 1, 1], GE, -1), ([0, -1, -1], GE, 0), ([1, 0, -1], LE, 0)],
-                             [(0, None), (None, None), (0, None)])
+                             [0, None, 0])
 
 
 @settings(max_examples=150, deadline=None)

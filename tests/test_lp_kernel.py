@@ -101,7 +101,7 @@ def standard_program(A, b, c):
     return lp.LinearProgram(sense=lp.MIN, objective=tuple(c),
                             row_coeffs=tuple(tuple(row) for row in A),
                             row_rels=(lp.EQ,) * len(A), row_rhs=tuple(b),
-                            lower=(lp.ZERO,) * len(c), upper=(None,) * len(c))
+                            lower=(lp.ZERO,) * len(c))
 
 
 @settings(max_examples=300, deadline=None)
@@ -158,8 +158,7 @@ def mixed_program(draw):
         row_coeffs=tuple(tuple(draw(mixed) for _ in range(n)) for _ in range(m)),
         row_rels=tuple(draw(st.sampled_from([lp.LE, lp.GE, lp.EQ])) for _ in range(m)),
         row_rhs=tuple(draw(mixed) for _ in range(m)),
-        lower=tuple(draw(st.sampled_from([None, lp.ZERO])) for _ in range(n)),
-        upper=(None,) * n)
+        lower=tuple(draw(st.sampled_from([None, lp.ZERO])) for _ in range(n)))
 
 
 @settings(max_examples=400, deadline=None)
@@ -279,8 +278,7 @@ from collective_arb import lp
 from collective_arb.errors import InternalInvariantError
 lp._RevisedSimplex.run = lambda self: ("unbounded", (0, [1]))
 program = lp.LinearProgram(sense=lp.MIN, objective=(lp.ONE,), row_coeffs=((lp.ONE,),),
-                           row_rels=(lp.GE,), row_rhs=(lp.ONE,), lower=(lp.ZERO,),
-                           upper=(None,))
+                           row_rels=(lp.GE,), row_rhs=(lp.ONE,), lower=(lp.ZERO,))
 try:
     lp.solve(program)
 except InternalInvariantError as e:

@@ -493,3 +493,21 @@ def test_caller_rationals_are_validated(toy_market, entry, where, bad):
     with pytest.raises(ValidationError) as err:
         call()
     assert err.value.where == where
+
+
+@pytest.mark.parametrize("entry, where", [
+    ("rho_agent_plus", "claim"), ("rho_under_measure", "measure"),
+    ("price_compatibility", "prices")])
+def test_caller_rows_must_be_lists(toy_market, entry, where):
+    """A caller's claim, measure or price row that is not a list is an input
+    error, as in claim_vector, not a TypeError."""
+    call = {
+        "rho_agent_plus": lambda: rho_agent_plus(toy_market, 0, 5),
+        "rho_under_measure": lambda: rho_under_measure(toy_market, 0, None, ["3", "1"]),
+        "price_compatibility": lambda: price_compatibility(
+            toy_market, make_Y0(toy_market, 0), claim_vector(toy_market, [["3", "1"], ["9", "3"]]),
+            7),
+    }[entry]
+    with pytest.raises(ValidationError) as err:
+        call()
+    assert err.value.where == where

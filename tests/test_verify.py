@@ -31,7 +31,7 @@ F = Fraction
 def test_lp_checker_rejects_wrong_value():
     program = LinearProgram(sense=MIN, objective=(F(1),),
                             row_coeffs=((F(1),),), row_rels=(GE,),
-                            row_rhs=(F(2),), lower=(None,), upper=(None,))
+                            row_rhs=(F(2),), lower=(None,))
     out = solve(program)
     bad = Optimal(value=out.value - 1, point=out.point, row_duals=out.row_duals)
     with pytest.raises(InternalInvariantError):
@@ -41,7 +41,7 @@ def test_lp_checker_rejects_wrong_value():
 def test_lp_checker_rejects_infeasible_point():
     program = LinearProgram(sense=MIN, objective=(F(1),),
                             row_coeffs=((F(1),),), row_rels=(GE,),
-                            row_rhs=(F(2),), lower=(None,), upper=(None,))
+                            row_rhs=(F(2),), lower=(None,))
     out = solve(program)
     bad = Optimal(value=F(1), point=(F(1),), row_duals=out.row_duals)
     with pytest.raises(InternalInvariantError):
@@ -51,7 +51,7 @@ def test_lp_checker_rejects_infeasible_point():
 def test_lp_checker_rejects_bad_dual_sign():
     program = LinearProgram(sense=MIN, objective=(F(1),),
                             row_coeffs=((F(1),), (F(-1),)), row_rels=(GE, LE),
-                            row_rhs=(F(2), F(5)), lower=(None,), upper=(None,))
+                            row_rhs=(F(2), F(5)), lower=(None,))
     out = solve(program)
     bad = Optimal(value=out.value, point=out.point, row_duals=(F(-1), F(0)))
     with pytest.raises(InternalInvariantError):
@@ -368,24 +368,14 @@ def test_single_agent_pipeline():
 def _one_var_program(rel, rhs, lower):
     """min x subject to one row ``x rel rhs``, x free or x >= ``lower``."""
     return LinearProgram(sense=MIN, objective=(F(1),), row_coeffs=((F(1),),),
-                         row_rels=(rel,), row_rhs=(F(rhs),), lower=(lower,),
-                         upper=(None,))
-
-
-def test_lp_checker_rejects_farkas_upper_multiplier():
-    # x >= 1 with x free is feasible; the fake multiplier on an upper bound
-    # that no variable has cancels the row and is the only flaw
-    program = _one_var_program(GE, 1, None)
-    bad = Infeasible(farkas_rows=(F(1),), farkas_lower=(F(0),), farkas_upper=(F(-1),))
-    with pytest.raises(InternalInvariantError, match="absent upper bound"):
-        check_lp_outcome(program, bad)
+                         row_rels=(rel,), row_rhs=(F(rhs),), lower=(lower,))
 
 
 def test_lp_checker_rejects_negative_farkas_lower_multiplier():
     # x >= 1 with x >= 0 is feasible; only the sign of the bound multiplier
     # is wrong: the combination vanishes and the aggregate rhs is 1
     program = _one_var_program(GE, 1, F(0))
-    bad = Infeasible(farkas_rows=(F(1),), farkas_lower=(F(-1),), farkas_upper=(F(0),))
+    bad = Infeasible(farkas_rows=(F(1),), farkas_lower=(F(-1),))
     with pytest.raises(InternalInvariantError, match="farkas bound multiplier sign"):
         check_lp_outcome(program, bad)
 
@@ -413,8 +403,7 @@ def test_lp_checker_rejects_negative_reduced_cost():
 def _two_var_program(sense, rel, rhs):
     """``sense`` x + y subject to x + y ``rel`` ``rhs``, x, y >= 0."""
     return LinearProgram(sense=sense, objective=(F(1), F(1)), row_coeffs=((F(1), F(1)),),
-                         row_rels=(rel,), row_rhs=(F(rhs),), lower=(F(0), F(0)),
-                         upper=(None, None))
+                         row_rels=(rel,), row_rhs=(F(rhs),), lower=(F(0), F(0)))
 
 
 OPTIMAL = _two_var_program(MIN, GE, 1)
@@ -443,8 +432,6 @@ MISSHAPEN = {
     "farkas-rows-short": (INFEASIBLE, "farkas_rows", short, "farkas rows length 0 differs"),
     "farkas-lower-extra": (INFEASIBLE, "farkas_lower", extra, "farkas lower length 3 differs"),
     "farkas-lower-short": (INFEASIBLE, "farkas_lower", short, "farkas lower length 1 differs"),
-    "farkas-upper-extra": (INFEASIBLE, "farkas_upper", extra, "farkas upper length 3 differs"),
-    "farkas-upper-short": (INFEASIBLE, "farkas_upper", short, "farkas upper length 1 differs"),
     "ray-extra": (UNBOUNDED, "ray", extra, "ray length 3 differs from 2"),
     "ray-short": (UNBOUNDED, "ray", short, "ray length 1 differs from 2"),
     "unbounded-point-short": (UNBOUNDED, "point", short, "point length 1 differs from 2"),
@@ -457,7 +444,6 @@ MISSHAPEN = {
     "value-float": (OPTIMAL, "value", float, "value entry 0 is not an int or a Fraction"),
     "farkas-rows-float": (INFEASIBLE, "farkas_rows", first(-1.0), "farkas rows entry 0 is not"),
     "farkas-lower-bool": (INFEASIBLE, "farkas_lower", first(True), "farkas lower entry 0 is not"),
-    "farkas-upper-float": (INFEASIBLE, "farkas_upper", first(0.0), "farkas upper entry 0 is not"),
     "ray-float": (UNBOUNDED, "ray", first(1.0), "ray entry 0 is not"),
     "ray-bool": (UNBOUNDED, "ray", first(True), "ray entry 0 is not"),
 }

@@ -31,7 +31,7 @@ F = Fraction
 
 VECTORS = {
     lp.Optimal: ("point", "row_duals"),
-    lp.Infeasible: ("farkas_rows", "farkas_lower", "farkas_upper"),
+    lp.Infeasible: ("farkas_rows", "farkas_lower"),
     lp.Unbounded: ("point", "ray"),
 }
 
@@ -50,8 +50,7 @@ def _random_program(rng):
         row_coeffs=tuple(tuple(_entry(rng) for _ in range(n)) for _ in range(m)),
         row_rels=tuple(rng.choice([lp.LE, lp.EQ, lp.GE]) for _ in range(m)),
         row_rhs=tuple(_entry(rng) for _ in range(m)),
-        lower=tuple(rng.choice([None, F(0)]) for _ in range(n)),
-        upper=(None,) * n)
+        lower=tuple(rng.choice([None, F(0)]) for _ in range(n)))
 
 
 def _programs_by_kind(per_kind=30):
