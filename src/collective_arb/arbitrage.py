@@ -17,7 +17,6 @@ supremum, the coordinate ranges) takes its rows from ``install_emm_system``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .cones import ExchangeCone, Positions
@@ -103,7 +102,7 @@ def martingale_polytope(market: MarketModel, agent: int) -> MartingalePolytope:
 
 
 def install_emm_system(b: LPBuilder, n_atoms: int, gens_per_row,
-                       cone: Optional[ExchangeCone], weight=None, mass: str = "row"):
+                       cone: Optional[ExchangeCone], weight=None, mass: str = "row", shift=None):
     """Variables ``q{i}_{w} >= 0``, one row per row of gains generators,
     under the rule of ``verify._check_dual_rows``: weighted by ``weight``
     (all ones when None), each row (mass "row") or all rows together
@@ -113,31 +112,34 @@ def install_emm_system(b: LPBuilder, n_atoms: int, gens_per_row,
     None).  Unit weights and mass "row" give vectors of martingale measures;
     the reference probabilities and mass "total" give the polar elements of
     the super-replicable set, which differ only in that normalisation.
-    Returns the handles ``q[i][w]``.  The cone must have ``n_atoms`` atoms
-    and one row per row of gains generators."""
+    Returns the handles ``q[i][w]``.  With a ``shift`` handle, the variables
+    are ``s{i}_{w} >= 0`` and stand for q_iw = s_iw + shift: each row adds
+    its summed coefficients to ``shift``.  The cone must have ``n_atoms``
+    atoms and one row per row of gains generators."""
     if cone is not None and (cone.n_agents, cone.n_atoms) != (len(gens_per_row), n_atoms):
         raise ValidationError("cone", "cone shape does not match the market")
     weight = (1,) * n_atoms if weight is None else weight
-    q = [[b.var(f"q{i}_{w}", lo=0) for w in range(n_atoms)]
+    q = [[b.var(f"{'q' if shift is None else 's'}{i}_{w}", lo=0) for w in range(n_atoms)]
          for i in range(len(gens_per_row))]
 
-    def functional(rows):
-        return {q[i][w]: weight[w] * v for i, row in rows
-                for w, v in enumerate(row) if v}
+    def row(label, rows, rel, rhs):
+        coeffs = {q[i][w]: weight[w] * v for i, r in rows for w, v in enumerate(r) if v}
+        if shift is not None:
+            coeffs[shift] = sum(coeffs.values(), ZERO)
+        b.row(label, coeffs, rel, rhs)
 
     ones = (1,) * n_atoms
     for i, gens in enumerate(gens_per_row):
         if mass == "row":
-            b.row(f"q{i}_mass", functional([(i, ones)]), EQ, 1)
+            row(f"q{i}_mass", [(i, ones)], EQ, 1)
         for k, g in enumerate(gens):
-            b.row(f"q{i}_mart{k}" if mass == "row" else f"orth{i}_{k}",
-                  functional([(i, g.vector)]), EQ, 0)
+            row(f"q{i}_mart{k}" if mass == "row" else f"orth{i}_{k}", [(i, g.vector)], EQ, 0)
     polar = () if cone is None else ((LE, "ray", cone.rays), (EQ, "lin", cone.lineality))
     for rel, kind, gens in polar:
         for k, g in enumerate(gens):
-            b.row(f"polar_{kind}{k}", functional(enumerate(g.rows)), rel, 0)
+            row(f"polar_{kind}{k}", enumerate(g.rows), rel, 0)
     if mass == "total":
-        b.row("mass", functional((i, ones) for i in range(len(q))), EQ, 1)
+        row("mass", [(i, ones) for i in range(len(q))], EQ, 1)
     return q
 
 
@@ -146,24 +148,24 @@ def interior_point(n_atoms: int, gens_per_row, cone: Optional[ExchangeCone], fac
     """(least entry, rows) of the point of ``install_emm_system`` (with its
     ``weight`` and ``mass``) maximizing its least entry; None when there is
     none.  ``face = (rows, value)``, an optimal face of sum_i
-    E_{q_i}[rows[i]], restricts it to that face, which is never empty."""
+    E_{q_i}[rows[i]], restricts it to that face, which is never empty.
+    The point is s + eps, with s >= 0 the system's variables under ``shift``
+    eps, so no row bounds an entry by eps.  eps >= 0, as a free eps lets
+    s + eps go negative; any q >= 0 is s = q with eps = 0, so none is lost."""
     b = LPBuilder(MAX)
-    eps = b.var("eps", obj=1)
-    q = install_emm_system(b, n_atoms, gens_per_row, cone, weight, mass)
-    for i, row in enumerate(q):
-        for w, v in enumerate(row):
-            b.row(f"int{i}_{w}", {v: Fraction(1), eps: Fraction(-1)}, GE, 0)
+    eps = b.var("eps", lo=0, obj=1)
+    s = install_emm_system(b, n_atoms, gens_per_row, cone, weight, mass, shift=eps)
     if face is not None:
         rows, value = face
-        b.row("opt_face", {v: c for vs, row in zip(q, rows)
-                           for v, c in zip(vs, row)}, EQ, value)
+        coeffs = {v: c for vs, row in zip(s, rows) for v, c in zip(vs, row)}
+        b.row("opt_face", {**coeffs, eps: sum(coeffs.values(), ZERO)}, EQ, value)
     out = b.solve()
     if out.status == "infeasible" and face is None:
         return None
     if out.status != "optimal":
         where = "interior point" if face is None else "optimal-face interior point"
         raise InternalInvariantError(f"{where} LP ended {out.status}")
-    return out.value, tuple(tuple(out.point[v] for v in row) for row in q)
+    return out.value, tuple(tuple(out.point[v] + out.value for v in row) for row in s)
 
 
 def _expectation_sup(n_atoms: int, gens_per_row, cone: Optional[ExchangeCone],

@@ -119,11 +119,13 @@ class Positions:
                 coeffs[v] = g.rows[i][w]
         return coeffs
 
+    def gains(self, i: int, w: int) -> dict:
+        """Coefficients of agent i's gains at atom w."""
+        return {v: g.vector[w] for v, g in zip(self.h[i], self.gens[i]) if g.vector[w]}
+
     def payoff(self, i: int, w: int) -> dict:
         """Coefficients of agent i's gains plus exchange at atom w."""
-        coeffs = {v: g.vector[w] for v, g in zip(self.h[i], self.gens[i]) if g.vector[w]}
-        coeffs.update(self.exchange(i, w))
-        return coeffs
+        return {**self.gains(i, w), **self.exchange(i, w)}
 
     def cone_coeffs(self, point) -> tuple:
         """(mu, nu) at a point of the program."""

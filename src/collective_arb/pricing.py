@@ -28,7 +28,7 @@ from .arbitrage import MeasureVector, _expectation_sup, interior_point
 from .cones import ExchangeCone, Positions
 from .errors import FairnessUnavailable, InternalInvariantError, ValidationError
 from .ext import Ext, ext_max, ext_sum
-from .lp import EQ, GE, LE, LPBuilder, MAX, MIN, ZERO, frac
+from .lp import EQ, GE, LPBuilder, MAX, MIN, ZERO, frac
 from .market import (MarketModel, PayoffMatrix, _listed, _rational, check_index,
                      constant_on, gains_basis, payoff_matrix)
 
@@ -337,20 +337,21 @@ def fairness_from_prices(market: MarketModel, cone: ExchangeCone, g: ClaimVector
 def _minimal_transfer_optimizer(market, cone, g, m_tilde, q_hat):
     """Among all optimizers at the fixed fair costs with zero-dual-cost
     exchanges, pick the one moving the least total cash (minimal L1 norm of
-    the exchange rows); canonical and reproducible."""
+    the exchange rows); canonical and reproducible.  The L1 norm is the
+    usual split: each exchange entry is p - n with p, n >= 0 (one equality
+    row per entry), at cost p + n."""
     N, n = market.n_agents, market.n_atoms
     b = LPBuilder(MIN)
     pos = Positions(b, n, market.gains, cone)
-    absv = [[b.var(f"abs{i}_{w}", lo=0, obj=1) for w in range(n)] for i in range(N)]
+    split = [[(b.var(f"p{i}_{w}", lo=0, obj=1), b.var(f"n{i}_{w}", lo=0, obj=1))
+              for w in range(n)] for i in range(N)]
     for i in range(N):
         zero_cost = {}
         for w in range(n):
             ex = pos.exchange(i, w)
-            b.row(f"dom{i}_{w}", pos.payoff(i, w), GE, g.rows[i][w] - m_tilde[i])
-            b.row(f"absp{i}_{w}", {**ex, absv[i][w]: Fraction(-1)}, LE, 0)
-            minus = {v: -c for v, c in ex.items()}
-            minus[absv[i][w]] = Fraction(-1)
-            b.row(f"absm{i}_{w}", minus, LE, 0)
+            b.row(f"dom{i}_{w}", {**pos.gains(i, w), **ex}, GE, g.rows[i][w] - m_tilde[i])
+            plus, minus = split[i][w]
+            b.row(f"split{i}_{w}", {**ex, plus: Fraction(-1), minus: Fraction(1)}, EQ, 0)
             q = q_hat.densities[i][w]
             if q:
                 for v, c in ex.items():

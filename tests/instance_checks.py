@@ -10,10 +10,11 @@ from fractions import Fraction
 from collective_arb import verify
 from collective_arb.arbitrage import (detect_NA_agent, detect_NA_global,
                                       detect_NCA, emm_is_singleton,
-                                      find_emm_vector, polar_witness)
-from collective_arb.cones import cone_add, cone_contains, make_Y0
+                                      find_emm_vector, install_emm_system,
+                                      polar_witness)
+from collective_arb.cones import Positions, cone_add, cone_contains, make_Y0
 from collective_arb.ext import Ext
-from collective_arb.lp import EQ, GE, LPBuilder, MIN
+from collective_arb.lp import EQ, GE, LE, LPBuilder, MAX, MIN
 from collective_arb.market import PayoffMatrix, agents_join_partition, gains_basis
 from collective_arb.pricing import (claim_vector, dual_rho_Y, fairness_allocation,
                                     pi_N_plus, pi_Y_minus, pi_Y_plus, price_certificate,
@@ -67,6 +68,95 @@ def rho_under_measure_by_its_lp(market, agent, q_row, claim_row):
     return out.value
 
 
+def reference_polar_rows(b, names, cone, weight):
+    """Rows <= 0 against each ray and = 0 against each lineality generator
+    of ``cone``, over the variables ``names[i][w]`` weighted by ``weight``."""
+    for rel, gens in ((LE, cone.rays), (EQ, cone.lineality)):
+        for k, g in enumerate(gens):
+            b.row(f"polar{rel}{k}", {names[i][w]: weight[w] * v for i, row in enumerate(g.rows)
+                                     for w, v in enumerate(row) if v}, rel, 0)
+
+
+def reference_polar_optimum(market, cone):
+    """The largest least entry of a polar element of unit mass under P, by a
+    program written by hand; None when it is not positive or there is no
+    such element."""
+    P, n = market.space.prob, market.n_atoms
+    b = LPBuilder(MAX)
+    eps = b.var("eps", obj=1)
+    names = [[b.var(f"z{i}_{w}", lo=0) for w in range(n)] for i in range(market.n_agents)]
+    for i, row in enumerate(names):
+        for w, v in enumerate(row):
+            b.row(f"int{i}_{w}", {v: F(1), eps: F(-1)}, GE, 0)
+    for i, gens in enumerate(market.gains):
+        for k, g in enumerate(gens):
+            b.row(f"orth{i}_{k}", {names[i][w]: P[w] * g.vector[w] for w in range(n)
+                                   if g.vector[w]}, EQ, 0)
+    reference_polar_rows(b, names, cone, P)
+    b.row("mass", {v: P[w] for row in names for w, v in enumerate(row)}, EQ, 1)
+    out = b.solve()
+    return out.value if out.status == "optimal" and out.value > 0 else None
+
+
+def interior_point_by_its_lp(n_atoms, gens_per_row, cone, face=None):
+    """The largest least entry of a measure vector of ``install_emm_system``
+    (on ``face = (rows, value)`` when given), by the program without the
+    shift: a free eps and one row q_iw - eps >= 0 per row and atom.  None
+    when there is no measure vector."""
+    b = LPBuilder(MAX)
+    eps = b.var("eps", obj=1)
+    q = install_emm_system(b, n_atoms, gens_per_row, cone)
+    for i, row in enumerate(q):
+        for w, v in enumerate(row):
+            b.row(f"int{i}_{w}", {v: F(1), eps: F(-1)}, GE, 0)
+    if face is not None:
+        rows, value = face
+        b.row("opt_face", {v: c for vs, row in zip(q, rows) for v, c in zip(vs, row)},
+              EQ, value)
+    out = b.solve()
+    if out.status == "infeasible":
+        return None
+    assert out.status == "optimal"
+    return out.value
+
+
+def minimal_transfer_by_its_lp(market, cone, claims, m_tilde, q_hat):
+    """The least L1 norm of an exchange of the fairness canonicalisation, by
+    the program without the L1 split: abs_iw >= +-(exchange entry), two
+    rows per entry, at cost abs_iw."""
+    N, n = market.n_agents, market.n_atoms
+    b = LPBuilder(MIN)
+    pos = Positions(b, n, market.gains, cone)
+    absv = [[b.var(f"abs{i}_{w}", lo=0, obj=1) for w in range(n)] for i in range(N)]
+    for i in range(N):
+        zero_cost = {}
+        for w in range(n):
+            ex = pos.exchange(i, w)
+            b.row(f"dom{i}_{w}", pos.payoff(i, w), GE, claims.rows[i][w] - m_tilde[i])
+            b.row(f"absp{i}_{w}", {**ex, absv[i][w]: F(-1)}, LE, 0)
+            b.row(f"absm{i}_{w}", {**{v: -c for v, c in ex.items()}, absv[i][w]: F(-1)},
+                  LE, 0)
+            for v, c in ex.items():
+                zero_cost[v] = zero_cost.get(v, F(0)) + q_hat.densities[i][w] * c
+        b.row(f"cost{i}", zero_cost, EQ, 0)
+    out = b.solve()
+    assert out.status == "optimal"
+    return out.value
+
+
+def least_entry(rows):
+    return min(min(row) for row in rows)
+
+
+def holds_reference_optimum(rows, best):
+    """A point printed as canonical (None: none printed) against its
+    reference optimum: it exists exactly when the optimum is positive, and
+    its least entry is that optimum."""
+    if best is None or best <= 0:
+        return rows is None
+    return rows is not None and least_entry(rows) == best
+
+
 def contains_every_transfer(market, cone):
     """RN0 by its definition: every deterministic e_i - e_j lies in the cone
     (one membership LP per ordered agent pair)."""
@@ -103,6 +193,12 @@ def check_instance(market, cone, info, claims, rng):
         verify.verify_arbitrage_found(market, na_global)
     else:
         verify.verify_single_market_witness(market, na_global.dual_witness[0])
+    # each printed interior point is the optimum of the program with a free
+    # eps and one row per entry, and exists exactly when that optimum is > 0
+    singles = [(market, i, cert) for i, cert in enumerate(na_agents)]
+    for m, i, cert in singles + [(market.full_market, 0, na_global)]:
+        best = interior_point_by_its_lp(m.n_atoms, [gains_basis(m, i)], None)
+        assert holds_reference_optimum(None if cert.found else cert.dual_witness, best)
 
     nca = detect_NCA(market, cone)
     if nca.found:
@@ -116,6 +212,8 @@ def check_instance(market, cone, info, claims, rng):
     assert (z is not None) == (not nca.found)
     if z is not None:
         verify.verify_polar_witness(market, cone, z.rows, strict=True)
+    assert holds_reference_optimum(None if z is None else z.rows,
+                                   reference_polar_optimum(market, cone))
 
     # (a) equivalent measure vector iff no collective arbitrage, given all
     # deterministic zero-sum transfers are allowed
@@ -123,6 +221,8 @@ def check_instance(market, cone, info, claims, rng):
     if mv is not None:
         verify.verify_measure_vector(market, cone, mv, strict=True)
         hit["emm_equiv"] = True
+    assert holds_reference_optimum(None if mv is None else mv.densities,
+                                   interior_point_by_its_lp(market.n_atoms, market.gains, cone))
     if cone.meta.contains_RN0:
         assert (mv is not None) == (not nca.found)
     # for every cone, an equivalent measure vector excludes collective arbitrage
@@ -189,6 +289,8 @@ def check_instance(market, cone, info, claims, rng):
     assert dual_v == rho_y
     if dual_mv is not None:
         verify.verify_measure_vector(market, cone, dual_mv, strict=False)
+        assert least_entry(dual_mv.densities) == interior_point_by_its_lp(
+            market.n_atoms, market.gains, cone, face=(claims.rows, dual_v.value))
 
     # (c) each super-replication program's own outcome certifies its price
     # (report.analyze's check): a hedge and measure rows, or a ray, which
@@ -240,6 +342,8 @@ def check_instance(market, cone, info, claims, rng):
         # (i) fairness identities
         fr = fairness_allocation(market, cone, claims)
         verify.verify_fairness(market, cone, claims, fr)
+        assert sum(abs(v) for row in fr.y_tilde_rows for v in row) == \
+            minimal_transfer_by_its_lp(market, cone, claims, fr.m_tilde, fr.q_hat)
         for i in range(market.n_agents):
             assert Ext.of(fr.allocations[i]) <= rho_i[i]
             assert fr.per_agent_prices[i] == rho_under_measure_by_its_lp(

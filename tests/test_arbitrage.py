@@ -5,12 +5,12 @@ import pytest
 from collective_arb.arbitrage import (detect_NA_agent, detect_NA_global,
                                       detect_NCA, emm_coordinate_range,
                                       emm_is_singleton, find_emm_vector,
-                                      install_emm_system, martingale_polytope,
-                                      polar_witness)
+                                      install_emm_system, interior_point,
+                                      martingale_polytope, polar_witness)
 from collective_arb.cones import cone_add, make_span, make_Y0, make_zero
 from collective_arb.errors import ValidationError
 from collective_arb.examples_builtin import example_document
-from collective_arb.lp import EQ, GE, LE, LPBuilder, MAX, MIN
+from collective_arb.lp import EQ, LPBuilder, MAX, MIN
 from collective_arb.market import build_market
 from collective_arb.model_io import parse_model
 from collective_arb.randgen import random_cone, random_market, seeded_rng
@@ -19,6 +19,8 @@ from collective_arb.verify import (verify_arbitrage_found, verify_measure_vector
                                    verify_single_market_witness)
 
 from conftest import toy_market_spec
+from instance_checks import (interior_point_by_its_lp, least_entry, reference_polar_optimum,
+                             reference_polar_rows)
 from test_cones import span_cone
 
 F = Fraction
@@ -32,36 +34,10 @@ def polytope_member(market, agent):
     return None if out.status != "optimal" else tuple(out.point[v] for v in q)
 
 
-# The polar-witness and coordinate-range programs as they were written by
-# hand before ``install_emm_system`` built every dual-row program; the seeded
-# test below holds the library's optima to theirs.
-
-def _reference_polar_rows(b, names, cone, weight):
-    for rel, gens in ((LE, cone.rays), (EQ, cone.lineality)):
-        for k, g in enumerate(gens):
-            b.row(f"polar{rel}{k}", {names[i][w]: weight[w] * v for i, row in enumerate(g.rows)
-                                     for w, v in enumerate(row) if v}, rel, 0)
-
-
-def reference_polar_optimum(market, cone):
-    """The largest least entry of a polar element of unit mass under P;
-    None when it is not positive or there is no such element."""
-    P, n = market.space.prob, market.n_atoms
-    b = LPBuilder(MAX)
-    eps = b.var("eps", obj=1)
-    names = [[b.var(f"z{i}_{w}", lo=0) for w in range(n)] for i in range(market.n_agents)]
-    for i, row in enumerate(names):
-        for w, v in enumerate(row):
-            b.row(f"int{i}_{w}", {v: F(1), eps: F(-1)}, GE, 0)
-    for i, gens in enumerate(market.gains):
-        for k, g in enumerate(gens):
-            b.row(f"orth{i}_{k}", {names[i][w]: P[w] * g.vector[w] for w in range(n)
-                                   if g.vector[w]}, EQ, 0)
-    _reference_polar_rows(b, names, cone, P)
-    b.row("mass", {v: P[w] for row in names for w, v in enumerate(row)}, EQ, 1)
-    out = b.solve()
-    return out.value if out.status == "optimal" and out.value > 0 else None
-
+# The coordinate-range programs as they were written by hand before
+# ``install_emm_system`` built every dual-row program; the seeded test below
+# holds the library's optima to theirs, and the polar witness's least entry
+# to ``instance_checks.reference_polar_optimum``.
 
 def reference_coordinate_range(market, cone, agent, atom):
     """(min, max) of q_agent(atom) over the compatible measure vectors, one
@@ -75,7 +51,7 @@ def reference_coordinate_range(market, cone, agent, atom):
             for k, g in enumerate(gens):
                 b.row(f"q{i}_mart{k}", {names[i][w]: g.vector[w] for w in range(n)
                                         if g.vector[w]}, EQ, 0)
-        _reference_polar_rows(b, names, cone, (F(1),) * n)
+        reference_polar_rows(b, names, cone, (F(1),) * n)
         b.add_objective(names[agent][atom], 1)
         outcome = b.solve()
         if outcome.status != "optimal":
@@ -105,6 +81,26 @@ def test_dual_optima_match_the_hand_built_programs():
                 assert bounds == reference_coordinate_range(market, cone, agent, atom)
                 seen["empty" if bounds is None else "range"] += 1
                 seen["wide range"] += bounds is not None and bounds[0] < bounds[1]
+    assert all(seen.values()), seen
+
+
+def test_interior_points_match_the_program_without_shift():
+    """On seeded random markets and cones: each agent's interior-point
+    program and the measure-vector one have the optimum of the program with
+    a free eps and one row q_iw - eps >= 0 per entry, optima of zero
+    included (those print no point), and the point's least entry is it."""
+    rng = seeded_rng()
+    seen = {"positive": 0, "zero": 0, "none": 0}
+    for _ in range(40):
+        market = random_market(rng)
+        cone, _ = random_cone(rng, market)
+        programs = [(market.n_atoms, [gens], None) for gens in market.gains]
+        for args in programs + [(market.n_atoms, market.gains, cone)]:
+            hit, best = interior_point(*args), interior_point_by_its_lp(*args)
+            assert (hit is None) == (best is None)
+            if hit is not None:
+                assert hit[0] == best == least_entry(hit[1])
+            seen["none" if best is None else "positive" if best > 0 else "zero"] += 1
     assert all(seen.values()), seen
 
 

@@ -158,17 +158,34 @@ def _solve_linear_system(rows, rhs):
     return x
 
 
+def candidate_rows(program):
+    """(coefficients, rhs) of every row and of every lower bound, as rows."""
+    n = program.n_vars
+    units = [(tuple(F(1) if k == i else F(0) for k in range(n)), lo)
+             for i, lo in enumerate(program.lower) if lo is not None]
+    return list(zip(program.row_coeffs, program.row_rhs)) + units
+
+
+def rank(rows):
+    """Exact rank of rational rows, by Gaussian elimination."""
+    a, r = [list(row) for row in rows], 0
+    for c in range(len(a[0]) if a else 0):
+        piv = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        for i in range(r + 1, len(a)):
+            f = a[i][c] / a[r][c]
+            a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        r += 1
+    return r
+
+
 def brute_force_min(program):
     """Enumerate basic solutions of all active-set choices; None if none
-    feasible, 'unbounded' detected by comparing against a large box."""
+    feasible."""
     n = program.n_vars
-    cand_rows = []
-    for j in range(program.n_rows):
-        cand_rows.append((program.row_coeffs[j], program.row_rhs[j]))
-    for i in range(n):
-        unit = tuple(F(1) if k == i else F(0) for k in range(n))
-        if program.lower[i] is not None:
-            cand_rows.append((unit, program.lower[i]))
+    cand_rows = candidate_rows(program)
 
     def feasible(x):
         for j in range(program.n_rows):
@@ -250,10 +267,11 @@ def test_random_lp_against_bruteforce(program):
     elif isinstance(out, Optimal):
         sgn = 1 if program.sense == MIN else -1
         assert oracle == sgn * out.value
-    else:
-        # certificate already proves unboundedness; the oracle, if any basic
-        # point exists, can only confirm feasibility
-        assert oracle is None or True
+    elif rank(row for row, _ in candidate_rows(program)) == program.n_vars:
+        # the certificate proves the program feasible and unbounded; with the
+        # rows and the lower bounds of full column rank, its feasible set has
+        # a vertex, a basic point the oracle enumerates
+        assert oracle is not None
 
 
 def _scipy_linprog(program, objective):
