@@ -15,14 +15,16 @@ compiles each program straight to sparse integer columns and an integer
 right-hand side, each row scaled by its own factor ``L_r > 0`` and the
 objective by one ``K > 0``, and it alone knows them: it divides them back
 out of the duals, the Farkas vector and the value.  ``_solve_standard`` and
-``_RevisedSimplex`` see integers only.  The state is the basis inverse
-``B^-1`` with the right-hand side, kept as sparse integer rows, each in
-lowest terms over its own positive stamp, so that its integers are as large
-as the values they stand for.  A pivot updates only the rows with a nonzero
-in the entering column.  The columns of ``A`` are never updated: Bland's
-rule prices them on demand and computes only the entering column for the
-ratio test.  Points, duals, Farkas vectors and rays are converted to
-`fractions.Fraction` once, at the end.  There are no tolerances anywhere.
+``_RevisedSimplex`` see and hand back integers only.  The state is the
+basis inverse ``B^-1`` with the right-hand side, kept as sparse integer
+rows, each in lowest terms over its own positive stamp, so that its
+integers are as large as the values they stand for.  A pivot updates only
+the rows with a nonzero in the entering column.  The columns of ``A`` are
+never updated: Bland's rule prices them on demand and computes only the
+entering column for the ratio test.  Points, duals, Farkas vectors and rays
+are converted to `fractions.Fraction` once, at the end: one per nonzero
+entry, from integers combined first, and ``ZERO`` per zero entry.  There
+are no tolerances anywhere.
 Results are deterministic: identical programs yield identical outcomes.
 
 Every variable is either free or nonnegative.  Those are the two kinds the
@@ -68,10 +70,10 @@ class LinearProgram:
     """min/max objective.x subject to rows and per-variable lower bounds.
 
     Rows are (coefficients, relation, rhs).  Each variable's lower bound is
-    ``None`` for a free variable or ``0`` for a nonnegative one; no variable
-    has an upper bound.  All rows must have the same length as the
-    objective, and every number is an int or a Fraction.  ``var_names`` and
-    ``row_names`` only label the listing (``to_text``).
+    ``None`` for a free variable or an int or Fraction 0 for a nonnegative
+    one; no variable has an upper bound.  All rows must have the same length
+    as the objective, and every number is an int or a Fraction.  ``var_names``
+    and ``row_names`` only label the listing (``to_text``).
     """
 
     sense: str
@@ -98,7 +100,7 @@ class LinearProgram:
         if len(self.lower) != n:
             raise ValueError("bounds length differs from variable count")
         for i, lo in enumerate(self.lower):
-            if lo not in (None, 0):
+            if lo is not None and not (type(lo) in (int, Fraction) and lo == 0):
                 raise ValueError(f"variable {i} has lower bound {lo}; "
                                  "only free or nonnegative variables are supported")
 
@@ -326,11 +328,10 @@ class _RevisedSimplex:
             self.pivot(leave, enter, col, d)
 
     def point(self):
-        x = [ZERO] * self.n
-        for row, s, bj in zip(self.rows, self.scale, self.basis):
-            if bj < self.n:
-                x[bj] = Fraction(row.get(self.m, 0), s)
-        return x
+        """The nonzero basic values, {column: (numerator, its row's stamp)}."""
+        n, m = self.n, self.m
+        return {bj: (row[m], s) for row, s, bj in zip(self.rows, self.scale, self.basis)
+                if bj < n and m in row}
 
     def drop_row(self, r):
         del self.rows[r]
@@ -344,7 +345,8 @@ def _solve_standard(cols, rhs, c, art_costs):
     ``cols`` of ``A``, the integer ``rhs`` and integer costs ``c``; phase 1
     minimises the artificials weighted by the positive integers
     ``art_costs``, one per row.  Returns a dict with 'status' and per-status
-    data: point/duals/value, farkas duals, or ray."""
+    data in integers: point and ray as {column: (numerator, stamp)} over
+    their nonzeros, duals/value or farkas duals over the stamp 'y_scale'."""
     n, m = len(cols), len(rhs)
     tab = _RevisedSimplex(cols, rhs)
 
@@ -354,8 +356,7 @@ def _solve_standard(cols, rhs, c, art_costs):
         raise InternalInvariantError(f"phase 1 ended {status!r}, not optimal")
     if tab.y[-1] != 0:
         # every row is still live
-        return {"status": "infeasible",
-                "farkas": [Fraction(v, tab.y_scale) for v in tab.y[:m]]}
+        return {"status": "infeasible", "farkas": tab.y[:m], "y_scale": tab.y_scale}
 
     # drive artificials out of the basis; drop redundant rows
     r = 0
@@ -376,24 +377,16 @@ def _solve_standard(cols, rhs, c, art_costs):
     status, entering = tab.run()
     if status == "unbounded":
         enter, col = entering
-        ray = [ZERO] * n
-        ray[enter] = ONE
+        ray = {enter: (1, 1)}
         for bj, a, s in zip(tab.basis, col, tab.scale):
-            if bj < n:
-                ray[bj] = Fraction(-a, s)
+            if bj < n and a:
+                ray[bj] = (-a, s)
         return {"status": "unbounded", "point": tab.point(), "ray": ray}
 
     # dropped rows keep y_r = 0
-    ys, y = tab.y_scale, tab.y
-    duals = [ZERO] * m
-    for orig in tab.orig_index:
-        duals[orig] = Fraction(y[orig], ys)
-    return {
-        "status": "optimal",
-        "point": tab.point(),
-        "duals": duals,
-        "value": Fraction(y[-1], ys),
-    }
+    live = set(tab.orig_index)
+    return {"status": "optimal", "point": tab.point(), "value": tab.y[-1], "y_scale": tab.y_scale,
+            "duals": [v if r in live else 0 for r, v in enumerate(tab.y[:m])]}
 
 
 # ---------------------------------------------------------------------------
@@ -440,38 +433,36 @@ def _solve_general(lp: LinearProgram) -> LPOutcome:
         cols.append(width)
         width += 2 if f else 1
 
-    def spread(coeffs, scale):
-        """(standard column, scale * a) for each nonzero a of ``coeffs``;
+    def spread(nonzeros, scale):
+        """(standard column, scale * a) for each (variable i, nonzero a);
         scale is a multiple of every denominator, so the values are
         integers."""
-        for i, a in enumerate(coeffs):
-            if a:
-                v = a.numerator * (scale // a.denominator)
-                yield cols[i], v
-                if free[i]:
-                    yield cols[i] + 1, -v
+        for i, a in nonzeros:
+            v = a.numerator * (scale // a.denominator)
+            yield cols[i], v
+            if free[i]:
+                yield cols[i] + 1, -v
 
     # row r is scaled by its own factor L_r > 0, the lcm of its and its
     # rhs's denominators, and negated where its rhs is negative, so by
     # s_r = sigma_r * L_r; the objective is scaled by K > 0, and negated
     # for a max.  The rows go onto sparse integer columns, each slack a
     # column of its own
-    scales = []
-    for coeffs, b in zip(lp.row_coeffs, lp.row_rhs):
-        L_r = lcm(*{a.denominator for a in coeffs}, b.denominator)
-        scales.append(-L_r if b < 0 else L_r)
-    columns = [[] for _ in range(width)]
-    rhs = []
-    for r, (coeffs, rel, b, s) in enumerate(zip(lp.row_coeffs, lp.row_rels, lp.row_rhs, scales)):
-        for j, v in spread(coeffs, s):
+    scales, rhs, columns = [], [], [[] for _ in range(width)]
+    for r, (coeffs, rel, b) in enumerate(zip(lp.row_coeffs, lp.row_rels, lp.row_rhs)):
+        nonzeros = [(i, a) for i, a in enumerate(coeffs) if a]
+        L_r = lcm(b.denominator, *{a.denominator for _, a in nonzeros})
+        scales.append(s := -L_r if b < 0 else L_r)
+        for j, v in spread(nonzeros, s):
             columns[j].append((r, v))
         if rel != EQ:
             columns.append([(r, s if rel == LE else -s)])
         rhs.append(b.numerator * (s // b.denominator))
-    K = lcm(*{a.denominator for a in lp.objective})
+    nonzeros = [(i, a) for i, a in enumerate(lp.objective) if a]
+    K = lcm(*{a.denominator for _, a in nonzeros})
     k = K if lp.sense == MIN else -K
     c = [0] * len(columns)
-    for j, v in spread(lp.objective, k):
+    for j, v in spread(nonzeros, k):
         c[j] = v
 
     # row r's artificial stands for L_r / L times the artificial of the
@@ -481,20 +472,25 @@ def _solve_general(lp: LinearProgram) -> LPOutcome:
     L = lcm(*scales)
     res = _solve_standard(columns, rhs, c, [L // abs(s) for s in scales])
 
-    def map_back(xs):
-        """standard values -> original variables (points and rays alike)."""
-        return tuple(xs[j] - xs[j + 1] if free[i] else xs[j] for i, j in enumerate(cols))
+    def map_back(xs, nil=(0, 1)):
+        """{standard column: (numerator, stamp)} -> original variables
+        (points and rays alike), x+ - x- combined in integers."""
+        pairs = ((xs.get(j, nil), xs.get(j + 1, nil) if f else nil) for j, f in zip(cols, free))
+        return tuple(Fraction(p * e - q * d, d * e) if p or q else ZERO
+                     for (p, d), (q, e) in pairs)
 
     if res["status"] == "unbounded":
         return Unbounded(point=map_back(res["point"]), ray=map_back(res["ray"]))
 
+    ys = res["y_scale"]
     if res["status"] == "optimal":
         # the integer program's value is k times the original one, and the
-        # dual of row r is K / s_r times the original one
+        # dual of row r is K / s_r times the original one, each over ys
         return Optimal(
-            value=res["value"] / k,
+            value=Fraction(res["value"], k * ys),
             point=map_back(res["point"]),
-            row_duals=tuple(s * y / K for s, y in zip(scales, res["duals"])),
+            row_duals=tuple(Fraction(s * y_r, K * ys) if y_r else ZERO
+                            for s, y_r in zip(scales, res["duals"])),
         )
 
     # infeasible: with the phase-1 costs above, the kernel's Farkas vector
@@ -502,16 +498,16 @@ def _solve_general(lp: LinearProgram) -> LPOutcome:
     # invariant under positive scaling, so s_r / L folds it back onto the
     # original rows; a nonnegative variable's zero bound takes up the rest
     # of its column, tau, which must vanish on a free variable; column
-    # cols[i] holds s_r * a_ri, so tau_i = sum of y_r * s_r * a_ri / L
+    # cols[i] holds s_r * a_ri, so tau_i = sum of y_r * s_r * a_ri / (L ys)
     y = res["farkas"]
-    w = [s * y_r / L for s, y_r in zip(scales, y)]
+    w = [Fraction(s * y_r, L * ys) if y_r else ZERO for s, y_r in zip(scales, y)]
     zlo = []
     for i in range(n):
-        tau = sum((y[r] * v for r, v in columns[cols[i]]), ZERO) / L
+        tau = sum(y[r] * v for r, v in columns[cols[i]])
         if tau > 0 or (free[i] and tau):
             raise InternalInvariantError(
                 f"Farkas multiplier of the bounds of variable {i} has the wrong sign")
-        zlo.append(ZERO if free[i] else -tau)
+        zlo.append(Fraction(-tau, L * ys) if tau else ZERO)
     return Infeasible(farkas_rows=tuple(w), farkas_lower=tuple(zlo))
 
 

@@ -70,6 +70,22 @@ class PriceCertificate:
     def optimizer(self) -> Optional[PrimalOptimizer]:
         return self.hedge if self.value.finite else None
 
+    def reflected(self, claim_rows) -> Optional["PriceCertificate"]:
+        """The certificate of rho_+(-g) = -rho_+(g), the negated hedge with
+        the same measure rows, if the price of g is finite and its hedge uses
+        no cone ray and meets each claim row with equality; else None."""
+        h = self.hedge
+        ex = h.exchange_rows or [(ZERO,) * len(row) for row in claim_rows]
+        if not self.value.finite or any(h.ray_coeffs) or not all(
+                m + a + e == c for m, gains, x, row in zip(h.m, h.gains_rows, ex, claim_rows)
+                for a, e, c in zip(gains, x, row)):
+            return None
+
+        def neg(v):
+            return tuple(map(neg, v)) if isinstance(v, tuple) else v if v is None else -v
+        hedge = PrimalOptimizer(**{k: neg(v) for k, v in vars(h).items()})
+        return PriceCertificate(-self.value, hedge, self.measures)
+
 
 @dataclass(frozen=True)
 class FairnessResult:

@@ -22,9 +22,12 @@ instead of a program of their own:
   -inf a ray, and ``verify.verify_price_certificate`` checks them; so
   ``dual_value`` is rho_Y, and only the optimal face's interior point,
   which prints ``dual_optimizer``, is solved;
-* a sub-replication price whose reflected super-replication program has
-  -inf: the verified ray is a ray of the reflected program too, so the
-  price is +inf;
+* a sub-replication price (of each agent, rho_Y_minus, pi_Y_minus), whose
+  reflected super-replication program on -g has the verified ray of the
+  program on g when that is -inf, so the price is +inf; and when the
+  verified hedge of g meets every claim row with equality and uses no cone
+  ray, the negated hedge with the same measure rows certifies rho_+(-g) =
+  -rho_+(g) (``PriceCertificate.reflected``), and is verified instead;
 * the polar-witness check after a verified collective arbitrage: by the
   collective fundamental theorem of asset pricing, a strictly positive z
   orthogonal to every agent's gains and polar to the cone would give the
@@ -230,22 +233,22 @@ def analyze(model: ModelFile, sections=None) -> dict:
     return report
 
 
-def _price(market, cone, rows, agent=None, shared_m=False) -> PriceCertificate:
-    """The super-replication price of ``rows`` (``price_certificate``), its
-    certificate verified."""
-    cert = price_certificate(market, cone, rows, agent=agent, shared_m=shared_m)
+def _price(market, cone, rows, agent=None, shared_m=False, cert=None) -> PriceCertificate:
+    """The super-replication price of ``rows`` (``price_certificate`` unless
+    ``cert`` is given), its certificate verified."""
+    cert = cert or price_certificate(market, cone, rows, agent=agent, shared_m=shared_m)
     verify.verify_price_certificate(market, cone, rows, cert, agent=agent, shared_m=shared_m)
     return cert
 
 
 def _sub_price(market, cone, cert, rows, agent=None, shared_m=False) -> Ext:
     """The sub-replication price -rho_+(-rows) of the program that gave the
-    verified ``cert`` on ``rows``.  A ray there is one of the program on
-    -rows too, so -inf there makes this +inf without a program."""
+    verified ``cert`` on ``rows``, solved only when ``cert`` is finite and
+    not ``reflected`` (see the module docstring)."""
     if not cert.value.finite:
         return Ext.pos_inf()
     negated = tuple(tuple(-v for v in row) for row in rows)
-    return -_price(market, cone, negated, agent, shared_m).value
+    return -_price(market, cone, negated, agent, shared_m, cert.reflected(rows)).value
 
 
 def _pricing_section(market, cone, claims) -> dict:

@@ -174,7 +174,7 @@ def check_instance(market, cone, info, claims, rng):
     """Run the full invariant battery; returns a dict of which theorem-level
     branches were exercised (for coverage accounting)."""
     hit = {"emm_equiv": False, "nca_holds": False, "rho_finite": False,
-           "t0_cone": False, "terminal_y0": False, "singleton": False}
+           "t0_cone": False, "terminal_y0": False, "singleton": False, "reflected": 0}
 
     # the stored RN0 flag, known by construction or probed, is the definition
     assert cone.meta.contains_RN0 == contains_every_transfer(market, cone)
@@ -305,6 +305,16 @@ def check_instance(market, cone, info, claims, rng):
         assert certs[0].value == value
         if value == Ext.neg_inf():
             assert certs[1].value == value
+        # a hedge that meets every claim row with equality and uses no cone
+        # ray, negated, with the same measure rows, certifies the negated
+        # claims (report.analyze's sub-prices): its value is that of their
+        # solved program, the one rho_agent_plus(-g_i), rho_Y_minus and
+        # pi_Y_minus solve
+        flipped = certs[0].reflected(rows)
+        if flipped is not None:
+            verify.verify_price_certificate(market, c, negated, flipped, **kw)
+            assert flipped.value == certs[1].value == -value
+            hit["reflected"] += 1
 
     # (d) symmetrisation under deterministic transfers, for the super- and
     # the sub-replication price

@@ -80,6 +80,24 @@ def test_only_free_and_nonnegative_variables(bounds):
         lp(MIN, [1], [], [bounds])
 
 
+def _one_variable(lower):
+    return LinearProgram(sense=MIN, objective=(F(1),), row_coeffs=((F(1),),),
+                         row_rels=(GE,), row_rhs=(F(2),), lower=(lower,))
+
+
+@pytest.mark.parametrize("lower", [0.0, False, F(-1), "0"])
+def test_a_lower_bound_is_an_exact_zero(lower):
+    # a float or a bool equal to 0 is not the exact bound 0, which the
+    # solver and the audit would take it for
+    with pytest.raises(ValueError):
+        _one_variable(lower)
+
+
+@pytest.mark.parametrize("lower", [None, 0, F(0)])
+def test_free_and_zero_lower_bounds_are_accepted(lower):
+    assert solve_checked(_one_variable(lower)).value == 2
+
+
 def test_redundant_rows_are_fine():
     out = solve_checked(lp(MIN, [1, 1],
                            [([1, 1], EQ, 2), ([2, 2], EQ, 4), ([1, 1], GE, 2)],

@@ -9,7 +9,9 @@ Farkas vector, ray.  Whole programs go through ``lp.solve``, which compiles
 them to sparse integer columns, and ``fraction_kernel.solve``, which
 compiles them to the ``Fraction`` standard form; that checks the unscaling
 of the duals and the value as well as the pivots.  The integer standard
-forms compare the two kernels on the same data, and there the spies also
+forms compare the two kernels on the same data, the integer kernel's
+result, numerators with their stamps, read as Fractions by one helper
+(``as_fractions``) and equal to the reference's by repr; there the spies also
 read every live row of the basis inverse with its right-hand side after
 each pivot: the integer kernel's sparse row over its stamp must be in
 lowest terms, as ``y`` must, and equal the reference's row.
@@ -68,12 +70,29 @@ def reference_inverse_rows(tab):
     return [row[tab.n:tab.n + tab.m] + row[-1:] for row in tab.rows]
 
 
+def as_fractions(res, n):
+    """The integer kernel's result over ``n`` columns in the reference's
+    form: the point and the ray as dense lists, each entry its numerator
+    over its stamp, and the duals, the value and the Farkas vector over
+    ``y_scale``."""
+    out = {"status": res["status"]}
+    for key in ("point", "ray"):
+        if key in res:
+            out[key] = [F(*res[key].get(j, (0, 1))) for j in range(n)]
+    if "duals" in res:
+        out["duals"] = [F(v, res["y_scale"]) for v in res["duals"]]
+        out["value"] = F(res["value"], res["y_scale"])
+    if "farkas" in res:
+        out["farkas"] = [F(v, res["y_scale"]) for v in res["farkas"]]
+    return out
+
+
 def both(A, b, c):
     """Both kernels on the integer standard form min c.x, Ax = b, x >= 0,
     with the same basis inverse after every pivot."""
     cols = [[(r, row[j]) for r, row in enumerate(A) if row[j]] for j in range(len(c))]
     with pivots(lp._RevisedSimplex, inverse_rows) as new_pivots:
-        new = lp._solve_standard(cols, b, c, [1] * len(b))
+        new = as_fractions(lp._solve_standard(cols, b, c, [1] * len(b)), len(c))
     with pivots(fraction_kernel._Tableau, reference_inverse_rows) as old_pivots:
         old = fraction_kernel._solve_standard([[F(v) for v in row] for row in A],
                                               [F(v) for v in b], [F(v) for v in c], len(c))

@@ -3,9 +3,12 @@ outcome (``verify.verify_price_certificate``): a finite price by its hedge
 and its measure rows, -inf by its ray.  Changing one hedge entry, one
 measure entry, the value, or the sign of the ray must raise
 InternalInvariantError, and the CLI must exit 2 on a tampered price
-certificate under ``python -O`` too."""
+certificate under ``python -O`` too.  A sub-price is read off the reflected
+certificate exactly when the hedge replicates the claims with no cone ray;
+a reflection forced on any other hedge fails the check."""
 
 import dataclasses
+from collections import Counter
 
 import pytest
 
@@ -17,6 +20,7 @@ from collective_arb.ext import Ext
 from collective_arb.market import build_market
 from collective_arb.model_io import parse_model
 from collective_arb.pricing import claim_vector, price_certificate
+from collective_arb.randgen import random_claims, random_cone, random_market, seeded_rng
 from collective_arb.verify import verify_price_certificate
 
 from conftest import toy_market_spec
@@ -125,6 +129,60 @@ def test_a_ray_makes_the_reflected_price_minus_inf_too():
         minus = price_certificate(market, cone, _negated(rows), **kw)
         assert minus.value == Ext.neg_inf()
         verify_price_certificate(market, cone, _negated(rows), minus, **kw)
+
+
+def _random_price_programs(n_instances):
+    """Every agent's, rho_Y's and pi_Y's program on seeded random instances,
+    as (market, cone, claim rows, keywords)."""
+    rng = seeded_rng()
+    for _ in range(n_instances):
+        market = random_market(rng)
+        cone, _ = random_cone(rng, market)
+        claims = random_claims(rng, market)
+        for i in range(market.n_agents):
+            yield market, None, (claims.rows[i],), {"agent": i}
+        yield market, cone, claims.rows, {}
+        yield market, cone, claims.rows, {"shared_m": True}
+
+
+def _slack_rows(hedge, rows):
+    """How many dom rows the hedge meets with slack: m_i + gains_i +
+    exchange_i > claim_i at atom w."""
+    ex = hedge.exchange_rows or [(0,) * len(row) for row in rows]
+    return sum(1 for m, gains, x, row in zip(hedge.m, hedge.gains_rows, ex, rows)
+               for a, e, c in zip(gains, x, row) if m + a + e != c)
+
+
+def test_reflection_holds_exactly_where_the_hedge_replicates():
+    # a replicating hedge's reflection passes the check on the negated
+    # claims at the value of their own program; a verified hedge with a
+    # positive ray coefficient, or with no ray and one slack row, is not
+    # reflected, and its reflection, forced, fails the check
+    seen = Counter()
+    for market, cone, rows, kw in _random_price_programs(80):
+        cert = price_certificate(market, cone, rows, **kw)
+        if not cert.value.finite:
+            continue
+        negated, flipped = _negated(rows), cert.reflected(rows)
+        slack, ray = _slack_rows(cert.hedge, rows), any(cert.hedge.ray_coeffs)
+        assert (flipped is not None) == (not slack and not ray)
+        if flipped is not None:
+            seen["replicates"] += 1
+            verify_price_certificate(market, cone, negated, flipped, **kw)
+            assert flipped.value == price_certificate(market, cone, negated, **kw).value
+            continue
+        if ray:
+            seen["ray"] += 1
+            message = "negative coefficient on a cone ray"
+        elif slack == 1:
+            seen["one slack row"] += 1
+            message = "fails to dominate a claim"
+        else:
+            continue
+        forced = dataclasses.replace(cert, value=-cert.value, hedge=negated_hedge(cert.hedge))
+        with pytest.raises(InternalInvariantError, match=message):
+            verify_price_certificate(market, cone, negated, forced, **kw)
+    assert min(seen["replicates"], seen["one slack row"], seen["ray"]) > 0, seen
 
 
 # the first price of the analysis, agent 1's rho_i, reads one more than its
