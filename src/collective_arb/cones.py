@@ -6,6 +6,9 @@ caller: zero-sum and the measurability date are read off the generators.
 Containment of RN0 (all deterministic zero-sum transfers) is known by
 construction for Y0, grouping and zero cones and for sums with a summand
 containing RN0; spans, rays and the other sums are probed by membership LPs.
+The cash groups, which no generator crosses and inside which the cone holds
+every deterministic zero-sum transfer, are known by construction (the zero
+cone's singletons, a grouping cone's groups, one group with RN0) and checked.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ class ConeFlags:
     is_zero_sum: bool
     contains_RN0: bool
     measurable_at: Optional[int]
+    groups: Optional[tuple] = None  # the cash groups as sorted agent tuples
 
 
 @dataclass(frozen=True)
@@ -156,10 +160,10 @@ def _unit_transfer(market: MarketModel, i: int, j: int) -> PayoffMatrix:
 
 
 def _verify_flags(market: MarketModel, cone: ExchangeCone,
-                  rn0: Optional[bool]) -> ConeFlags:
-    """Flags from the generators (``cone.meta`` is not read).  ``rn0`` is the
-    constructor's answer to "does the cone contain RN0?"; None means it does
-    not know, and 2(N-1) membership probes decide."""
+                  rn0: Optional[bool], groups: Optional[tuple]) -> ConeFlags:
+    """Flags from the generators (``cone.meta`` is not read).  ``rn0`` and
+    ``groups`` are what the constructor knows of RN0 and the cash groups, or
+    None; 2(N-1) membership probes decide RN0, which makes one group."""
     gens = cone.generators
     zero_sum = all(all(s == 0 for s in g.column_sums()) for g in gens)
     if rn0 is None:
@@ -167,23 +171,27 @@ def _verify_flags(market: MarketModel, cone: ExchangeCone,
         N = market.n_agents
         rn0 = all(cone_contains(cone, _unit_transfer(market, i, j)).contains
                   for i in range(N) for j in (i - 1, i + 1) if 0 <= j < N)
+    groups = (tuple(range(market.n_agents)),) if rn0 else groups
+    owner = {i: k for k, g in enumerate(groups or ()) for i in g}
+    if groups and any(len({owner[i] for i, r in enumerate(g.rows) if any(r)}) > 1 for g in gens):
+        raise InternalInvariantError("a cone generator crosses its cash groups")
     measurable_at = None
     for t in range(market.T + 1):
         part = agents_join_partition(market, t)
         if all(constant_on(row, part) for g in gens for row in g.rows):
             measurable_at = t
             break
-    return ConeFlags(is_zero_sum=zero_sum, contains_RN0=rn0, measurable_at=measurable_at)
+    return ConeFlags(zero_sum, rn0, measurable_at, groups)
 
 
-def _make(market: MarketModel, rays, lineality,
-          rn0: Optional[bool] = None) -> ExchangeCone:
-    """The cone of these generators; ``rn0`` as in ``_verify_flags``, which
-    each constructor passes when it knows the answer."""
+def _make(market: MarketModel, rays, lineality, rn0: Optional[bool] = None,
+          groups: Optional[tuple] = None) -> ExchangeCone:
+    """The cone of these generators; ``rn0`` and ``groups`` as in
+    ``_verify_flags``, which each constructor passes when it knows them."""
     cone = ExchangeCone(n_agents=market.n_agents, n_atoms=market.n_atoms,
                         rays=tuple(rays), lineality=tuple(lineality),
                         meta=ConeFlags(False, False, None))
-    return replace(cone, meta=_verify_flags(market, cone, rn0))
+    return replace(cone, meta=_verify_flags(market, cone, rn0, groups))
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +201,8 @@ def _make(market: MarketModel, rays, lineality,
 
 def make_zero(market: MarketModel) -> ExchangeCone:
     """The cone {0}: cooperation disabled.  RN0 = {0} with one agent."""
-    return _make(market, (), (), rn0=market.n_agents == 1)
+    return _make(market, (), (), rn0=market.n_agents == 1,
+                 groups=tuple((i,) for i in range(market.n_agents)))
 
 
 def make_Y0(market: MarketModel, t: int) -> ExchangeCone:
@@ -207,9 +216,9 @@ def make_grouping(market: MarketModel, groups: Sequence[Sequence[int]],
                   t: int) -> ExchangeCone:
     """Zero-sum within each agent group, settled on time-t information: the
     transfers 1_B * (e_i - e_j) for each block B of the agents' joint time-t
-    partition and each adjacent pair i < j of a sorted group.  RN0 lies in
-    it exactly when one group holds every agent: the block transfers sum to
-    e_i - e_j, and no generator crosses a group."""
+    partition and each adjacent pair i < j of a sorted group (a cash group).
+    RN0 lies in it exactly when one group holds every agent: the block
+    transfers sum to e_i - e_j, and no generator crosses a group."""
     if not (isinstance(groups, Sequence)
             and all(isinstance(g, Sequence) and all(is_index(i) for i in g)
                     for g in groups)):
@@ -230,8 +239,8 @@ def make_grouping(market: MarketModel, groups: Sequence[Sequence[int]],
                     rows[i][w] = Fraction(1)
                     rows[j][w] = Fraction(-1)
                 lineality.append(payoff_matrix(market, rows, where="grouping"))
-    return _make(market, (), lineality,
-                 rn0=any(len(g) == market.n_agents for g in groups))
+    return _make(market, (), lineality, rn0=any(len(g) == market.n_agents for g in groups),
+                 groups=tuple(sorted(tuple(sorted(g)) for g in groups if g)))
 
 
 def make_span(market: MarketModel, generators) -> ExchangeCone:

@@ -89,9 +89,13 @@ class LinearProgram:
         n = len(self.objective)
         if self.sense not in (MIN, MAX):
             raise ValueError(f"bad sense {self.sense!r}")
-        for coeffs in self.row_coeffs:
-            if len(coeffs) != n:
+        for k, nums in enumerate((self.objective, self.row_rhs, *self.row_coeffs)):
+            if k > 1 and len(nums) != n:
                 raise ValueError("row length differs from objective length")
+            if not {int, Fraction}.issuperset(map(type, nums)):  # a bool is not an int here
+                where = ("objective", "rhs")[k] if k < 2 else f"row {k - 2}"
+                j, a = next((j, a) for j, a in enumerate(nums) if type(a) not in (int, Fraction))
+                raise ValueError(f"{where} entry {j} is {a!r}, not an int or a Fraction")
         for rel in self.row_rels:
             if rel not in _RELS:
                 raise ValueError(f"bad relation {rel!r}")

@@ -42,10 +42,14 @@ instead of a program of their own:
   measure vector, whose rows are probabilities and so polar to RN0,
   excludes one.  Only with neither is Y + Y0(0) searched, and the
   arbitrage the collective FTAP says it must hold is verified;
-* pi_Y and pi_Y_minus, when the cone contains RN0: moving each agent's cash
-  by a deterministic zero-sum transfer turns a hedge of rho_Y into one of
-  pi_Y, so rho_Y = N * pi_Y for every claim vector (the paper's finite-market
-  identity), and pi_Y = rho_Y / N, pi_Y_minus = rho_Y_minus / N;
+* pi_Y and pi_Y_minus, when the cone's cash groups are known: no generator
+  has nonzero rows in two groups, so the rho_Y program splits by group, and
+  at a verified optimum group G's cash sum is its price C_G (each sum is at
+  least C_G, and they add up to the optimum).  The cone holds e_i - e_j,
+  the sum of the 1_B (e_i - e_j), for i, j in G, so cash moves to C_G / |G|:
+  pi_Y = max_G C_G / |G| and pi_Y_minus = -max_G C_G(-g) / |G|, rho_Y / N
+  with one group (RN0), also at -inf, and pi_N for singletons (the zero
+  cone); with several groups and rho_Y = -inf, a ray, both are solved;
 * each agent's fair price, its replication cost under its dual-optimal
   measure q_i: taking expectations under q_i of a dominating position gives
   a cost >= E_{q_i}[g_i], and cash E_{q_i}[g_i] plus the zero-cost
@@ -241,14 +245,23 @@ def _price(market, cone, rows, agent=None, shared_m=False, cert=None) -> PriceCe
     return cert
 
 
-def _sub_price(market, cone, cert, rows, agent=None, shared_m=False) -> Ext:
-    """The sub-replication price -rho_+(-rows) of the program that gave the
-    verified ``cert`` on ``rows``, solved only when ``cert`` is finite and
-    not ``reflected`` (see the module docstring)."""
+def _sub_price(market, cone, cert, rows, agent=None, shared_m=False) -> PriceCertificate:
+    """The verified certificate of rho_+(-rows) on the program that gave the
+    verified ``cert`` on ``rows``: ``cert`` itself when that is a ray, else
+    solved only when ``cert`` is not ``reflected`` (see the module docstring)."""
     if not cert.value.finite:
-        return Ext.pos_inf()
+        return cert
     negated = tuple(tuple(-v for v in row) for row in rows)
-    return -_price(market, cone, negated, agent, shared_m, cert.reflected(rows)).value
+    return _price(market, cone, negated, agent, shared_m, cert.reflected(rows))
+
+
+def _group_price(groups, cert):
+    """pi_+ off ``cert``, the verified rho_+ certificate of the same claims, on
+    a cone with cash groups ``groups``; None if unknown, or several at -inf."""
+    finite, m = cert.value.finite, cert.hedge.m
+    if groups is None or not finite and len(groups) > 1:
+        return None
+    return Ext.of(max(sum(m[i] for i in g) / len(g) for g in groups)) if finite else cert.value
 
 
 def _pricing_section(market, cone, claims) -> dict:
@@ -267,28 +280,27 @@ def _pricing_section(market, cone, claims) -> dict:
     cooperation: object = "absent"
     fairness: object = "absent"
     if cone is not None:
-        # with every deterministic zero-sum transfer in the cone, rho_Y = N * pi_Y
-        # for each claim vector, so pi_Y and pi_Y_minus need no program of their own
-        share = Fraction(1, market.n_agents) if cone.meta.contains_RN0 else None
+        # on a cone with known cash groups, the verified hedges of rho_Y and
+        # rho_+(-g) show pi_Y and pi_Y_minus, which need no program of their own
         rho_cert = _price(market, cone, claims.rows)
         rho_y, opt = rho_cert.value, rho_cert.optimizer
-        if share:
-            pi_y = rho_y * share
-        else:
+        pi_y, pi_cert = _group_price(cone.meta.groups, rho_cert), None
+        if pi_y is None:
             pi_cert = _price(market, cone, claims.rows, shared_m=True)
             pi_y = pi_cert.value
         # rho_Y's verified measure rows, or its ray, certify the dual value;
         # the optimal face's interior point is printed, so it is solved
         dual_v, dual_mv = rho_y, None
-        if share and rho_y.finite:
+        if cone.meta.contains_RN0 and rho_y.finite:
             dual_mv = optimal_face_measures(market, cone, claims, rho_y.value)
             verify.verify_measure_vector(market, cone, dual_mv, strict=False)
         if not (rho_y <= rho_n and pi_y <= pi_n):
             raise InternalInvariantError("cooperative price exceeds stand-alone price")
-        rho_ym = _sub_price(market, cone, rho_cert, claims.rows)
-        pi_ym = (rho_ym * share if share
-                 else _sub_price(market, cone, pi_cert, claims.rows, shared_m=True))
-        rho_nm = ext_sum(_sub_price(market, None, c, (claims.rows[i],), agent=i)
+        negated = _sub_price(market, cone, rho_cert, claims.rows)
+        rho_ym = -negated.value
+        pi_ym = -(_group_price(cone.meta.groups, negated) if pi_cert is None
+                  else _sub_price(market, cone, pi_cert, claims.rows, shared_m=True).value)
+        rho_nm = ext_sum(-_sub_price(market, None, c, (claims.rows[i],), agent=i).value
                          for i, c in enumerate(agent_certs))
         prices.update(rho_Y=rho_y, pi_Y=pi_y)
         out.update({

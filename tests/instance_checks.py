@@ -170,11 +170,19 @@ def contains_every_transfer(market, cone):
                for i in range(N) for j in range(N) if i != j)
 
 
+def cash_group_share(groups, cert):
+    """max over the cash groups G of the cash sum of G in the hedge of the
+    price certificate ``cert``, over |G|."""
+    m = cert.hedge.m
+    return Ext.of(max(sum(m[i] for i in g) / len(g) for g in groups))
+
+
 def check_instance(market, cone, info, claims, rng):
     """Run the full invariant battery; returns a dict of which theorem-level
     branches were exercised (for coverage accounting)."""
     hit = {"emm_equiv": False, "nca_holds": False, "rho_finite": False,
-           "t0_cone": False, "terminal_y0": False, "singleton": False, "reflected": 0}
+           "t0_cone": False, "terminal_y0": False, "singleton": False, "reflected": 0,
+           "cash_groups": 0}
 
     # the stored RN0 flag, known by construction or probed, is the definition
     assert cone.meta.contains_RN0 == contains_every_transfer(market, cone)
@@ -297,9 +305,11 @@ def check_instance(market, cone, info, claims, rng):
     # is a ray of the program on the negated claims too
     programs = [(None, (claims.rows[i],), {"agent": i}) for i in range(market.n_agents)]
     programs += [(cone, claims.rows, {}), (cone, claims.rows, {"shared_m": True})]
+    verified = []
     for (c, rows, kw), value in zip(programs, rho_i + [rho_y, pi_y]):
         negated = tuple(tuple(-v for v in row) for row in rows)
         certs = [price_certificate(market, c, r, **kw) for r in (rows, negated)]
+        verified.append(certs)
         for r, cert in zip((rows, negated), certs):
             verify.verify_price_certificate(market, c, r, cert, **kw)
         assert certs[0].value == value
@@ -315,13 +325,27 @@ def check_instance(market, cone, info, claims, rng):
             verify.verify_price_certificate(market, c, negated, flipped, **kw)
             assert flipped.value == certs[1].value == -value
             hit["reflected"] += 1
+            certs.append(flipped)
 
     # (d) symmetrisation under deterministic transfers, for the super- and
-    # the sub-replication price
+    # the sub-replication price: on a cone whose cash groups are known, the
+    # largest group share of the cash of the verified hedge of rho_Y, and
+    # of each verified one of rho_+(-g), solved or reflected, is pi_Y, and
+    # -pi_Y_minus (report.analyze's rule, with a ray too for one group);
+    # one group, every cone containing RN0, gives rho_Y = N * pi_Y
     rho_ym = rho_Y_minus(market, cone, claims)
+    pi_ym = pi_Y_minus(market, cone, claims)
+    groups = cone.meta.groups
+    if groups is not None and rho_y.finite:
+        rho_certs = verified[market.n_agents]
+        assert cash_group_share(groups, rho_certs[0]) == pi_y
+        assert all(cash_group_share(groups, c) == -pi_ym for c in rho_certs[1:])
+        if len(groups) > 1:
+            hit["cash_groups"] += len(rho_certs)
     if cone.meta.contains_RN0:
+        assert groups == (tuple(range(market.n_agents)),)
         assert rho_y == pi_y * market.n_agents
-        assert rho_ym == pi_Y_minus(market, cone, claims) * market.n_agents
+        assert rho_ym == pi_ym * market.n_agents
 
     if terminal_y0:
         pooled = [sum(col) for col in zip(*claims.rows)]

@@ -222,6 +222,7 @@ def test_criterion_6_property_battery():
         assert cover["terminal_y0"] > 0
         assert cover["singleton"] > 0
         assert cover["reflected"] > 0
+        assert cover["cash_groups"] > 0
     finally:
         lp.set_audit(False)
 

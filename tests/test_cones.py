@@ -1,9 +1,13 @@
 import random
 from fractions import Fraction
 
+import pytest
+
+from collective_arb import cones
 from collective_arb.cones import (cone_add, cone_contains, combination_rows,
                                   make_grouping, make_rays, make_span, make_Y0,
                                   make_zero, spans_equal)
+from collective_arb.errors import InternalInvariantError
 from collective_arb.market import PayoffMatrix, build_market, payoff_matrix
 
 from conftest import toy_market_spec
@@ -235,8 +239,6 @@ def test_rn0_flag_matches_all_pairs_definition():
 
 def test_one_agent_cones_contain_rn0_without_probes(monkeypatch):
     # with one agent RN0 = {0}, which every cone contains
-    from collective_arb import cones
-
     def no_probe(cone, y):
         raise AssertionError("membership probe run for a flag known by construction")
 
@@ -247,3 +249,29 @@ def test_one_agent_cones_contain_rn0_without_probes(monkeypatch):
     market = build_market(spec)
     for cone in (make_Y0(market, 0), make_Y0(market, 1), make_zero(market)):
         assert cone.is_trivial() and cone.meta.contains_RN0
+
+
+def test_cash_groups_by_construction():
+    # the zero cone's agents are singletons, a grouping cone's groups are
+    # its own, and a cone containing RN0 is one group; the groups of other
+    # cones are unknown
+    spec = toy_market_spec()
+    spec["agents"].append({"assets": ["X1"], "filtration": "global"})
+    market = build_market(spec)
+    assert make_zero(market).meta.groups == ((0,), (1,), (2,))
+    assert make_Y0(market, 1).meta.groups == ((0, 1, 2),)
+    assert make_grouping(market, [[2, 0], [1]], 1).meta.groups == ((0, 2), (1,))
+    assert make_grouping(market, [[2, 1, 0]], 0).meta.groups == ((0, 1, 2),)
+    span = make_span(market, [_transfer(market, 0, 2)])
+    assert not span.meta.contains_RN0 and span.meta.groups is None
+    assert cone_add(market, span, make_Y0(market, 0)).meta.groups == ((0, 1, 2),)
+    spec["agents"] = spec["agents"][:1]
+    del spec["assets"]["X2"]
+    assert make_zero(build_market(spec)).meta.groups == ((0,),)
+
+
+def test_a_generator_crossing_the_cash_groups_is_refused(toy_market):
+    # an InternalInvariantError, not an assert, so it fires under python -O
+    with pytest.raises(InternalInvariantError, match="crosses its cash groups"):
+        cones._make(toy_market, (), [_transfer(toy_market, 0, 1)], rn0=False,
+                    groups=((0,), (1,)))

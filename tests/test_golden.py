@@ -19,7 +19,7 @@ import pytest
 
 from collective_arb import lp
 from collective_arb.examples_builtin import example_document, example_names
-from collective_arb.model_io import parse_model
+from collective_arb.model_io import load_model, parse_model
 from collective_arb.report import analyze, render_json
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -67,6 +67,31 @@ def test_analysis_solves_each_program_once(name):
     # them again.
     programs = solved_programs(name)
     assert len(set(programs)) == len(programs)
+
+
+def test_grouping_tree_report_is_pinned_and_reads_pi_off_the_hedge():
+    """A T=2, N=5 binomial tree with the two cash groups {0, 1} and
+    {2, 3, 4}: pi_Y = 43/40 is not rho_Y / 5 = 413/450, and the report is
+    pinned byte for byte.  Both pi_Y and pi_Y_minus are read off the
+    verified hedges of rho_Y and of rho_+(-g), so the analysis solves 15
+    programs and no shared-cash one.  The model is ``bench/trees.py``'s
+    draw, made with
+
+        python3 -c 'import json, random, sys; sys.path.insert(0, "bench"); import trees; print(json.dumps(trees.tree_doc(random.Random("grouping/2/5"), 2, 5, "differ", {"kind": "grouping", "t": 1, "groups": [[0, 1], [2, 3, 4]]}, clusters=[0, 0, 1, 1, 1]), indent=2))' > tests/golden/large/tree-T2N5-grouping.json
+
+    and the golden is its ``render_json(analyze(load_model(...)))``."""
+    model = load_model(str(GOLDEN / "large" / "tree-T2N5-grouping.json"))
+    assert model.exchange.meta.groups == ((0, 1), (2, 3, 4))
+    sink = []
+    lp.set_dump_sink(sink)
+    try:
+        report = render_json(analyze(model))
+    finally:
+        lp.set_dump_sink(None)
+    expected = GOLDEN / "large" / "tree-T2N5-grouping.report.json"
+    assert report == expected.read_text(encoding="utf-8")
+    assert len(sink) == 15
+    assert not any(text.startswith("min: 1 m\n") for text in sink)
 
 
 if __name__ == "__main__":

@@ -98,6 +98,17 @@ def test_free_and_zero_lower_bounds_are_accepted(lower):
     assert solve_checked(_one_variable(lower)).value == 2
 
 
+@pytest.mark.parametrize("entry", [{"objective": (0.5,)}, {"row_rhs": (1.5,)},
+                                   {"row_coeffs": ((True,),)}, {"row_coeffs": (("1",),)}])
+def test_every_number_is_an_int_or_a_fraction(entry):
+    # a float reached the compile, which raised AttributeError, and a bool
+    # coefficient solved as 1
+    fields = dict(sense=MIN, objective=(F(1),), row_coeffs=((F(1),),), row_rels=(GE,),
+                  row_rhs=(F(2),), lower=(None,))
+    with pytest.raises(ValueError, match="entry 0 is"):
+        LinearProgram(**{**fields, **entry})
+
+
 def test_redundant_rows_are_fine():
     out = solve_checked(lp(MIN, [1, 1],
                            [([1, 1], EQ, 2), ([2, 2], EQ, 4), ([1, 1], GE, 2)],

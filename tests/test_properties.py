@@ -40,6 +40,7 @@ def test_random_instance_battery():
     assert cover["t0_cone"] > 0
     assert cover["terminal_y0"] > 0
     assert cover["reflected"] > 0
+    assert cover["cash_groups"] > 0
 
 
 def test_converse_na_to_nca_fails(toy_market):
