@@ -12,6 +12,8 @@ gains generators and no cone: its arbitrage search and its interior
 martingale measure are the collective programs at that size.  Every
 dual-row program (the interior points, the polar witness, the expectation
 supremum, the coordinate ranges) takes its rows from ``install_emm_system``.
+A point that its equality rows fix (a complete market) is read off them,
+and if > 0 it decides before an arbitrage search (``interior_program``).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Optional
 from .cones import ExchangeCone, Positions
 from .errors import InternalInvariantError, ValidationError
 from .ext import Ext
-from .lp import EQ, GE, LE, LPBuilder, MAX, MIN, ZERO
+from .lp import EQ, GE, INCONSISTENT, LE, LPBuilder, MAX, MIN, ZERO, solve_equalities
 from .market import MarketModel, PayoffMatrix, check_index, gains_basis
 
 
@@ -101,8 +103,8 @@ def martingale_polytope(market: MarketModel, agent: int) -> MartingalePolytope:
     return MartingalePolytope(n_atoms=market.n_atoms, generators=gains_basis(market, agent))
 
 
-def install_emm_system(b: LPBuilder, n_atoms: int, gens_per_row,
-                       cone: Optional[ExchangeCone], weight=None, mass: str = "row", shift=None):
+def install_emm_system(b: LPBuilder, n_atoms: int, gens_per_row, cone: Optional[ExchangeCone],
+                       weight=None, mass: str = "row", shift=None, face=None):
     """Variables ``q{i}_{w} >= 0``, one row per row of gains generators,
     under the rule of ``verify._check_dual_rows``: weighted by ``weight``
     (all ones when None), each row (mass "row") or all rows together
@@ -114,16 +116,17 @@ def install_emm_system(b: LPBuilder, n_atoms: int, gens_per_row,
     the super-replicable set, which differ only in that normalisation.
     Returns the handles ``q[i][w]``.  With a ``shift`` handle, the variables
     are ``s{i}_{w} >= 0`` and stand for q_iw = s_iw + shift: each row adds
-    its summed coefficients to ``shift``.  The cone must have ``n_atoms``
+    its summed coefficients to ``shift``.  ``face = (rows, value)`` adds the
+    row sum_i <q_i, rows[i]> = value last.  The cone must have ``n_atoms``
     atoms and one row per row of gains generators."""
     if cone is not None and (cone.n_agents, cone.n_atoms) != (len(gens_per_row), n_atoms):
         raise ValidationError("cone", "cone shape does not match the market")
-    weight = (1,) * n_atoms if weight is None else weight
     q = [[b.var(f"{'q' if shift is None else 's'}{i}_{w}", lo=0) for w in range(n_atoms)]
          for i in range(len(gens_per_row))]
 
     def row(label, rows, rel, rhs):
-        coeffs = {q[i][w]: weight[w] * v for i, r in rows for w, v in enumerate(r) if v}
+        coeffs = {q[i][w]: v if weight is None else weight[w] * v
+                  for i, r in rows for w, v in enumerate(r) if v}
         if shift is not None:
             coeffs[shift] = sum(coeffs.values(), ZERO)
         b.row(label, coeffs, rel, rhs)
@@ -140,32 +143,44 @@ def install_emm_system(b: LPBuilder, n_atoms: int, gens_per_row,
             row(f"polar_{kind}{k}", enumerate(g.rows), rel, 0)
     if mass == "total":
         row("mass", [(i, ones) for i in range(len(q))], EQ, 1)
+    if face is not None:
+        row("opt_face", enumerate(face[0]), EQ, face[1])
     return q
 
 
-def interior_point(n_atoms: int, gens_per_row, cone: Optional[ExchangeCone], face=None,
-                   weight=None, mass: str = "row"):
-    """(least entry, rows) of the point of ``install_emm_system`` (with its
-    ``weight`` and ``mass``) maximizing its least entry; None when there is
-    none.  ``face = (rows, value)``, an optimal face of sum_i
-    E_{q_i}[rows[i]], restricts it to that face, which is never empty.
-    The point is s + eps, with s >= 0 the system's variables under ``shift``
-    eps, so no row bounds an entry by eps.  eps >= 0, as a free eps lets
-    s + eps go negative; any q >= 0 is s = q with eps = 0, so none is lost."""
+def interior_program(n_atoms: int, gens_per_row, cone: Optional[ExchangeCone], face=None,
+                     weight=None, mass: str = "row"):
+    """(fixed, point): ``point()`` is the (least entry, rows) of the point of
+    ``install_emm_system`` (with its ``weight``, ``mass`` and ``face``)
+    maximizing its least entry, None when there is none; ``fixed`` is that
+    answer where the equality rows fix one q, else None.  The program's
+    point is s + eps, s >= 0 the system's variables under ``shift`` eps >= 0
+    (a free eps lets s + eps go negative; any q >= 0 is s = q, eps = 0), so
+    a fixed q >= 0 meeting every ray row is its one optimum, eps = min q;
+    else, as with inconsistent rows, there is none.  The program is solved
+    only below full rank."""
     b = LPBuilder(MAX)
-    eps = b.var("eps", lo=0, obj=1)
-    s = install_emm_system(b, n_atoms, gens_per_row, cone, weight, mass, shift=eps)
-    if face is not None:
-        rows, value = face
-        coeffs = {v: c for vs, row in zip(s, rows) for v, c in zip(vs, row)}
-        b.row("opt_face", {**coeffs, eps: sum(coeffs.values(), ZERO)}, EQ, value)
-    out = b.solve()
-    if out.status == "infeasible" and face is None:
-        return None
-    if out.status != "optimal":
-        where = "interior point" if face is None else "optimal-face interior point"
-        raise InternalInvariantError(f"{where} LP ended {out.status}")
-    return out.value, tuple(tuple(out.point[v] + out.value for v in row) for row in s)
+    n = sum(map(len, install_emm_system(b, n_atoms, gens_per_row, cone, weight, mass, face=face)))
+    eqs = [(c, rhs) for _, c, rel, rhs in b.rows if rel == EQ]
+    q = solve_equalities(n, eqs) if len(eqs) >= n else None
+    fixed = None if q is None or q is INCONSISTENT or min(q) < 0 or any(
+        sum(a * q[k] for k, a in c.items()) > rhs for _, c, rel, rhs in b.rows if rel == LE) else (
+        min(q), tuple(q[k:k + n_atoms] for k in range(0, n, n_atoms)))
+
+    def point():
+        if q is not None:
+            return fixed
+        b = LPBuilder(MAX)
+        eps = b.var("eps", lo=0, obj=1)
+        s = install_emm_system(b, n_atoms, gens_per_row, cone, weight, mass, eps, face)
+        out = b.solve()
+        if out.status == "infeasible":
+            return None
+        if out.status != "optimal":
+            raise InternalInvariantError(f"interior point LP ended {out.status}")
+        return out.value, tuple(tuple(out.point[v] + out.value for v in row) for row in s)
+
+    return fixed, point
 
 
 def _expectation_sup(n_atoms: int, gens_per_row, cone: Optional[ExchangeCone],
@@ -188,7 +203,7 @@ def _expectation_sup(n_atoms: int, gens_per_row, cone: Optional[ExchangeCone],
 def find_emm_vector(market: MarketModel, cone: ExchangeCone) -> Optional[MeasureVector]:
     """Canonical strictly positive element of the compatible-measure
     polytope, or None when no equivalent element exists."""
-    hit = interior_point(market.n_atoms, market.gains, cone)
+    hit = interior_program(market.n_atoms, market.gains, cone)[1]()
     if hit is None or hit[0] <= 0:
         return None
     return MeasureVector(densities=hit[1])
@@ -198,8 +213,8 @@ def polar_witness(market: MarketModel, cone: ExchangeCone) -> Optional[PayoffMat
     """Canonical strictly positive element of the polar of the
     super-replicable set, of unit total mass under the reference
     probabilities, or None when no strictly positive element exists."""
-    hit = interior_point(market.n_atoms, market.gains, cone,
-                         weight=market.space.prob, mass="total")
+    hit = interior_program(market.n_atoms, market.gains, cone,
+                           weight=market.space.prob, mass="total")[1]()
     if hit is None or hit[0] <= 0:
         return None
     return PayoffMatrix(rows=hit[1])
@@ -215,47 +230,47 @@ def detect_NA_agent(market: MarketModel, agent: int) -> ArbitrageCertificate:
     By the FTAP the interior point decides alone: a least probability > 0
     is an equivalent martingale measure, so the search runs only without
     one (agents mostly have none to find)."""
-    return _detect_NA(market, agent, search_first=False)
+    return _detect(market, [gains_basis(market, agent)], None, market.measure_points[agent],
+                   f"no arbitrage for agent {agent} yet no equivalent martingale measure")
 
 
 def detect_NA_global(market: MarketModel) -> ArbitrageCertificate:
     """Classical arbitrage in the pooled market of all assets: the one agent
     of `market.full_market`.  Arbitrage is common there, so the search runs
     first."""
-    return _detect_NA(market.full_market, 0, search_first=True)
-
-
-def _detect_NA(market: MarketModel, agent: int, search_first: bool) -> ArbitrageCertificate:
-    """The arbitrage search and the interior point, in the order given,
-    until one of them decides."""
-    gens = gains_basis(market, agent)
-    hit = _search_arbitrage(market, [gens], None) if search_first else None
-    if hit is None:
-        point = interior_point(market.n_atoms, [gens], None)
-        if point is not None and point[0] > 0:
-            return ArbitrageCertificate(found=False, dual_witness=point[1])
-        if not search_first:
-            hit = _search_arbitrage(market, [gens], None)
-    if hit is None:
-        raise InternalInvariantError(
-            f"no arbitrage for agent {agent} yet no equivalent martingale measure")
-    strat, rows, _ = hit
-    return ArbitrageCertificate(found=True, strategy_coeffs=strat, gains_rows=rows)
+    full = market.full_market
+    return _detect(full, full.gains, None, full.measure_points[0],
+                   "no arbitrage yet no equivalent martingale measure", search_first=True)
 
 
 def detect_NCA(market: MarketModel, cone: ExchangeCone) -> ArbitrageCertificate:
     """Collective arbitrage: per-agent trades plus an exchange from the cone
     making every agent's payoff nonnegative and the total strictly positive."""
-    hit = _search_arbitrage(market, market.gains, cone)
-    if hit is not None:
-        strat, rows, exchange = hit
-        return ArbitrageCertificate(found=True, strategy_coeffs=strat,
-                                    gains_rows=rows, exchange=exchange)
-    z = polar_witness(market, cone)
-    if z is None:
-        raise InternalInvariantError(
-            "no collective arbitrage yet no strictly positive polar element")
-    return ArbitrageCertificate(found=False, dual_witness=z.rows)
+    return _detect(market, market.gains, cone, interior_program(
+        market.n_atoms, market.gains, cone, weight=market.space.prob, mass="total"),
+        "no collective arbitrage yet no strictly positive polar element", True)
+
+
+def _detect(market: MarketModel, gens_per_row, cone, interior, what: str,
+            search_first: bool = False) -> ArbitrageCertificate:
+    """The arbitrage search and the point of ``interior``, an
+    ``interior_program``, in the order given until one decides; a fixed
+    point > 0 decides first, as by the FTAP the search is then infeasible."""
+    fixed, point = interior
+    hit = None
+    if search_first and not (fixed and fixed[0] > 0):
+        hit = _search_arbitrage(market, gens_per_row, cone)
+    if hit is None:
+        point = point()
+        if point is not None and point[0] > 0:
+            return ArbitrageCertificate(found=False, dual_witness=point[1])
+        if not search_first:
+            hit = _search_arbitrage(market, gens_per_row, cone)
+    if hit is None:
+        raise InternalInvariantError(what)
+    strat, rows, exchange = hit
+    return ArbitrageCertificate(found=True, strategy_coeffs=strat, gains_rows=rows,
+                                exchange=exchange)
 
 
 # ---------------------------------------------------------------------------

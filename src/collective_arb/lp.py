@@ -516,6 +516,63 @@ def _solve_general(lp: LinearProgram) -> LPOutcome:
 
 
 # ---------------------------------------------------------------------------
+# exact elimination of equality rows
+# ---------------------------------------------------------------------------
+
+INCONSISTENT = "inconsistent"
+
+
+def _lowest(row: dict) -> dict:
+    g = gcd(*row.values())
+    return {j: a // g for j, a in row.items()} if g > 1 else row
+
+
+def _clear(row: dict, c: int, prow: dict) -> dict:
+    """``row`` minus the multiple of ``prow`` that clears its column c."""
+    g = gcd(prow[c], row[c])
+    p, f = prow[c] // g, row[c] // g
+    out = {j: a * p for j, a in row.items()}
+    for j, v in prow.items():
+        out[j] = out.get(j, 0) - f * v
+    return _lowest({j: a for j, a in out.items() if a})
+
+
+def solve_equalities(n: int, rows):
+    """The one solution of ``rows``, equations ``({column: a}, rhs)`` in n
+    unknowns, as a tuple of Fractions; INCONSISTENT when there is none; None
+    below rank n.  An exact sparse Gauss-Jordan elimination in the order
+    given, on integer rows in lowest terms (the rhs at key n), as the kernel
+    keeps its rows; after n pivots each row is a check by substitution, and
+    the solution is substituted into every row in integers first."""
+    def scaled(coeffs, rhs):
+        row = {j: a for j, a in {**coeffs, n: rhs}.items() if a}
+        L = lcm(*(a.denominator for a in row.values()))
+        return _lowest({j: a.numerator * (L // a.denominator) for j, a in row.items()})
+
+    rows, pivots = [scaled(*r) for r in rows], {}
+    for last, row in enumerate(rows):
+        for c in [c for c in row if c in pivots]:
+            row = _clear(row, c, pivots[c])
+        if row:
+            c = min(row)
+            if c == n:
+                return INCONSISTENT
+            pivots = {k: _clear(p, c, row) if c in p else p for k, p in pivots.items()}
+            pivots[c] = row
+        if len(pivots) == n:
+            break
+    else:
+        return None
+    x = [Fraction(pivots[j].get(n, 0), pivots[j][j]) for j in range(n)]
+    D = lcm(*(v.denominator for v in x))
+    X = [v.numerator * (D // v.denominator) for v in x] + [-D]
+    misses = [k for k, row in enumerate(rows) if sum(a * X[j] for j, a in row.items())]
+    if misses and misses[0] <= last:
+        raise InternalInvariantError("elimination's solution does not meet its rows")
+    return INCONSISTENT if misses else tuple(x)
+
+
+# ---------------------------------------------------------------------------
 # small builder, used by every formulation module
 # ---------------------------------------------------------------------------
 
@@ -530,7 +587,7 @@ class LPBuilder:
         self.sense = sense
         self._vars: dict = {}   # name -> lower bound, in column order
         self._obj: dict = {}
-        self._rows: list = []
+        self.rows: list = []    # (name, coeffs, rel, rhs), in order
 
     def var(self, name: str, lo=None, obj=ZERO) -> int:
         """A free variable, or a nonnegative one with ``lo=0``."""
@@ -552,7 +609,7 @@ class LPBuilder:
         for v in coeffs:
             if v not in handles:
                 raise ValueError(f"unknown variable {v!r} in row {name!r}")
-        self._rows.append((name, dict(coeffs), rel, frac(rhs)))
+        self.rows.append((name, dict(coeffs), rel, frac(rhs)))
 
     def build(self) -> LinearProgram:
         n = len(self._vars)
@@ -560,7 +617,7 @@ class LPBuilder:
         for v, a in self._obj.items():
             objective[v] = a
         coeffs, rels, rhs, rnames = [], [], [], []
-        for rname, cmap, rel, b in self._rows:
+        for rname, cmap, rel, b in self.rows:
             dense = [ZERO] * n
             for v, a in cmap.items():
                 dense[v] = frac(a)

@@ -143,6 +143,12 @@ class MarketModel:
         return tuple(_generators(self, ag.asset_ids, ag.filtration) for ag in self.agents)
 
     @cached_property
+    def measure_points(self) -> tuple:
+        """Each agent's ``arbitrage.interior_program``, for its NA and prices."""
+        from .arbitrage import interior_program  # arbitrage builds on this module
+        return tuple(interior_program(self.n_atoms, [gens], None) for gens in self.gains)
+
+    @cached_property
     def full_market(self) -> "MarketModel":
         """The pooled market: one agent owning every asset under the global
         filtration."""

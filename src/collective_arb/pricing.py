@@ -15,7 +15,9 @@ are these programs with one agent's gains generators, one claim row and no
 exchange cone.  One price is an identity rather than a program: an agent's
 replication cost under a fixed martingale measure, which fairness reports
 per agent, is the claim's expectation (``rho_under_measure``), so fairness
-solves only its canonical exchange.
+solves only its canonical exchange.  So is an agent's price when its one
+martingale measure, > 0, and its one replicating hedge are fixed by their
+rows.
 """
 
 from __future__ import annotations
@@ -24,11 +26,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .arbitrage import MeasureVector, _expectation_sup, interior_point
+from .arbitrage import MeasureVector, _expectation_sup, interior_program
 from .cones import ExchangeCone, Positions
 from .errors import FairnessUnavailable, InternalInvariantError, ValidationError
 from .ext import Ext, ext_max, ext_sum
-from .lp import EQ, GE, LPBuilder, MAX, MIN, ZERO, frac
+from .lp import EQ, GE, LPBuilder, MAX, MIN, ZERO, frac, solve_equalities
 from .market import (MarketModel, PayoffMatrix, _listed, _rational, check_index,
                      constant_on, gains_basis, payoff_matrix)
 
@@ -171,7 +173,10 @@ def price_certificate(market: MarketModel, cone: Optional[ExchangeCone], claim_r
     amount for all rows when ``shared_m``) so that trading in each agent's
     gains generators, plus one exchange from the cone unless it is None,
     dominates every claim row; -inf when unbounded.  With ``agent``, the
-    program of that agent alone on its one claim row, with no cone."""
+    program of that agent alone on its one claim row, with no cone; there,
+    when the agent's martingale measure is fixed at some q > 0 (a complete
+    market), one solution of the dom rows as equalities is the program's
+    one optimum, by complementary slackness with q, and q its dual."""
     n, gens_per_row, what = market.n_atoms, market.gains, "collective"
     if agent is not None:
         claim_rows = [_agent_claim_row(market, agent, claim_rows[0])]
@@ -185,8 +190,11 @@ def price_certificate(market: MarketModel, cone: Optional[ExchangeCone], claim_r
     for i, claim in enumerate(claim_rows):
         for w in range(n):
             b.row(f"dom{i}_{w}", {cash[i]: Fraction(1), **pos.payoff(i, w)}, GE, claim[w])
-    out = b.solve()
-    if out.status == "unbounded":
+    q = agent is not None and market.measure_points[agent][0]
+    x = q and q[0] > 0 and solve_equalities(len(pos.h[0]) + 1, [(c, r) for _, c, _, r in b.rows])
+    if isinstance(x, tuple):
+        value, p, measures = Ext.of(x[0]), x, q[1]
+    elif (out := b.solve()).status == "unbounded":
         value, p, measures = Ext.neg_inf(), out.ray, None
     else:
         _expect_optimal(out, f"{what} super-replication")
@@ -260,8 +268,10 @@ def optimal_face_measures(market: MarketModel, cone: ExchangeCone, g: ClaimVecto
     """The canonical interior point (maximal minimum atom probability) of
     the measure vectors polar to the cone under which the claims' total
     expectation is ``value``, the finite price rho_Y_plus(g)."""
-    _, rows = interior_point(market.n_atoms, market.gains, cone, face=(g.rows, value))
-    return MeasureVector(densities=rows)
+    hit = interior_program(market.n_atoms, market.gains, cone, face=(g.rows, value))[1]()
+    if hit is None:
+        raise InternalInvariantError("optimal face holds no measure vector")
+    return MeasureVector(densities=hit[1])
 
 
 # ---------------------------------------------------------------------------

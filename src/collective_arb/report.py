@@ -15,6 +15,13 @@ instead of a program of their own:
   equivalent martingale measure, so an arbitrage is searched for only
   without one (the pooled market, where arbitrage is common, searches
   first);
+* an interior point whose equality rows fix one q (a complete market, by
+  the second fundamental theorem): q if q >= 0 meets every ray row, else
+  none (``arbitrage.interior_program``); a fixed q > 0 is the pooled
+  market's or the polar system's witness, and the FTAP skips the search;
+* an agent's price when its measure is fixed at q > 0 and its replicating
+  hedge is fixed too: by complementary slackness they are its program's
+  optimum and dual (``pricing.price_certificate``);
 * the dual side of every super-replication price (rho_i, rho_N_minus,
   rho_Y, rho_Y_minus, and pi_Y, pi_Y_minus when computed): one outcome of
   the price's program holds both sides (``pricing.price_certificate``), a

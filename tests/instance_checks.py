@@ -7,18 +7,18 @@ or inequality; every certificate is re-verified by the independent checker.
 
 from fractions import Fraction
 
-from collective_arb import verify
-from collective_arb.arbitrage import (detect_NA_agent, detect_NA_global,
-                                      detect_NCA, emm_is_singleton,
+from collective_arb import lp, verify
+from collective_arb.arbitrage import (_search_arbitrage, detect_NA_agent,
+                                      detect_NA_global, detect_NCA, emm_is_singleton,
                                       find_emm_vector, install_emm_system,
-                                      polar_witness)
+                                      interior_program, polar_witness)
 from collective_arb.cones import Positions, cone_add, cone_contains, make_Y0
 from collective_arb.ext import Ext
-from collective_arb.lp import EQ, GE, LE, LPBuilder, MAX, MIN
+from collective_arb.lp import EQ, GE, LE, LPBuilder, MAX, MIN, solve_equalities
 from collective_arb.market import PayoffMatrix, agents_join_partition, gains_basis
-from collective_arb.pricing import (claim_vector, dual_rho_Y, fairness_allocation,
-                                    pi_N_plus, pi_Y_minus, pi_Y_plus, price_certificate,
-                                    rho_agent_plus,
+from collective_arb.pricing import (claim_vector, dual_rho_Y,
+                                    fairness_allocation, pi_N_plus, pi_Y_minus, pi_Y_plus,
+                                    price_certificate, rho_agent_plus,
                                     rho_agent_plus_dual, rho_full_market,
                                     rho_N_minus, rho_N_plus, rho_Y_minus,
                                     rho_Y_plus, value_of_cooperation)
@@ -98,14 +98,14 @@ def reference_polar_optimum(market, cone):
     return out.value if out.status == "optimal" and out.value > 0 else None
 
 
-def interior_point_by_its_lp(n_atoms, gens_per_row, cone, face=None):
-    """The largest least entry of a measure vector of ``install_emm_system``
-    (on ``face = (rows, value)`` when given), by the program without the
-    shift: a free eps and one row q_iw - eps >= 0 per row and atom.  None
-    when there is no measure vector."""
+def interior_point_by_its_lp(n_atoms, gens_per_row, cone, face=None, weight=None, mass="row"):
+    """The largest least entry of a point of ``install_emm_system`` (with its
+    ``weight`` and ``mass``; on ``face = (rows, value)`` when given), by the
+    program without the shift: a free eps and one row q_iw - eps >= 0 per
+    row and atom.  None when there is no such point."""
     b = LPBuilder(MAX)
     eps = b.var("eps", obj=1)
-    q = install_emm_system(b, n_atoms, gens_per_row, cone)
+    q = install_emm_system(b, n_atoms, gens_per_row, cone, weight, mass)
     for i, row in enumerate(q):
         for w, v in enumerate(row):
             b.row(f"int{i}_{w}", {v: F(1), eps: F(-1)}, GE, 0)
@@ -118,6 +118,50 @@ def interior_point_by_its_lp(n_atoms, gens_per_row, cone, face=None):
         return None
     assert out.status == "optimal"
     return out.value
+
+
+def agent_price_by_its_lp(market, agent, claim_row):
+    """The agent's super-replication price by its program: the least m such
+    that m plus some gain of the agent dominates the claim, with the
+    program's hedge (m, strategy) and measure row; (-inf, None, None) when
+    the program is unbounded."""
+    gens = gains_basis(market, agent)
+    b = LPBuilder(MIN)
+    m = b.var("m", obj=1)
+    h = [b.var(f"h{k}") for k in range(len(gens))]
+    for w in range(market.n_atoms):
+        gains = {v: g.vector[w] for v, g in zip(h, gens) if g.vector[w]}
+        b.row(f"dom{w}", {m: F(1), **gains}, GE, F(claim_row[w]))
+    out = b.solve()
+    if out.status == "unbounded":
+        return Ext.neg_inf(), None, None
+    assert out.status == "optimal"
+    return Ext.of(out.value), (out.point[m], tuple(out.point[v] for v in h)), out.row_duals
+
+
+def elimination_outcome(market, gens_per_row, cone, **system):
+    """What the equality rows of the interior-point program of
+    ``install_emm_system`` (with ``system``'s weight and mass) decide, held
+    to the program without the shift: "positive" or "zero" for a point
+    they fix, whose least entry is the program's optimum; "empty" when
+    there is no point; "rank" when only the program decides.  A point > 0
+    they fix skips the arbitrage search, which must then be infeasible."""
+    fixed, _ = interior_program(market.n_atoms, gens_per_row, cone, **system)
+    b = LPBuilder(MAX)
+    n = sum(map(len, install_emm_system(b, market.n_atoms, gens_per_row, cone, **system)))
+    eqs = [(coeffs, rhs) for _, coeffs, rel, rhs in b.rows if rel == EQ]
+    if len(eqs) < n or solve_equalities(n, eqs) is None:
+        assert fixed is None
+        return "rank"
+    best = interior_point_by_its_lp(market.n_atoms, gens_per_row, cone, **system)
+    if fixed is None:
+        assert best is None
+        return "empty"
+    assert fixed[0] == best == least_entry(fixed[1])
+    if fixed[0] > 0:
+        assert _search_arbitrage(market, gens_per_row, cone) is None
+        return "positive"
+    return "zero"
 
 
 def minimal_transfer_by_its_lp(market, cone, claims, m_tilde, q_hat):
@@ -182,7 +226,9 @@ def check_instance(market, cone, info, claims, rng):
     branches were exercised (for coverage accounting)."""
     hit = {"emm_equiv": False, "nca_holds": False, "rho_finite": False,
            "t0_cone": False, "terminal_y0": False, "singleton": False, "reflected": 0,
-           "cash_groups": 0}
+           "cash_groups": 0, "replicated": 0}
+    hit.update({f"{family}_{outcome}": 0 for family in ("agent", "polar")
+                for outcome in ("positive", "zero", "empty", "rank")})
 
     # the stored RN0 flag, known by construction or probed, is the definition
     assert cone.meta.contains_RN0 == contains_every_transfer(market, cone)
@@ -207,6 +253,17 @@ def check_instance(market, cone, info, claims, rng):
     for m, i, cert in singles + [(market.full_market, 0, na_global)]:
         best = interior_point_by_its_lp(m.n_atoms, [gains_basis(m, i)], None)
         assert holds_reference_optimum(None if cert.found else cert.dual_witness, best)
+
+    # every elimination of an interior point's equality rows (each agent's
+    # and the pooled market's measures, the polar elements of the cone and of
+    # the cone with the deterministic transfers) agrees with its program
+    full = market.full_market
+    for m, gens in [(market, [g]) for g in market.gains] + [(full, full.gains)]:
+        hit["agent_" + elimination_outcome(m, gens, None)] += 1
+    widened = cone_add(market, cone, make_Y0(market, 0))
+    for c in (cone, widened):
+        hit["polar_" + elimination_outcome(market, market.gains, c, weight=market.space.prob,
+                                           mass="total")] += 1
 
     nca = detect_NCA(market, cone)
     if nca.found:
@@ -239,7 +296,6 @@ def check_instance(market, cone, info, claims, rng):
 
     # a cone containing RN0 absorbs the deterministic zero-sum transfers:
     # detection on Y + Y0(0) agrees with detection on Y
-    widened = cone_add(market, cone, make_Y0(market, 0))
     widened_found = detect_NCA(market, widened).found
     if cone.meta.contains_RN0:
         assert widened_found == nca.found
@@ -308,11 +364,27 @@ def check_instance(market, cone, info, claims, rng):
     verified = []
     for (c, rows, kw), value in zip(programs, rho_i + [rho_y, pi_y]):
         negated = tuple(tuple(-v for v in row) for row in rows)
-        certs = [price_certificate(market, c, r, **kw) for r in (rows, negated)]
+        solved = []
+        lp.set_dump_sink(solved)
+        try:
+            certs = [price_certificate(market, c, r, **kw) for r in (rows, negated)]
+        finally:
+            lp.set_dump_sink(None)
         verified.append(certs)
         for r, cert in zip((rows, negated), certs):
             verify.verify_price_certificate(market, c, r, cert, **kw)
         assert certs[0].value == value
+        if kw.get("agent") is not None:
+            # an agent's certificate, read off its one replicating hedge and
+            # its one martingale measure q > 0 where both are fixed, is its
+            # program's: the same price, hedge and measure row
+            for r, cert in zip((rows, negated), certs):
+                price, hedge, measure = agent_price_by_its_lp(market, kw["agent"], r[0])
+                assert cert.value == price
+                if hedge is not None:
+                    assert (cert.hedge.m[0], cert.hedge.strategy_coeffs[0]) == hedge
+                    assert cert.measures == (measure,)
+            hit["replicated"] += 2 - len(solved)
         if value == Ext.neg_inf():
             assert certs[1].value == value
         # a hedge that meets every claim row with equality and uses no cone

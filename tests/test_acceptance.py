@@ -223,6 +223,11 @@ def test_criterion_6_property_battery():
         assert cover["singleton"] > 0
         assert cover["reflected"] > 0
         assert cover["cash_groups"] > 0
+        assert cover["replicated"] > 0
+        # every outcome of the elimination of an interior point's equality rows
+        for family in ("agent", "polar"):
+            for outcome in ("positive", "zero", "empty", "rank"):
+                assert cover[f"{family}_{outcome}"] > 0, (family, outcome)
     finally:
         lp.set_audit(False)
 

@@ -5,14 +5,16 @@ import pytest
 from collective_arb.arbitrage import (detect_NA_agent, detect_NA_global,
                                       detect_NCA, emm_coordinate_range,
                                       emm_is_singleton, find_emm_vector,
-                                      install_emm_system, interior_point,
-                                      martingale_polytope, polar_witness)
-from collective_arb.cones import cone_add, make_span, make_Y0, make_zero
-from collective_arb.errors import ValidationError
+                                      install_emm_system, interior_program,
+                                      martingale_polytope,
+                                      polar_witness)
+from collective_arb.cones import cone_add, make_rays, make_span, make_Y0, make_zero
+from collective_arb.errors import InternalInvariantError, ValidationError
 from collective_arb.examples_builtin import example_document
 from collective_arb.lp import EQ, LPBuilder, MAX, MIN
-from collective_arb.market import build_market
+from collective_arb.market import PayoffMatrix, build_market
 from collective_arb.model_io import parse_model
+from collective_arb.pricing import optimal_face_measures
 from collective_arb.randgen import random_cone, random_market, seeded_rng
 from collective_arb.verify import (verify_arbitrage_found, verify_measure_vector,
                                    verify_polar_witness,
@@ -96,12 +98,43 @@ def test_interior_points_match_the_program_without_shift():
         cone, _ = random_cone(rng, market)
         programs = [(market.n_atoms, [gens], None) for gens in market.gains]
         for args in programs + [(market.n_atoms, market.gains, cone)]:
-            hit, best = interior_point(*args), interior_point_by_its_lp(*args)
+            hit, best = interior_program(*args)[1](), interior_point_by_its_lp(*args)
             assert (hit is None) == (best is None)
             if hit is not None:
                 assert hit[0] == best == least_entry(hit[1])
             seen["none" if best is None else "positive" if best > 0 else "zero"] += 1
     assert all(seen.values()), seen
+
+
+def test_an_empty_optimal_face_raises(toy_market, tree_market, monkeypatch):
+    """An optimal face is never empty.  A face row that no measure vector
+    meets raises, whether the elimination of the equality rows finds the
+    face empty (the toy market is complete, so they fix the measure vector)
+    or the program does (the tree market's agents are not complete); also
+    under python -O."""
+    solved, solve = [], LPBuilder.solve
+    monkeypatch.setattr(LPBuilder, "solve", lambda b: solved.append(b) or solve(b))
+    for market, programs in ((toy_market, 0), (tree_market, 1)):
+        cone = make_Y0(market, 0)
+        # the first agent's first atom has probability 2
+        rows = [[F(k == w == 0) for w in range(market.n_atoms)] for k in range(2)]
+        assert interior_program(market.n_atoms, market.gains, cone, face=(rows, 2))[0] is None
+        with pytest.raises(InternalInvariantError, match="optimal face"):
+            optimal_face_measures(market, cone, PayoffMatrix(rows=rows), 2)
+        assert len(solved) == programs
+
+
+def test_a_fixed_point_outside_a_ray_row_is_no_point(toy_market):
+    """Both toy agents are complete, so the equality rows fix the measure
+    vector ((1/2, 1/2), (1/6, 5/6)); against the ray moving one unit at w1
+    from agent 2 to agent 1 it has the value 1/2 - 1/6 > 0, so no measure
+    vector is polar to the cone, as the program finds too."""
+    cone = make_rays(toy_market, [[["1", "0"], ["-1", "0"]]])
+    args = (toy_market.n_atoms, toy_market.gains, cone)
+    assert interior_program(*args)[0] is None
+    assert interior_program(*args)[1]() is None and interior_point_by_its_lp(*args) is None
+    assert interior_program(toy_market.n_atoms, toy_market.gains, None)[0] == (
+        F(1, 6), ((F(1, 2), F(1, 2)), (F(1, 6), F(5, 6))))
 
 
 def test_na_agents_toy(toy_market):

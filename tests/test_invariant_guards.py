@@ -48,11 +48,12 @@ import sys
 from collective_arb import arbitrage, cli
 
 assert False, "asserts must be stripped"
-point = arbitrage.interior_point
+interior = arbitrage.interior_program
 def tampered(*args, **kwargs):
-    least, (first, *rest) = point(*args, **kwargs)
-    return least, ((0,) + first[1:], *rest)
-arbitrage.interior_point = tampered
+    least, (first, *rest) = interior(*args, **kwargs)[1]()
+    hit = least, ((0,) + first[1:], *rest)
+    return hit, lambda: hit
+arbitrage.interior_program = tampered
 sys.exit(cli.main(["analyze", sys.argv[1]]))
 """
 

@@ -11,8 +11,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from collective_arb.lp import (EQ, GE, LE, MAX, MIN, Infeasible, LinearProgram,
-                               LPBuilder, Optimal, Unbounded, solve)
+from collective_arb import lp as lp_module
+from collective_arb.errors import InternalInvariantError
+from collective_arb.lp import (EQ, GE, INCONSISTENT, LE, MAX, MIN, Infeasible, LinearProgram,
+                               LPBuilder, Optimal, Unbounded, solve, solve_equalities)
 from collective_arb.verify import check_lp_outcome
 
 F = Fraction
@@ -350,3 +352,90 @@ def test_random_lp_against_scipy(program):
     elif res.status != {Optimal: 0, Infeasible: 2, Unbounded: 3}[type(out)]:
         feasibility = _scipy_linprog(program, [0.0] * program.n_vars)
         assert feasibility.status == (2 if isinstance(out, Infeasible) else 0)
+
+
+# ---------------------------------------------------------------------------
+# exact elimination of equality rows
+# ---------------------------------------------------------------------------
+
+
+def test_elimination_finds_the_one_solution():
+    assert solve_equalities(2, [({0: 1, 1: 1}, 3), ({0: 1, 1: -1}, 1)]) == (F(2), F(1))
+    # negative and Fraction coefficients and right-hand sides
+    rows = [({0: F(-1, 2), 1: 3}, F(7, 3)), ({0: 4, 1: F(-5, 6)}, -2)]
+    x = solve_equalities(2, rows)
+    assert all(sum(a * x[j] for j, a in c.items()) == r for c, r in rows)
+    assert all(type(v) is Fraction for v in x)
+
+
+def test_elimination_reports_inconsistent_rows():
+    assert solve_equalities(2, [({0: 1, 1: 1}, 3), ({0: 2, 1: 2}, 7)]) is INCONSISTENT
+    assert solve_equalities(1, [({}, 1)]) is INCONSISTENT
+    # a row checked by substitution once the rank is full
+    assert solve_equalities(1, [({0: 2}, 1), ({0: 4}, 3)]) is INCONSISTENT
+
+
+def test_elimination_below_full_rank_gives_none():
+    # more rows than unknowns, still of rank 1
+    rows = [({0: 1, 1: 1}, 3), ({0: 2, 1: 2}, 6), ({0: F(-1, 3), 1: F(-1, 3)}, -1)]
+    assert solve_equalities(2, rows) is None
+    assert solve_equalities(2, [({0: 1}, 1)]) is None
+
+
+def test_elimination_skips_zero_and_duplicate_rows():
+    rows = [({}, 0), ({0: 0, 1: 0}, 0), ({0: 1, 1: 2}, 5), ({0: 1, 1: 2}, 5), ({1: 1}, 2)]
+    assert solve_equalities(2, rows) == (F(1), F(2))
+
+
+def test_elimination_substitution_guard_fires(monkeypatch):
+    """A wrong solution never leaves the elimination: a clearing step that
+    corrupts its rhs gives a point that misses the rows, and the guard
+    raises, also under python -O."""
+    clear = lp_module._clear
+
+    def corrupt(row, c, prow):
+        out = clear(row, c, prow)
+        out[2] = out.get(2, 0) + 1  # key n = 2 holds the rhs
+        return out
+
+    monkeypatch.setattr(lp_module, "_clear", corrupt)
+    with pytest.raises(InternalInvariantError, match="does not meet its rows"):
+        solve_equalities(2, [({0: 1, 1: 1}, 3), ({0: 1, 1: -1}, 1)])
+
+
+def _reference_equalities(n, rows):
+    """The brute-force answer of dense Fraction elimination: INCONSISTENT,
+    None below rank n, else the one solution."""
+    dense = [[F(c.get(j, 0)) for j in range(n)] for c, _ in rows]
+    if _solve_linear_system(dense, [F(r) for _, r in rows]) is None:
+        return INCONSISTENT
+    if rank(dense) < n:
+        return None
+    return tuple(_solve_linear_system(dense, [F(r) for _, r in rows]))
+
+
+def test_elimination_matches_brute_force_on_random_systems():
+    from collective_arb.randgen import seeded_rng
+
+    rng = seeded_rng()
+    seen = {"solution": 0, "inconsistent": 0, "rank": 0}
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        m = rng.randint(1, 6)
+        base = [{j: rng.randint(-3, 3) for j in range(n) if rng.random() < 0.7}
+                for _ in range(m)]
+        # some rows are combinations of earlier ones, to lower the rank
+        rows = []
+        for c in base:
+            if rows and rng.random() < 0.3:
+                k, a = rng.randrange(len(rows)), F(rng.randint(-2, 2), rng.randint(1, 3))
+                c = {j: a * v for j, v in rows[k][0].items()}
+                rhs = a * rows[k][1] + (rng.randint(-1, 1) if rng.random() < 0.3 else 0)
+            else:
+                rhs = F(rng.randint(-5, 5), rng.randint(1, 4))
+            rows.append((c, rhs))
+        got, want = solve_equalities(n, rows), _reference_equalities(n, rows)
+        assert got == want, (n, rows)
+        seen["inconsistent" if got is INCONSISTENT else "rank" if got is None
+             else "solution"] += 1
+    assert all(v > 10 for v in seen.values()), seen

@@ -30,7 +30,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fraction_kernel
-from collective_arb import lp
+from collective_arb import arbitrage, lp, pricing
 from collective_arb.examples_builtin import example_document, example_names
 from collective_arb.model_io import load_model, parse_model
 from collective_arb.report import analyze, render_json
@@ -228,18 +228,24 @@ LARGE = pathlib.Path(__file__).parent / "golden" / "large"
 
 def test_large_tree_report_is_pinned_and_its_integers_stay_small():
     """The analysis of a T=4, N=3 binomial tree whose agents share one
-    measure: there is no collective arbitrage, so all 21 programs of the
-    report are solved, the largest with 147 rows.  Its report matches the
-    golden byte for byte, and every integer the kernel stores after a pivot
-    (row entries, stamps, ``y`` and its stamp) fits in 64 bits, since a
-    row in lowest terms is as large as its values, not as the basis
-    determinant.  The model is ``bench/trees.py``'s draw, made with
+    measure: there is no collective arbitrage, and each agent's market is
+    complete, so exact eliminations of equality rows give every interior
+    point, the arbitrage search's answer and every agent's price, and the
+    analysis solves 2 programs, rho_Y's and the canonical exchange, the
+    largest with 99 rows.  With the eliminations read as below full rank,
+    it solves the 14 programs it solved before them: the interior points
+    (up to 65 rows), the agents' and the pooled market's searches and
+    prices as well.  Both reports match the golden byte for byte, and every
+    integer the kernel stores after a pivot (row entries, stamps, ``y`` and
+    its stamp) fits in 64 bits, since a row in lowest terms is as large as
+    its values, not as the basis determinant.  The model is
+    ``bench/trees.py``'s draw, made with
 
         python3 -c 'import json, random, sys; sys.path.insert(0, "bench"); import trees; print(json.dumps(trees.tree_doc(random.Random("x/4/3"), 4, 3, "shared", {"kind": "Y0", "t": 3}), indent=2))' > tests/golden/large/tree-T4N3-shared.json
 
     and the golden is its ``render_json(analyze(load_model(...)))``."""
     widest = 0
-    real = lp._RevisedSimplex.pivot
+    real, solve = lp._RevisedSimplex.pivot, lp._solve_general
 
     def spy(tab, r, j, col, d):
         nonlocal widest
@@ -247,9 +253,52 @@ def test_large_tree_report_is_pinned_and_its_integers_stay_small():
         stored = [tab.y_scale, *tab.y, *tab.scale, *(v for row in tab.rows for v in row.values())]
         widest = max(widest, *(v.bit_length() for v in stored))
 
-    with mock.patch.object(lp._RevisedSimplex, "pivot", spy):
-        report = render_json(analyze(load_model(str(LARGE / "tree-T4N3-shared.json"))))
-    assert report == (LARGE / "tree-T4N3-shared.report.json").read_text(encoding="utf-8")
+    for rank_below_n, programs in ((False, 2), (True, 14)):
+        solved = []
+        with contextlib.ExitStack() as stack:
+            stack.enter_context(mock.patch.object(lp._RevisedSimplex, "pivot", spy))
+            stack.enter_context(mock.patch.object(
+                lp, "_solve_general", lambda program: solved.append(program) or solve(program)))
+            for module in (arbitrage, pricing) if rank_below_n else ():
+                stack.enter_context(mock.patch.object(module, "solve_equalities",
+                                                      lambda n, rows: None))
+            report = render_json(analyze(load_model(str(LARGE / "tree-T4N3-shared.json"))))
+        assert report == (LARGE / "tree-T4N3-shared.report.json").read_text(encoding="utf-8")
+        assert len(solved) == programs
+        assert max(program.n_rows for program in solved) == 99
+    assert 0 < widest <= 64, widest
+
+
+@pytest.mark.parametrize("name", ["tree-T4N3-shared", "tree-T6N3-shared"])
+def test_elimination_integers_stay_small_on_large_trees(name):
+    """Every row the exact elimination of equality rows stores, scaled to
+    integers in lowest terms or cleared against a pivot, holds integers of
+    at most 64 bits on the large shared trees, where it fixes every interior
+    point and every agent's price (12 bits at T=4 and 20 at T=6 when
+    written), and the solutions it returns have numerators and common
+    denominators as small."""
+    widest = 0
+    real, eliminate = lp._lowest, lp.solve_equalities
+
+    def spy(row):
+        nonlocal widest
+        row = real(row)
+        widest = max([widest, *(v.bit_length() for v in row.values())])
+        return row
+
+    def solutions(n, rows):
+        nonlocal widest
+        x = eliminate(n, rows)
+        if isinstance(x, tuple):
+            widest = max([widest, *(v.numerator.bit_length() for v in x),
+                          *(v.denominator.bit_length() for v in x)])
+        return x
+
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch.object(lp, "_lowest", spy))
+        for module in (arbitrage, pricing):
+            stack.enter_context(mock.patch.object(module, "solve_equalities", solutions))
+        analyze(load_model(str(LARGE / f"{name}.json")))
     assert 0 < widest <= 64, widest
 
 

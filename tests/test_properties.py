@@ -41,6 +41,11 @@ def test_random_instance_battery():
     assert cover["terminal_y0"] > 0
     assert cover["reflected"] > 0
     assert cover["cash_groups"] > 0
+    assert cover["replicated"] > 0
+    # every outcome of the elimination of an interior point's equality rows
+    for family in ("agent", "polar"):
+        for outcome in ("positive", "zero", "empty", "rank"):
+            assert cover[f"{family}_{outcome}"] > 0, (family, outcome)
 
 
 def test_converse_na_to_nca_fails(toy_market):

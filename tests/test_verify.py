@@ -465,7 +465,7 @@ def test_lp_checker_rejects_a_misshapen_certificate(case):
 # constants it compares against, and the Fraction coercion; never the kernel
 LP_NAMES_ALLOWED = {"LinearProgram", "Optimal", "Infeasible", "Unbounded", "LPOutcome",
                     "LE", "GE", "MIN", "ZERO", "frac"}
-KERNEL_NAMES = {"_solve_general", "_solve_standard", "_RevisedSimplex"}
+KERNEL_NAMES = {"_solve_general", "_solve_standard", "_RevisedSimplex", "solve_equalities"}
 
 
 def _kernel_dependencies(source):
@@ -496,3 +496,6 @@ def test_checker_is_independent_of_the_kernel_it_audits():
         ["EQ", "_solve_general"]
     assert _kernel_dependencies("from . import lp\nlp._RevisedSimplex") == [". import lp", "_RevisedSimplex"]
     assert _kernel_dependencies("import collective_arb.lp") == ["collective_arb.lp"]
+    # nor the exact elimination that reads points off equality rows
+    assert _kernel_dependencies("from .lp import ZERO, solve_equalities") == ["solve_equalities"]
+    assert _kernel_dependencies("lp.solve_equalities(1, [])") == ["solve_equalities"]
