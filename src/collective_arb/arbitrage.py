@@ -24,7 +24,7 @@ from typing import Optional
 from .cones import ExchangeCone, Positions
 from .errors import InternalInvariantError, ValidationError
 from .ext import Ext
-from .lp import EQ, GE, INCONSISTENT, LE, LPBuilder, MAX, MIN, ZERO, solve_equalities
+from .lp import EQ, GE, INCONSISTENT, LE, LPBuilder, MAX, MIN, solve_equalities
 from .market import MarketModel, PayoffMatrix, check_index, gains_basis
 
 
@@ -75,7 +75,7 @@ def _search_arbitrage(market: MarketModel, gens_per_row, cone: Optional[Exchange
             coeffs = pos.payoff(i, w)
             b.row(f"pos{i}_{w}", coeffs, GE, 0)
             for v, c in coeffs.items():
-                total[v] = total.get(v, ZERO) + c
+                total[v] = total.get(v, 0) + c
     b.row("gain", total, GE, 1)
     out = b.solve()
     if out.status != "optimal":
@@ -104,7 +104,7 @@ def martingale_polytope(market: MarketModel, agent: int) -> MartingalePolytope:
 
 
 def install_emm_system(b: LPBuilder, n_atoms: int, gens_per_row, cone: Optional[ExchangeCone],
-                       weight=None, mass: str = "row", shift=None, face=None):
+                       weight=None, mass: str = "row", face=None):
     """Variables ``q{i}_{w} >= 0``, one row per row of gains generators,
     under the rule of ``verify._check_dual_rows``: weighted by ``weight``
     (all ones when None), each row (mass "row") or all rows together
@@ -114,22 +114,16 @@ def install_emm_system(b: LPBuilder, n_atoms: int, gens_per_row, cone: Optional[
     None).  Unit weights and mass "row" give vectors of martingale measures;
     the reference probabilities and mass "total" give the polar elements of
     the super-replicable set, which differ only in that normalisation.
-    Returns the handles ``q[i][w]``.  With a ``shift`` handle, the variables
-    are ``s{i}_{w} >= 0`` and stand for q_iw = s_iw + shift: each row adds
-    its summed coefficients to ``shift``.  ``face = (rows, value)`` adds the
-    row sum_i <q_i, rows[i]> = value last.  The cone must have ``n_atoms``
+    Returns the handles ``q[i][w]``.  ``face = (rows, value)`` adds the row
+    sum_i <q_i, rows[i]> = value last.  The cone must have ``n_atoms``
     atoms and one row per row of gains generators."""
     if cone is not None and (cone.n_agents, cone.n_atoms) != (len(gens_per_row), n_atoms):
         raise ValidationError("cone", "cone shape does not match the market")
-    q = [[b.var(f"{'q' if shift is None else 's'}{i}_{w}", lo=0) for w in range(n_atoms)]
-         for i in range(len(gens_per_row))]
+    q = [[b.var(f"q{i}_{w}", lo=0) for w in range(n_atoms)] for i in range(len(gens_per_row))]
 
     def row(label, rows, rel, rhs):
-        coeffs = {q[i][w]: v if weight is None else weight[w] * v
-                  for i, r in rows for w, v in enumerate(r) if v}
-        if shift is not None:
-            coeffs[shift] = sum(coeffs.values(), ZERO)
-        b.row(label, coeffs, rel, rhs)
+        b.row(label, {q[i][w]: v if weight is None else weight[w] * v
+                      for i, r in rows for w, v in enumerate(r) if v}, rel, rhs)
 
     ones = (1,) * n_atoms
     for i, gens in enumerate(gens_per_row):
@@ -154,31 +148,36 @@ def interior_program(n_atoms: int, gens_per_row, cone: Optional[ExchangeCone], f
     ``install_emm_system`` (with its ``weight``, ``mass`` and ``face``)
     maximizing its least entry, None when there is none; ``fixed`` is that
     answer where the equality rows fix one q, else None.  The program's
-    point is s + eps, s >= 0 the system's variables under ``shift`` eps >= 0
-    (a free eps lets s + eps go negative; any q >= 0 is s = q, eps = 0), so
-    a fixed q >= 0 meeting every ray row is its one optimum, eps = min q;
-    else, as with inconsistent rows, there is none.  The program is solved
-    only below full rank."""
+    point is q = s + eps, eps >= 0 in column 0, s_iw >= 0 in q_iw's plus 1;
+    each row adds its summed coefficients to eps (a free eps lets q go
+    negative; any q >= 0 is s = q, eps = 0), so a fixed q >= 0 meeting every
+    ray row is its one optimum, eps = min q; else, as with inconsistent
+    rows, there is none.  The program is solved only below full rank."""
     b = LPBuilder(MAX)
-    n = sum(map(len, install_emm_system(b, n_atoms, gens_per_row, cone, weight, mass, face=face)))
+    n = sum(map(len, install_emm_system(b, n_atoms, gens_per_row, cone, weight, mass, face)))
     eqs = [(c, rhs) for _, c, rel, rhs in b.rows if rel == EQ]
     q = solve_equalities(n, eqs) if len(eqs) >= n else None
     fixed = None if q is None or q is INCONSISTENT or min(q) < 0 or any(
         sum(a * q[k] for k, a in c.items()) > rhs for _, c, rel, rhs in b.rows if rel == LE) else (
         min(q), tuple(q[k:k + n_atoms] for k in range(0, n, n_atoms)))
+    # a market keeps point() (measure_points), so it holds the rows only to solve
+    rows = None if q is not None else b.rows
 
     def point():
-        if q is not None:
+        if rows is None:
             return fixed
-        b = LPBuilder(MAX)
-        eps = b.var("eps", lo=0, obj=1)
-        s = install_emm_system(b, n_atoms, gens_per_row, cone, weight, mass, eps, face)
-        out = b.solve()
+        p = LPBuilder(MAX)
+        p.var("eps", lo=0, obj=1)
+        s = [p.var(f"s{k // n_atoms}_{k % n_atoms}", lo=0) for k in range(n)]
+        for name, c, rel, rhs in rows:
+            p.row(name, {0: sum(c.values()), **{v + 1: a for v, a in c.items()}}, rel, rhs)
+        out = p.solve()
         if out.status == "infeasible":
             return None
         if out.status != "optimal":
             raise InternalInvariantError(f"interior point LP ended {out.status}")
-        return out.value, tuple(tuple(out.point[v] + out.value for v in row) for row in s)
+        x = [out.point[v] + out.value for v in s]
+        return out.value, tuple(tuple(x[k:k + n_atoms]) for k in range(0, n, n_atoms))
 
     return fixed, point
 

@@ -3,12 +3,12 @@
 A cone is held as conic ray generators plus a basis of its lineality space,
 each generator an N-row payoff matrix.  Its flags are never taken from the
 caller: zero-sum and the measurability date are read off the generators.
-Containment of RN0 (all deterministic zero-sum transfers) is known by
-construction for Y0, grouping and zero cones and for sums with a summand
-containing RN0; spans, rays and the other sums are probed by membership LPs.
 The cash groups, which no generator crosses and inside which the cone holds
 every deterministic zero-sum transfer, are known by construction (the zero
-cone's singletons, a grouping cone's groups, one group with RN0) and checked.
+cone's singletons, a grouping cone's groups, one group for a sum with a
+summand containing RN0) and checked.  RN0 (all deterministic zero-sum
+transfers) is the one-group case; spans, rays and the other sums are probed
+for it by membership LPs.
 """
 
 from __future__ import annotations
@@ -26,9 +26,12 @@ from .market import (MarketModel, PayoffMatrix, agents_join_partition,
 @dataclass(frozen=True)
 class ConeFlags:
     is_zero_sum: bool
-    contains_RN0: bool
     measurable_at: Optional[int]
     groups: Optional[tuple] = None  # the cash groups as sorted agent tuples
+
+    @property
+    def contains_RN0(self) -> bool:  # RN0 is the one-group case
+        return self.groups is not None and len(self.groups) == 1
 
 
 @dataclass(frozen=True)
@@ -160,18 +163,17 @@ def _unit_transfer(market: MarketModel, i: int, j: int) -> PayoffMatrix:
 
 
 def _verify_flags(market: MarketModel, cone: ExchangeCone,
-                  rn0: Optional[bool], groups: Optional[tuple]) -> ConeFlags:
-    """Flags from the generators (``cone.meta`` is not read).  ``rn0`` and
-    ``groups`` are what the constructor knows of RN0 and the cash groups, or
-    None; 2(N-1) membership probes decide RN0, which makes one group."""
+                  groups: Optional[tuple]) -> ConeFlags:
+    """Flags from the generators (``cone.meta`` is not read).  ``groups``
+    are the cash groups the constructor knows, or None; then 2(N-1)
+    membership probes decide RN0, which makes one group."""
     gens = cone.generators
     zero_sum = all(all(s == 0 for s in g.column_sums()) for g in gens)
-    if rn0 is None:
-        # the transfers +-(e_k - e_{k+1}) between adjacent agents span RN0
-        N = market.n_agents
-        rn0 = all(cone_contains(cone, _unit_transfer(market, i, j)).contains
-                  for i in range(N) for j in (i - 1, i + 1) if 0 <= j < N)
-    groups = (tuple(range(market.n_agents)),) if rn0 else groups
+    N = market.n_agents
+    # the transfers +-(e_k - e_{k+1}) between adjacent agents span RN0
+    if groups is None and all(cone_contains(cone, _unit_transfer(market, i, j)).contains
+                              for i in range(N) for j in (i - 1, i + 1) if 0 <= j < N):
+        groups = (tuple(range(N)),)
     owner = {i: k for k, g in enumerate(groups or ()) for i in g}
     if groups and any(len({owner[i] for i, r in enumerate(g.rows) if any(r)}) > 1 for g in gens):
         raise InternalInvariantError("a cone generator crosses its cash groups")
@@ -181,17 +183,16 @@ def _verify_flags(market: MarketModel, cone: ExchangeCone,
         if all(constant_on(row, part) for g in gens for row in g.rows):
             measurable_at = t
             break
-    return ConeFlags(zero_sum, rn0, measurable_at, groups)
+    return ConeFlags(zero_sum, measurable_at, groups)
 
 
-def _make(market: MarketModel, rays, lineality, rn0: Optional[bool] = None,
-          groups: Optional[tuple] = None) -> ExchangeCone:
-    """The cone of these generators; ``rn0`` and ``groups`` as in
-    ``_verify_flags``, which each constructor passes when it knows them."""
+def _make(market: MarketModel, rays, lineality, groups: Optional[tuple] = None) -> ExchangeCone:
+    """The cone of these generators; ``groups`` as in ``_verify_flags``,
+    which each constructor passes when it knows them."""
     cone = ExchangeCone(n_agents=market.n_agents, n_atoms=market.n_atoms,
                         rays=tuple(rays), lineality=tuple(lineality),
-                        meta=ConeFlags(False, False, None))
-    return replace(cone, meta=_verify_flags(market, cone, rn0, groups))
+                        meta=ConeFlags(False, None))
+    return replace(cone, meta=_verify_flags(market, cone, groups))
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +202,7 @@ def _make(market: MarketModel, rays, lineality, rn0: Optional[bool] = None,
 
 def make_zero(market: MarketModel) -> ExchangeCone:
     """The cone {0}: cooperation disabled.  RN0 = {0} with one agent."""
-    return _make(market, (), (), rn0=market.n_agents == 1,
-                 groups=tuple((i,) for i in range(market.n_agents)))
+    return _make(market, (), (), tuple((i,) for i in range(market.n_agents)))
 
 
 def make_Y0(market: MarketModel, t: int) -> ExchangeCone:
@@ -239,8 +239,7 @@ def make_grouping(market: MarketModel, groups: Sequence[Sequence[int]],
                     rows[i][w] = Fraction(1)
                     rows[j][w] = Fraction(-1)
                 lineality.append(payoff_matrix(market, rows, where="grouping"))
-    return _make(market, (), lineality, rn0=any(len(g) == market.n_agents for g in groups),
-                 groups=tuple(sorted(tuple(sorted(g)) for g in groups if g)))
+    return _make(market, (), lineality, tuple(sorted(tuple(sorted(g)) for g in groups if g)))
 
 
 def make_span(market: MarketModel, generators) -> ExchangeCone:
@@ -263,8 +262,9 @@ def cone_add(market: MarketModel, a: ExchangeCone, b: ExchangeCone) -> ExchangeC
     otherwise the probes decide."""
     if (a.n_agents, a.n_atoms) != (b.n_agents, b.n_atoms):
         raise ValidationError("cone_add", "cones have different shapes")
+    one = a.meta.contains_RN0 or b.meta.contains_RN0
     return _make(market, a.rays + b.rays, a.lineality + b.lineality,
-                 rn0=True if a.meta.contains_RN0 or b.meta.contains_RN0 else None)
+                 (tuple(range(market.n_agents)),) if one else None)
 
 
 def spans_equal(a: ExchangeCone, b: ExchangeCone) -> bool:

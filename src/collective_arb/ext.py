@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import total_ordering
 
-from .lp import frac
+from .market import frac
 
 
 @total_ordering

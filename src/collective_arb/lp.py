@@ -31,7 +31,8 @@ Every variable is either free or nonnegative.  Those are the two kinds the
 finite duality of the paper needs: cash, strategy and lineality weights are
 free; measures, ray weights and polar elements are nonnegative.  A free
 variable compiles to two standard columns, a nonnegative one to one, and
-any other bound is rejected when the program is built.
+any other bound is rejected when the program is built, as is any number
+that is not an int or a Fraction; outside numbers become exact in ``market``.
 """
 
 from __future__ import annotations
@@ -53,16 +54,6 @@ MAX = "max"
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-def frac(x) -> Fraction:
-    """Coerce ints, strings like '5/6' and Fractions to Fraction.  A bool is
-    not a number here, although Python makes it an int."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, (int, str)) and not isinstance(x, bool):
-        return Fraction(x)
-    raise TypeError(f"not an exact rational: {x!r}")
 
 
 @dataclass(frozen=True)
@@ -581,6 +572,7 @@ class LPBuilder:
     """Assemble a LinearProgram.  ``var`` returns the variable's handle, its
     column index; rows and the objective are keyed by handles, and the
     outcome of ``solve`` is read at them (``out.point[v]``, ``out.ray[v]``).
+    Numbers are stored as given, absent ones as int 0, and checked at build.
     Variable and row names only label the listing (``to_text``, --dump-lp)."""
 
     def __init__(self, sense: str = MIN):
@@ -589,38 +581,38 @@ class LPBuilder:
         self._obj: dict = {}
         self.rows: list = []    # (name, coeffs, rel, rhs), in order
 
-    def var(self, name: str, lo=None, obj=ZERO) -> int:
+    def var(self, name: str, lo=None, obj=None) -> int:
         """A free variable, or a nonnegative one with ``lo=0``."""
         if name in self._vars:
             raise ValueError(f"duplicate variable {name!r}")
         v = len(self._vars)
-        self._vars[name] = None if lo is None else frac(lo)
-        if obj:
-            self._obj[v] = frac(obj)
+        self._vars[name] = lo
+        if obj is not None:
+            self._obj[v] = obj
         return v
 
     def add_objective(self, v: int, coeff) -> None:
-        if v not in range(len(self._vars)):
-            raise ValueError(f"unknown variable {v!r}")
-        self._obj[v] = self._obj.get(v, ZERO) + frac(coeff)
+        if v not in range(len(self._vars)) or v in self._obj:
+            raise ValueError(f"unknown variable, or one with a cost: {v!r}")
+        self._obj[v] = coeff
 
     def row(self, name: str, coeffs: Mapping[int, Fraction], rel: str, rhs) -> None:
         handles = range(len(self._vars))
         for v in coeffs:
             if v not in handles:
                 raise ValueError(f"unknown variable {v!r} in row {name!r}")
-        self.rows.append((name, dict(coeffs), rel, frac(rhs)))
+        self.rows.append((name, dict(coeffs), rel, rhs))
 
     def build(self) -> LinearProgram:
         n = len(self._vars)
-        objective = [ZERO] * n
+        objective = [0] * n
         for v, a in self._obj.items():
             objective[v] = a
         coeffs, rels, rhs, rnames = [], [], [], []
         for rname, cmap, rel, b in self.rows:
-            dense = [ZERO] * n
+            dense = [0] * n
             for v, a in cmap.items():
-                dense[v] = frac(a)
+                dense[v] = a
             coeffs.append(tuple(dense))
             rels.append(rel)
             rhs.append(b)

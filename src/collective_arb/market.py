@@ -8,7 +8,8 @@ sets: one vector ``1_A * (X_t - X_{t-1})`` per asset, trading date and
 information block, so every strategy coefficient the engine reports maps
 back to a readable "buy on this event" position.  A market builds its
 agents' sets (``MarketModel.gains``) and its pooled one-agent market
-(``MarketModel.full_market``) on first use and keeps them.
+(``MarketModel.full_market``) on first use and keeps them.  Outside numbers
+become exact here alone (``frac``, ``_rational``), then pass on unchanged.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from math import lcm
 from typing import Mapping, Optional, Sequence
 
 from .errors import ValidationError
-from .lp import ZERO, frac
+from .lp import ZERO
 
 Partition = tuple  # tuple of blocks; each block a sorted tuple of atom indices
 
@@ -226,6 +227,15 @@ def _listed(value, where: str):
     if not isinstance(value, (list, tuple)):
         raise ValidationError(where, "must be a list")
     return value
+
+
+def frac(x) -> Fraction:
+    """An int, a string like '5/6' or a Fraction as a Fraction; a bool is no int here."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, (int, str)) and not isinstance(x, bool):
+        return Fraction(x)
+    raise TypeError(f"not an exact rational: {x!r}")
 
 
 def _rational(value, where: str) -> Fraction:

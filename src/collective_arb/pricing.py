@@ -30,7 +30,7 @@ from .arbitrage import MeasureVector, _expectation_sup, interior_program
 from .cones import ExchangeCone, Positions
 from .errors import FairnessUnavailable, InternalInvariantError, ValidationError
 from .ext import Ext, ext_max, ext_sum
-from .lp import EQ, GE, LPBuilder, MAX, MIN, ZERO, frac, solve_equalities
+from .lp import EQ, GE, LPBuilder, MAX, MIN, ZERO, solve_equalities
 from .market import (MarketModel, PayoffMatrix, _listed, _rational, check_index,
                      constant_on, gains_basis, payoff_matrix)
 
@@ -42,7 +42,7 @@ def claim_vector(market: MarketModel, rows) -> ClaimVector:
 
 
 def _dot(a, b) -> Fraction:
-    return sum((frac(x) * frac(y) for x, y in zip(a, b)), ZERO)
+    return sum((x * y for x, y in zip(a, b)), ZERO)
 
 
 @dataclass(frozen=True)
@@ -189,7 +189,7 @@ def price_certificate(market: MarketModel, cone: Optional[ExchangeCone], claim_r
     pos = Positions(b, n, gens_per_row, cone)
     for i, claim in enumerate(claim_rows):
         for w in range(n):
-            b.row(f"dom{i}_{w}", {cash[i]: Fraction(1), **pos.payoff(i, w)}, GE, claim[w])
+            b.row(f"dom{i}_{w}", {cash[i]: 1, **pos.payoff(i, w)}, GE, claim[w])
     q = agent is not None and market.measure_points[agent][0]
     x = q and q[0] > 0 and solve_equalities(len(pos.h[0]) + 1, [(c, r) for _, c, _, r in b.rows])
     if isinstance(x, tuple):
@@ -377,11 +377,11 @@ def _minimal_transfer_optimizer(market, cone, g, m_tilde, q_hat):
             ex = pos.exchange(i, w)
             b.row(f"dom{i}_{w}", {**pos.gains(i, w), **ex}, GE, g.rows[i][w] - m_tilde[i])
             plus, minus = split[i][w]
-            b.row(f"split{i}_{w}", {**ex, plus: Fraction(-1), minus: Fraction(1)}, EQ, 0)
+            b.row(f"split{i}_{w}", {**ex, plus: -1, minus: 1}, EQ, 0)
             q = q_hat.densities[i][w]
             if q:
                 for v, c in ex.items():
-                    zero_cost[v] = zero_cost.get(v, ZERO) + q * c
+                    zero_cost[v] = zero_cost.get(v, 0) + q * c
         b.row(f"cost{i}", zero_cost, EQ, 0)
     out = b.solve()
     if out.status != "optimal":

@@ -10,7 +10,7 @@ program row (coefficients and rhs together) by the lcm of that row's
 denominators and each certificate vector by the lcm of its own, keeps the
 nonzero entries only, and compares integer numerators.  It does this
 independently of ``lp``, whose integer compile it audits: from ``lp`` it
-takes only the program and outcome types, a few constants and ``frac``.
+takes only the program and outcome types and a few constants.
 A certificate vector of the wrong length, or with an entry that is not an
 int or a Fraction, fails the check.
 
@@ -33,8 +33,7 @@ from math import lcm
 
 from .errors import InternalInvariantError
 from .ext import Ext
-from .lp import (GE, LE, MIN, Infeasible, LinearProgram, Optimal, Unbounded,
-                 ZERO, frac)
+from .lp import GE, LE, MIN, Infeasible, LinearProgram, Optimal, Unbounded, ZERO
 from .market import gains_basis
 
 
@@ -125,7 +124,7 @@ def _check_feasible_point(lp: LinearProgram, rows, point) -> list:
         lhs, rhs = _idot(A, X), B * Dx
         ok = lhs <= rhs if rel == LE else lhs >= rhs if rel == GE else lhs == rhs
         if not ok:
-            _fail(f"row {j} violated: {Fraction(lhs, L * Dx)} {rel} {frac(lp.row_rhs[j])}")
+            _fail(f"row {j} violated: {Fraction(lhs, L * Dx)} {rel} {lp.row_rhs[j]}")
         slack.append(lhs - rhs)
     for i, v in X.items():
         if v < 0 and lp.lower[i] is not None:

@@ -13,9 +13,8 @@ from fractions import Fraction
 
 from collective_arb.errors import InternalInvariantError
 from collective_arb.ext import Ext
-from collective_arb.lp import (GE, LE, MIN, Infeasible, LinearProgram, Optimal, Unbounded,
-                               ZERO, frac)
-from collective_arb.market import gains_basis
+from collective_arb.lp import GE, LE, MIN, Infeasible, LinearProgram, Optimal, Unbounded, ZERO
+from collective_arb.market import frac, gains_basis
 
 
 def _fail(msg: str):

@@ -13,7 +13,8 @@ from fractions import Fraction
 
 from collective_arb.errors import InternalInvariantError
 from collective_arb.lp import (EQ, LE, MIN, ONE, ZERO, Infeasible, LinearProgram, LPOutcome,
-                               Optimal, Unbounded, frac)
+                               Optimal, Unbounded)
+from collective_arb.market import frac
 
 
 class _Tableau:

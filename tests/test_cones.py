@@ -254,24 +254,27 @@ def test_one_agent_cones_contain_rn0_without_probes(monkeypatch):
 def test_cash_groups_by_construction():
     # the zero cone's agents are singletons, a grouping cone's groups are
     # its own, and a cone containing RN0 is one group; the groups of other
-    # cones are unknown
+    # cones are unknown.  RN0 is the one-group case on every constructor
     spec = toy_market_spec()
     spec["agents"].append({"assets": ["X1"], "filtration": "global"})
     market = build_market(spec)
-    assert make_zero(market).meta.groups == ((0,), (1,), (2,))
-    assert make_Y0(market, 1).meta.groups == ((0, 1, 2),)
-    assert make_grouping(market, [[2, 0], [1]], 1).meta.groups == ((0, 2), (1,))
-    assert make_grouping(market, [[2, 1, 0]], 0).meta.groups == ((0, 1, 2),)
     span = make_span(market, [_transfer(market, 0, 2)])
-    assert not span.meta.contains_RN0 and span.meta.groups is None
-    assert cone_add(market, span, make_Y0(market, 0)).meta.groups == ((0, 1, 2),)
+    probed = make_span(market, [_transfer(market, 0, 1), _transfer(market, 1, 2)])
+    one = ((0, 1, 2),)
+    expected = [(make_zero(market), ((0,), (1,), (2,))), (make_Y0(market, 1), one),
+                (make_grouping(market, [[2, 0], [1]], 1), ((0, 2), (1,))),
+                (make_grouping(market, [[2, 1, 0]], 0), one), (span, None), (probed, one),
+                (cone_add(market, span, make_Y0(market, 0)), one),
+                (cone_add(market, span, make_zero(market)), None)]
     spec["agents"] = spec["agents"][:1]
     del spec["assets"]["X2"]
-    assert make_zero(build_market(spec)).meta.groups == ((0,),)
+    expected.append((make_zero(build_market(spec)), ((0,),)))
+    for cone, groups in expected:
+        assert cone.meta.groups == groups
+        assert cone.meta.contains_RN0 == (groups is not None and len(groups) == 1)
 
 
 def test_a_generator_crossing_the_cash_groups_is_refused(toy_market):
     # an InternalInvariantError, not an assert, so it fires under python -O
     with pytest.raises(InternalInvariantError, match="crosses its cash groups"):
-        cones._make(toy_market, (), [_transfer(toy_market, 0, 1)], rn0=False,
-                    groups=((0,), (1,)))
+        cones._make(toy_market, (), [_transfer(toy_market, 0, 1)], groups=((0,), (1,)))

@@ -90,9 +90,13 @@ def _one_variable(lower):
 @pytest.mark.parametrize("lower", [0.0, False, F(-1), "0"])
 def test_a_lower_bound_is_an_exact_zero(lower):
     # a float or a bool equal to 0 is not the exact bound 0, which the
-    # solver and the audit would take it for
+    # solver and the audit would take it for; LPBuilder passes it on as given
     with pytest.raises(ValueError):
         _one_variable(lower)
+    b = LPBuilder(MIN)
+    b.var("x", lo=lower)
+    with pytest.raises(ValueError, match="variable 0 has lower bound"):
+        b.build()
 
 
 @pytest.mark.parametrize("lower", [None, 0, F(0)])
@@ -101,14 +105,34 @@ def test_free_and_zero_lower_bounds_are_accepted(lower):
 
 
 @pytest.mark.parametrize("entry", [{"objective": (0.5,)}, {"row_rhs": (1.5,)},
-                                   {"row_coeffs": ((True,),)}, {"row_coeffs": (("1",),)}])
+                                   {"row_coeffs": ((True,),)}, {"row_coeffs": (("1",),)},
+                                   {"objective": ("1",)}, {"objective": (False,)},
+                                   {"row_rhs": ("2",)}, {"row_rhs": (True,)},
+                                   {"row_coeffs": ((0.0,),)}])
 def test_every_number_is_an_int_or_a_fraction(entry):
     # a float reached the compile, which raised AttributeError, and a bool
     # coefficient solved as 1
-    fields = dict(sense=MIN, objective=(F(1),), row_coeffs=((F(1),),), row_rels=(GE,),
-                  row_rhs=(F(2),), lower=(None,))
+    fields = {**dict(sense=MIN, objective=(F(1),), row_coeffs=((F(1),),), row_rels=(GE,),
+                     row_rhs=(F(2),), lower=(None,)), **entry}
     with pytest.raises(ValueError, match="entry 0 is"):
-        LinearProgram(**{**fields, **entry})
+        LinearProgram(**fields)
+    # LPBuilder stores the numbers as given, a zero too, and build() refuses
+    b = LPBuilder(MIN)
+    x = b.var("x", obj=fields["objective"][0])
+    b.row("r", {x: fields["row_coeffs"][0][0]}, GE, fields["row_rhs"][0])
+    with pytest.raises(ValueError, match="entry 0 is"):
+        b.build()
+
+
+def test_a_variable_takes_one_cost():
+    # summing a second cost would turn a bool into a number before build()
+    b = LPBuilder(MIN)
+    x, y = b.var("x", obj=1), b.var("y")
+    b.add_objective(y, F(1, 2))
+    for v in (x, y):
+        with pytest.raises(ValueError, match="one with a cost"):
+            b.add_objective(v, True)
+    assert b.build().objective == (1, F(1, 2))
 
 
 def test_redundant_rows_are_fine():

@@ -4,7 +4,7 @@ import pytest
 
 from collective_arb.errors import ValidationError
 from collective_arb.examples_builtin import example_document, example_names
-from collective_arb.market import (build_market, coarsest_adapted_filtration,
+from collective_arb.market import (build_market, coarsest_adapted_filtration, frac,
                                    gains_basis, payoff_matrix,
                                    partition_join, refines)
 
@@ -30,6 +30,14 @@ def rank(vectors):
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
         r += 1
     return r
+
+
+def test_frac_makes_exact_rationals_and_refuses_the_rest():
+    assert [frac(x) for x in ("5/6", -3, F(1, 2))] == [F(5, 6), F(-3), F(1, 2)]
+    assert all(type(frac(x)) is Fraction for x in ("5/6", -3))
+    for x in (True, 0.5, None):
+        with pytest.raises(TypeError, match="not an exact rational"):
+            frac(x)
 
 
 def test_build_toy_market(toy_market):
