@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 
 from . import lp
 from .errors import InternalInvariantError, ValidationError
@@ -78,20 +79,16 @@ def cmd_analyze(args) -> int:
     sections = [s for s in ALL_SECTIONS if getattr(args, s)]
     if args.all or not sections:
         sections = list(ALL_SECTIONS)
-    sink = None
-    if args.dump_lp:
-        sink = []
-        lp.set_dump_sink(sink)
+    programs = []
+    listing = lp.observe(lambda program, outcome: programs.append(program))
     try:
-        report = analyze(model, sections)
+        with listing if args.dump_lp else nullcontext():
+            report = analyze(model, sections)
     except InternalInvariantError as e:
         print(f"internal invariant violation: {e}", file=sys.stderr)
         return 2
-    finally:
-        lp.set_dump_sink(None)
-    if sink is not None:
-        for k, text in enumerate(sink):
-            print(f"--- LP {k + 1} ---\n{text}")
+    for k, program in enumerate(programs):
+        print(f"--- LP {k + 1} ---\n{program.to_text()}")
     sys.stdout.write(render_text(report))
     if args.json == "-":
         sys.stdout.write(render_json(report))

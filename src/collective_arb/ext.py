@@ -35,15 +35,14 @@ class Ext:
     def finite(self) -> bool:
         return self.kind == 0
 
+    def _key(self):
+        return self.kind, self.value if self.kind == 0 else 0
+
     def __eq__(self, other):
-        other = _coerce(other)
-        return self.kind == other.kind and (self.kind != 0 or self.value == other.value)
+        return self._key() == _coerce(other)._key() if _exact(other) else NotImplemented
 
     def __lt__(self, other):
-        other = _coerce(other)
-        if self.kind != other.kind:
-            return self.kind < other.kind
-        return self.kind == 0 and self.value < other.value
+        return self._key() < _coerce(other)._key() if _exact(other) else NotImplemented
 
     def __hash__(self):
         return hash(self.value) if self.kind == 0 else hash((self.kind, None))
@@ -77,28 +76,21 @@ class Ext:
         return f"Ext({self})"
 
 
+def _exact(v) -> bool:
+    """An Ext, an int that is not a bool, or a Fraction: what an Ext compares with and adds."""
+    return isinstance(v, (Ext, int, Fraction)) and not isinstance(v, bool)
+
+
 def _coerce(v) -> Ext:
-    if isinstance(v, Ext):
-        return v
-    return Ext.of(v)
+    if not _exact(v):
+        raise TypeError(f"not an exact rational: {v!r}")
+    return v if isinstance(v, Ext) else Ext.of(v)
 
 
 def ext_sum(values) -> Ext:
     """Sum with the convention that -inf dominates +inf."""
-    values = [_coerce(v) for v in values]
-    if any(v.kind == -1 for v in values):
-        return Ext.neg_inf()
-    if any(v.kind == 1 for v in values):
-        return Ext.pos_inf()
-    return Ext(0, sum((v.value for v in values), Fraction(0)))
+    return sum(values, Ext.of(0))
 
 
 def ext_max(values) -> Ext:
-    out = None
-    for v in values:
-        v = _coerce(v)
-        if out is None or v > out:
-            out = v
-    if out is None:
-        raise ValueError("ext_max of empty sequence")
-    return out
+    return max(map(_coerce, values))

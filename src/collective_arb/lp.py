@@ -37,10 +37,12 @@ that is not an int or a Fraction; outside numbers become exact in ``market``.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Mapping, Optional, Union
+from typing import Mapping, Union
 
 from .errors import InternalInvariantError
 
@@ -388,31 +390,38 @@ def _solve_standard(cols, rhs, c, art_costs):
 # compilation of the general form to the integer standard form and back
 # ---------------------------------------------------------------------------
 
-_dump_sink: Optional[list] = None
-_audit = False
+_observers: ContextVar[tuple] = ContextVar("lp_observers", default=())
 
 
-def set_dump_sink(sink) -> None:
-    """Collect a text listing of every program solved (CLI --dump-lp)."""
-    global _dump_sink
-    _dump_sink = sink
+@contextmanager
+def observe(fn):
+    """Call ``fn(program, outcome)`` after each solve in the block, in this thread or task only."""
+    _observers.set(_observers.get() + (fn,))
+    try:
+        yield
+    finally:  # drop this block's fn only: an audit set within the block stays
+        rest = list(_observers.get())
+        rest.remove(fn)
+        _observers.set(tuple(rest))
+
+
+def _audit(lp: LinearProgram, outcome: LPOutcome) -> None:
+    from .verify import check_lp_outcome  # looked up per call: verify imports lp
+
+    check_lp_outcome(lp, outcome)
 
 
 def set_audit(enabled: bool) -> None:
-    """Test mode: re-verify the certificate of every solve before returning."""
-    global _audit
-    _audit = enabled
+    """Test mode: re-verify each solve's certificate, in this thread or task, before returning."""
+    rest = tuple(fn for fn in _observers.get() if fn is not _audit)
+    _observers.set(rest + (_audit,) if enabled else rest)
 
 
 def solve(lp: LinearProgram) -> LPOutcome:
     """Solve an exact-rational program; see module docstring for contracts."""
-    if _dump_sink is not None:
-        _dump_sink.append(lp.to_text())
     outcome = _solve_general(lp)
-    if _audit:
-        from .verify import check_lp_outcome
-
-        check_lp_outcome(lp, outcome)
+    for fn in _observers.get():
+        fn(lp, outcome)
     return outcome
 
 

@@ -365,11 +365,8 @@ def check_instance(market, cone, info, claims, rng):
     for (c, rows, kw), value in zip(programs, rho_i + [rho_y, pi_y]):
         negated = tuple(tuple(-v for v in row) for row in rows)
         solved = []
-        lp.set_dump_sink(solved)
-        try:
+        with lp.observe(lambda program, outcome: solved.append(program)):
             certs = [price_certificate(market, c, r, **kw) for r in (rows, negated)]
-        finally:
-            lp.set_dump_sink(None)
         verified.append(certs)
         for r, cert in zip((rows, negated), certs):
             verify.verify_price_certificate(market, c, r, cert, **kw)

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from collective_arb import lp
 from collective_arb.arbitrage import (detect_NA_agent, detect_NA_global,
                                       detect_NCA, emm_coordinate_range,
                                       emm_is_singleton, find_emm_vector,
@@ -106,22 +107,22 @@ def test_interior_points_match_the_program_without_shift():
     assert all(seen.values()), seen
 
 
-def test_an_empty_optimal_face_raises(toy_market, tree_market, monkeypatch):
+def test_an_empty_optimal_face_raises(toy_market, tree_market):
     """An optimal face is never empty.  A face row that no measure vector
     meets raises, whether the elimination of the equality rows finds the
     face empty (the toy market is complete, so they fix the measure vector)
     or the program does (the tree market's agents are not complete); also
     under python -O."""
-    solved, solve = [], LPBuilder.solve
-    monkeypatch.setattr(LPBuilder, "solve", lambda b: solved.append(b) or solve(b))
-    for market, programs in ((toy_market, 0), (tree_market, 1)):
-        cone = make_Y0(market, 0)
-        # the first agent's first atom has probability 2
-        rows = [[F(k == w == 0) for w in range(market.n_atoms)] for k in range(2)]
-        assert interior_program(market.n_atoms, market.gains, cone, face=(rows, 2))[0] is None
-        with pytest.raises(InternalInvariantError, match="optimal face"):
-            optimal_face_measures(market, cone, PayoffMatrix(rows=rows), 2)
-        assert len(solved) == programs
+    solved = []
+    with lp.observe(lambda program, outcome: solved.append(program)):
+        for market, programs in ((toy_market, 0), (tree_market, 1)):
+            cone = make_Y0(market, 0)
+            # the first agent's first atom has probability 2
+            rows = [[F(k == w == 0) for w in range(market.n_atoms)] for k in range(2)]
+            assert interior_program(market.n_atoms, market.gains, cone, face=(rows, 2))[0] is None
+            with pytest.raises(InternalInvariantError, match="optimal face"):
+                optimal_face_measures(market, cone, PayoffMatrix(rows=rows), 2)
+            assert len(solved) == programs
 
 
 def test_a_fixed_point_outside_a_ray_row_is_no_point(toy_market):

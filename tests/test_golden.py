@@ -4,7 +4,7 @@ listing of every LP its analysis solves, pinned byte for byte.
 ``tests/golden/<name>.json`` holds ``render_json(analyze(...))`` with all
 sections.  A change that moves any reported number, optimizer or
 certificate fails there.  ``tests/golden/<name>.lp.txt`` holds the
-``lp.set_dump_sink`` listing of the same analysis: every program in solve
+``--dump-lp`` listing of the same analysis: every program in solve
 order, with its variable and row order.  The simplex uses Bland's rule, so
 column order alone can change a reported optimizer; the listing catches such
 a change even where the report happens to stay the same.  To regenerate both
@@ -31,11 +31,8 @@ def report_text(name: str) -> str:
 
 def solved_programs(name: str) -> list:
     sink = []
-    lp.set_dump_sink(sink)
-    try:
+    with lp.observe(lambda program, outcome: sink.append(program.to_text())):
         analyze(parse_model(example_document(name)))
-    finally:
-        lp.set_dump_sink(None)
     return sink
 
 
@@ -85,11 +82,8 @@ def test_grouping_tree_report_is_pinned_and_reads_pi_off_the_hedge():
     model = load_model(str(GOLDEN / "large" / "tree-T2N5-grouping.json"))
     assert model.exchange.meta.groups == ((0, 1), (2, 3, 4))
     sink = []
-    lp.set_dump_sink(sink)
-    try:
+    with lp.observe(lambda program, outcome: sink.append(program.to_text())):
         report = render_json(analyze(model))
-    finally:
-        lp.set_dump_sink(None)
     expected = GOLDEN / "large" / "tree-T2N5-grouping.report.json"
     assert report == expected.read_text(encoding="utf-8")
     assert len(sink) == 4
@@ -112,15 +106,12 @@ def test_large_shared_tree_report_is_pinned_and_solves_two_programs():
 
     and the golden is its ``render_json(analyze(load_model(...)))``."""
     model = load_model(str(GOLDEN / "large" / "tree-T6N3-shared.json"))
-    sink = []
-    lp.set_dump_sink(sink)
-    try:
+    solved = []
+    with lp.observe(lambda program, outcome: solved.append(program)):
         report = render_json(analyze(model))
-    finally:
-        lp.set_dump_sink(None)
     expected = GOLDEN / "large" / "tree-T6N3-shared.report.json"
     assert report == expected.read_text(encoding="utf-8")
-    assert len(sink) == 2
+    assert len(solved) == 2
 
 
 if __name__ == "__main__":

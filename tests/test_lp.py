@@ -6,12 +6,13 @@ and take the best objective.  No simplex machinery is shared with it.
 """
 
 import itertools
+import threading
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from collective_arb import lp as lp_module
+from collective_arb import lp as lp_module, verify
 from collective_arb.errors import InternalInvariantError
 from collective_arb.lp import (EQ, GE, INCONSISTENT, LE, MAX, MIN, Infeasible, LinearProgram,
                                LPBuilder, Optimal, Unbounded, solve, solve_equalities)
@@ -177,6 +178,106 @@ def test_to_text_mentions_rows_and_bounds():
     program = lp(MIN, [1, 1], [([1, 2], LE, 3)], [0, None])
     text = program.to_text()
     assert "subject to" in text and "free" in text and "<= 3" in text
+
+
+# ---------------------------------------------------------------------------
+# the solve hook: observers and the certificate audit
+# ---------------------------------------------------------------------------
+
+
+def _box():
+    return lp(MAX, [1], [([1], LE, 1)], [0])
+
+
+def _count_audits(monkeypatch) -> list:
+    """The programs the audit checks from here on (the audit looks
+    ``verify.check_lp_outcome`` up at each call)."""
+    audited = []
+    monkeypatch.setattr(verify, "check_lp_outcome", lambda program, outcome: audited.append(program))
+    return audited
+
+
+def test_an_observer_sees_each_solve_of_its_block():
+    seen = []
+    with lp_module.observe(lambda program, outcome: seen.append((program, outcome))):
+        out = solve(_box())
+    solve(_box())
+    assert seen == [(_box(), out)]
+
+
+def test_observers_and_the_audit_stay_in_their_thread(monkeypatch):
+    """A solve in another thread is neither observed nor audited by this
+    thread's observe block or set_audit(True)."""
+    audited, seen, outcomes = _count_audits(monkeypatch), [], []
+    lp_module.set_audit(True)
+    try:
+        with lp_module.observe(lambda program, outcome: seen.append(program)):
+            worker = threading.Thread(target=lambda: outcomes.append(solve(_box())))
+            worker.start()
+            worker.join(timeout=60)
+            assert not worker.is_alive() and len(outcomes) == 1 and outcomes[0].value == 1
+            assert seen == audited == []
+            solve(_box())
+    finally:
+        lp_module.set_audit(False)
+    assert seen == audited == [_box()]
+
+
+def test_set_audit_and_observe_compose_in_either_order(monkeypatch):
+    audited, seen = _count_audits(monkeypatch), []
+
+    def watch(program, outcome):
+        seen.append(program)
+
+    try:
+        # an audit set inside a block outlives the block
+        with lp_module.observe(watch):
+            lp_module.set_audit(True)
+            solve(_box())
+        solve(_box())
+        assert (len(seen), len(audited)) == (1, 2)
+        # a block opened under the audit keeps its observer when the audit goes
+        with lp_module.observe(watch):
+            solve(_box())
+            lp_module.set_audit(False)
+            solve(_box())
+        solve(_box())
+        assert (len(seen), len(audited)) == (3, 3)
+    finally:
+        lp_module.set_audit(False)
+    # a nested block of the same observer removes its own registration only
+    with lp_module.observe(watch):
+        with lp_module.observe(watch):
+            solve(_box())
+        solve(_box())
+    solve(_box())
+    assert (len(seen), len(audited)) == (6, 3)
+
+
+def test_an_observer_error_propagates_out_of_solve():
+    def fail(program, outcome):
+        raise RuntimeError("observer failed")
+
+    with pytest.raises(RuntimeError, match="observer failed"):
+        with lp_module.observe(fail):
+            solve(_box())
+    assert solve(_box()).value == 1
+
+
+def test_the_audit_rejects_a_wrong_optimum(monkeypatch):
+    """With set_audit(True), an optimum whose value is off by one makes
+    solve raise, also under python -O; with the audit off it comes back."""
+    right = solve(_box())
+    wrong = Optimal(value=right.value + 1, point=right.point, row_duals=right.row_duals)
+    monkeypatch.setattr(lp_module, "_solve_general", lambda program: wrong)
+    assert solve(_box()) is wrong
+    lp_module.set_audit(True)
+    try:
+        with pytest.raises(InternalInvariantError, match="objective value mismatch"):
+            solve(_box())
+    finally:
+        lp_module.set_audit(False)
+    assert solve(_box()) is wrong
 
 
 # ---------------------------------------------------------------------------

@@ -189,13 +189,7 @@ def test_mixed_denominator_programs_agree_with_fraction_kernel(program):
 @pytest.mark.parametrize("name", example_names())
 def test_builtin_analysis_programs_agree_with_fraction_kernel(name):
     programs = []
-    real = lp._solve_general
-
-    def record(program):
-        programs.append(program)
-        return real(program)
-
-    with mock.patch.object(lp, "_solve_general", record):
+    with lp.observe(lambda program, outcome: programs.append(program)):
         analyze(parse_model(example_document(name)))
     assert programs
     with pivots(lp._RevisedSimplex) as made:
@@ -245,7 +239,7 @@ def test_large_tree_report_is_pinned_and_its_integers_stay_small():
 
     and the golden is its ``render_json(analyze(load_model(...)))``."""
     widest = 0
-    real, solve = lp._RevisedSimplex.pivot, lp._solve_general
+    real = lp._RevisedSimplex.pivot
 
     def spy(tab, r, j, col, d):
         nonlocal widest
@@ -257,8 +251,7 @@ def test_large_tree_report_is_pinned_and_its_integers_stay_small():
         solved = []
         with contextlib.ExitStack() as stack:
             stack.enter_context(mock.patch.object(lp._RevisedSimplex, "pivot", spy))
-            stack.enter_context(mock.patch.object(
-                lp, "_solve_general", lambda program: solved.append(program) or solve(program)))
+            stack.enter_context(lp.observe(lambda program, outcome: solved.append(program)))
             for module in (arbitrage, pricing) if rank_below_n else ():
                 stack.enter_context(mock.patch.object(module, "solve_equalities",
                                                       lambda n, rows: None))

@@ -269,13 +269,13 @@ def test_fairness_unavailable_without_rn0(toy_market):
         fairness_allocation(toy_market, span_cone(toy_market), g)
 
 
-def test_rho_under_measure_equals_expectation(tree_market, tree_claims, monkeypatch):
+def test_rho_under_measure_equals_expectation(tree_market, tree_claims):
     from collective_arb import lp
 
     solves = []
-    monkeypatch.setattr(lp, "_solve_general", solves.append)
     q = (F(1, 4), F(1, 4), F(0), F(0), F(1, 6), F(1, 3))
-    value = rho_under_measure(tree_market, 0, q, tree_claims.rows[0])
+    with lp.observe(lambda program, outcome: solves.append(program)):
+        value = rho_under_measure(tree_market, 0, q, tree_claims.rows[0])
     assert value == sum(a * b for a, b in zip(q, map(F, tree_claims.rows[0])))
     assert solves == []  # read off the identity, no program
 
@@ -294,8 +294,7 @@ def test_rho_under_measure_matches_its_lp(q):
     assert value == sum(F(a) * F(b) for a, b in zip(q, claim)) == 3
 
 
-def test_fairness_from_prices_solves_only_its_canonical_exchange(tree_market, tree_claims,
-                                                                 monkeypatch):
+def test_fairness_from_prices_solves_only_its_canonical_exchange(tree_market, tree_claims):
     from collective_arb import lp
     from collective_arb.pricing import fairness_from_prices
 
@@ -303,10 +302,10 @@ def test_fairness_from_prices_solves_only_its_canonical_exchange(tree_market, tr
     dual = dual_rho_Y(tree_market, cone, tree_claims)
     primal = rho_Y_plus(tree_market, cone, tree_claims)
     individual = [rho_agent_plus(tree_market, i, tree_claims.rows[i])[0] for i in range(2)]
-    solves, real = [], lp._solve_general
-    monkeypatch.setattr(lp, "_solve_general", lambda prog: solves.append(prog) or real(prog))
-    fr = fairness_from_prices(tree_market, cone, tree_claims, dual=lambda: dual,
-                              primal=lambda: primal, individual=individual.__getitem__)
+    solves = []
+    with lp.observe(lambda program, outcome: solves.append(program)):
+        fr = fairness_from_prices(tree_market, cone, tree_claims, dual=lambda: dual,
+                                  primal=lambda: primal, individual=individual.__getitem__)
     verify_fairness(tree_market, cone, tree_claims, fr)
     assert len(solves) == 1
 

@@ -91,3 +91,13 @@ def test_ext_hash_agrees_with_equality():
         assert Ext.of(v) == v and hash(Ext.of(v)) == hash(v)
     assert len({Ext.of(1), 1, Fraction(1), Ext.of("1")}) == 1
     assert len({Ext.neg_inf(), Ext.pos_inf(), Ext.of(0), 0}) == 3
+    # an Ext equals no other type than Ext, int and Fraction, and adds
+    # nothing else
+    assert Ext.of(1) != "1" and Ext.of(1) != None and Ext.of(1) != True  # noqa: E711, E712
+    assert Ext.of(1) in [None, 1] and Ext.pos_inf() not in [None, "+inf"]
+    for other in ("1", None, True, 1.0):
+        for op in (lambda: Ext.of(1) + other, lambda: Ext.of(1) - other,
+                   lambda: ext_sum([Ext.of(1), other]), lambda: ext_max([Ext.of(1), other])):
+            with pytest.raises(TypeError):
+                op()
+    assert Ext.of("5/6") == Fraction(5, 6)
