@@ -12,8 +12,9 @@ gains generators and no cone: its arbitrage search and its interior
 martingale measure are the collective programs at that size.  Every
 dual-row program (the interior points, the polar witness, the expectation
 supremum, the coordinate ranges) takes its rows from ``install_emm_system``.
-A point that its equality rows fix (a complete market) is read off them,
-and if > 0 it decides before an arbitrage search (``interior_program``).
+A point that its equality rows fix (a complete market) is read off them
+(``interior_program``).  Each detection takes its interior point first and,
+by the FTAP, searches for an arbitrage only without one > 0.
 """
 
 from __future__ import annotations
@@ -199,24 +200,25 @@ def _expectation_sup(n_atoms: int, gens_per_row, cone: Optional[ExchangeCone],
     return Ext.of(out.value)
 
 
+def _positive(hit) -> Optional[tuple]:
+    """The rows of an interior point whose least entry is > 0, else None."""
+    return hit[1] if hit is not None and hit[0] > 0 else None
+
+
 def find_emm_vector(market: MarketModel, cone: ExchangeCone) -> Optional[MeasureVector]:
     """Canonical strictly positive element of the compatible-measure
     polytope, or None when no equivalent element exists."""
-    hit = interior_program(market.n_atoms, market.gains, cone)[1]()
-    if hit is None or hit[0] <= 0:
-        return None
-    return MeasureVector(densities=hit[1])
+    rows = _positive(interior_program(market.n_atoms, market.gains, cone)[1]())
+    return None if rows is None else MeasureVector(densities=rows)
 
 
 def polar_witness(market: MarketModel, cone: ExchangeCone) -> Optional[PayoffMatrix]:
     """Canonical strictly positive element of the polar of the
     super-replicable set, of unit total mass under the reference
     probabilities, or None when no strictly positive element exists."""
-    hit = interior_program(market.n_atoms, market.gains, cone,
-                           weight=market.space.prob, mass="total")[1]()
-    if hit is None or hit[0] <= 0:
-        return None
-    return PayoffMatrix(rows=hit[1])
+    rows = _positive(interior_program(market.n_atoms, market.gains, cone,
+                                      weight=market.space.prob, mass="total")[1]())
+    return None if rows is None else PayoffMatrix(rows=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -225,46 +227,38 @@ def polar_witness(market: MarketModel, cone: ExchangeCone) -> Optional[PayoffMat
 
 
 def detect_NA_agent(market: MarketModel, agent: int) -> ArbitrageCertificate:
-    """Classical single-market arbitrage for one agent, with certificate.
-    By the FTAP the interior point decides alone: a least probability > 0
-    is an equivalent martingale measure, so the search runs only without
-    one (agents mostly have none to find)."""
-    return _detect(market, [gains_basis(market, agent)], None, market.measure_points[agent],
+    """Classical single-market arbitrage for one agent, with certificate:
+    an equivalent martingale measure (the interior point of the agent's
+    martingale measures, > 0), or else the arbitrage the FTAP says exists."""
+    return _detect(market, [gains_basis(market, agent)], None,
+                   _positive(market.measure_points[agent][1]()),
                    f"no arbitrage for agent {agent} yet no equivalent martingale measure")
 
 
 def detect_NA_global(market: MarketModel) -> ArbitrageCertificate:
-    """Classical arbitrage in the pooled market of all assets: the one agent
-    of `market.full_market`.  Arbitrage is common there, so the search runs
-    first."""
+    """Classical arbitrage in the pooled market of all assets, the one agent
+    of `market.full_market`, decided as ``detect_NA_agent`` decides."""
     full = market.full_market
-    return _detect(full, full.gains, None, full.measure_points[0],
-                   "no arbitrage yet no equivalent martingale measure", search_first=True)
+    return _detect(full, full.gains, None, _positive(full.measure_points[0][1]()),
+                   "no arbitrage yet no equivalent martingale measure")
 
 
 def detect_NCA(market: MarketModel, cone: ExchangeCone) -> ArbitrageCertificate:
     """Collective arbitrage: per-agent trades plus an exchange from the cone
-    making every agent's payoff nonnegative and the total strictly positive."""
-    return _detect(market, market.gains, cone, interior_program(
-        market.n_atoms, market.gains, cone, weight=market.space.prob, mass="total"),
-        "no collective arbitrage yet no strictly positive polar element", True)
+    making every agent's payoff nonnegative and the total strictly positive;
+    by the collective FTAP, searched for only without a ``polar_witness``."""
+    z = polar_witness(market, cone)
+    return _detect(market, market.gains, cone, None if z is None else z.rows,
+                   "no collective arbitrage yet no strictly positive polar element")
 
 
-def _detect(market: MarketModel, gens_per_row, cone, interior, what: str,
-            search_first: bool = False) -> ArbitrageCertificate:
-    """The arbitrage search and the point of ``interior``, an
-    ``interior_program``, in the order given until one decides; a fixed
-    point > 0 decides first, as by the FTAP the search is then infeasible."""
-    fixed, point = interior
-    hit = None
-    if search_first and not (fixed and fixed[0] > 0):
-        hit = _search_arbitrage(market, gens_per_row, cone)
-    if hit is None:
-        point = point()
-        if point is not None and point[0] > 0:
-            return ArbitrageCertificate(found=False, dual_witness=point[1])
-        if not search_first:
-            hit = _search_arbitrage(market, gens_per_row, cone)
+def _detect(market: MarketModel, gens_per_row, cone, witness, what: str) -> ArbitrageCertificate:
+    """The no-arbitrage certificate of ``witness``, the rows of a strictly
+    positive interior point; without one (None), the arbitrage that the
+    search finds, and ``InternalInvariantError(what)`` if it finds none."""
+    if witness is not None:
+        return ArbitrageCertificate(found=False, dual_witness=witness)
+    hit = _search_arbitrage(market, gens_per_row, cone)
     if hit is None:
         raise InternalInvariantError(what)
     strat, rows, exchange = hit

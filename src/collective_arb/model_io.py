@@ -40,7 +40,6 @@ class ModelFile:
     market: MarketModel
     exchange: Optional[ExchangeCone]
     claims: Optional[ClaimVector]
-    raw: dict
 
 
 # the float scan and the cone parser recurse once per level; a bound of the
@@ -99,7 +98,7 @@ def parse_model(doc: dict) -> ModelFile:
     claims = None
     if "claims" in doc:
         claims = claim_vector(market, doc["claims"])
-    return ModelFile(market=market, exchange=exchange, claims=claims, raw=doc)
+    return ModelFile(market=market, exchange=exchange, claims=claims)
 
 
 def load_model(path: str) -> ModelFile:

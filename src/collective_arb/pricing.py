@@ -14,10 +14,10 @@ vectors, is ``arbitrage._expectation_sup``, kept for ``dual_rho_Y`` and
 are these programs with one agent's gains generators, one claim row and no
 exchange cone.  One price is an identity rather than a program: an agent's
 replication cost under a fixed martingale measure, which fairness reports
-per agent, is the claim's expectation (``rho_under_measure``), so fairness
-solves only its canonical exchange.  So is an agent's price when its one
-martingale measure, > 0, and its one replicating hedge are fixed by their
-rows.
+per agent, is the claim's expectation (``rho_under_measure``), the agent's
+allocation, so fairness solves only its canonical exchange.  So is an
+agent's price when its one martingale measure, > 0, and its one
+replicating hedge are fixed by their rows.
 """
 
 from __future__ import annotations
@@ -318,8 +318,8 @@ def fairness_from_prices(market: MarketModel, cone: ExchangeCone, g: ClaimVector
     as agent i's rho_agent_plus value.  None is asked for when the cone lacks
     some deterministic zero-sum transfer, so fairness_allocation then solves
     nothing.  Beyond its prices it solves one program, the canonical
-    exchange; each per-agent fair price is an expectation
-    (``rho_under_measure``)."""
+    exchange; each per-agent fair price, agent i's replication cost under
+    q_hat_i, is E_{q_hat_i}[g_i] (``rho_under_measure``), its allocation."""
     if not cone.meta.contains_RN0:
         raise FairnessUnavailable(
             "fairness needs the cone to contain all deterministic zero-sum transfers")
@@ -348,16 +348,13 @@ def fairness_from_prices(market: MarketModel, cone: ExchangeCone, g: ClaimVector
         if _dot(q_hat.densities[i], y_rows[i]) != 0:
             raise InternalInvariantError("adjusted exchange has nonzero dual cost")
 
-    per_agent = []
-    for i in range(N):
-        if not (Ext.of(allocations[i]) <= individual(i)):
-            raise InternalInvariantError("allocation exceeds individual price")
-        per_agent.append(rho_under_measure(market, i, q_hat.densities[i], g.rows[i]))
+    if any(not (Ext.of(allocations[i]) <= individual(i)) for i in range(N)):
+        raise InternalInvariantError("allocation exceeds individual price")
     return FairnessResult(value=primal_value.value, q_hat=q_hat,
                           allocations=allocations, m_tilde=m_tilde,
                           y_tilde_rows=y_rows, y_tilde_ray_coeffs=mu,
                           y_tilde_lin_coeffs=nu, k_tilde_coeffs=k_coeffs,
-                          shift=shift, raw=opt, per_agent_prices=tuple(per_agent))
+                          shift=shift, raw=opt, per_agent_prices=allocations)
 
 
 def _minimal_transfer_optimizer(market, cone, g, m_tilde, q_hat):

@@ -10,15 +10,14 @@ The analysis solves only what the report prints.  These answers are read
 off a certificate it has already verified, or off an exact identity,
 instead of a program of their own:
 
-* each agent's no-arbitrage: the interior point of the agent's martingale
-  measures is solved first, and a least probability > 0 is a verified
-  equivalent martingale measure, so an arbitrage is searched for only
-  without one (the pooled market, where arbitrage is common, searches
-  first);
+* every no-arbitrage answer, each agent's, the pooled market's and the
+  collective one: the strictly positive interior point (an equivalent
+  martingale measure, or a polar element) is solved first and verified, so
+  by the FTAP an arbitrage is searched for only without one, and found;
 * an interior point whose equality rows fix one q (a complete market, by
   the second fundamental theorem): q if q >= 0 meets every ray row, else
-  none (``arbitrage.interior_program``); a fixed q > 0 is the pooled
-  market's or the polar system's witness, and the FTAP skips the search;
+  none (``arbitrage.interior_program``); a fixed q > 0 is a witness read
+  off without a program;
 * an agent's price when its measure is fixed at q > 0 and its replicating
   hedge is fixed too: by complementary slackness they are its program's
   optimum and dual (``pricing.price_certificate``);
@@ -61,7 +60,7 @@ instead of a program of their own:
   measure q_i: taking expectations under q_i of a dominating position gives
   a cost >= E_{q_i}[g_i], and cash E_{q_i}[g_i] plus the zero-cost
   instrument g_i - E_{q_i}[g_i] attains it, so it is E_{q_i}[g_i]
-  (``pricing.rho_under_measure``).
+  (``pricing.rho_under_measure``), the agent's allocation.
 
 ``tests/instance_checks.py`` solves the dropped programs on random
 instances and checks each against the certificate or identity that
@@ -207,10 +206,9 @@ def analyze(model: ModelFile, sections=None) -> dict:
         if cone is None:
             report["ftap"] = {"status": "skipped", "reason": "no exchange cone in model"}
         else:
-            normalization = "probability" if cone.meta.contains_RN0 else "none"
-            if (not cone.meta.contains_RN0 and isinstance(model.raw.get("exchange"), dict)
-                    and model.raw["exchange"].get("kind") == "grouping"):
-                normalization = "grouping-normalized"
+            groups = cone.meta.groups or ()
+            normalization = ("probability" if len(groups) == 1 else "grouping-normalized"
+                             if any(len(g) > 1 for g in groups) else "none")
             report["ftap"] = {
                 "measure_vector": ("absent" if mv is None
                                    else _rows_obj(market, mv.densities)),

@@ -221,15 +221,42 @@ def cash_group_share(groups, cert):
     return Ext.of(max(sum(m[i] for i in g) / len(g) for g in groups))
 
 
+def _search_finds_an_arbitrage(program, outcome):
+    """An observer of every solve: an arbitrage search (last row ``gain``)
+    runs only where no strictly positive witness exists, so by the FTAP it
+    finds an arbitrage."""
+    assert program.row_names[-1:] != ("gain",) or outcome.status == "optimal", \
+        program.to_text()
+
+
 def check_instance(market, cone, info, claims, rng):
     """Run the full invariant battery; returns a dict of which theorem-level
-    branches were exercised (for coverage accounting)."""
+    branches were exercised (for coverage accounting).  Every arbitrage
+    search on the way finds an arbitrage, but those of the elimination
+    checks, which search to see that a fixed point > 0 leaves none."""
     hit = {"emm_equiv": False, "nca_holds": False, "rho_finite": False,
            "t0_cone": False, "terminal_y0": False, "singleton": False, "reflected": 0,
            "cash_groups": 0, "replicated": 0}
     hit.update({f"{family}_{outcome}": 0 for family in ("agent", "polar")
                 for outcome in ("positive", "zero", "empty", "rank")})
 
+    # every elimination of an interior point's equality rows (each agent's
+    # and the pooled market's measures, the polar elements of the cone and of
+    # the cone with the deterministic transfers) agrees with its program
+    full = market.full_market
+    for m, gens in [(market, [g]) for g in market.gains] + [(full, full.gains)]:
+        hit["agent_" + elimination_outcome(m, gens, None)] += 1
+    widened = cone_add(market, cone, make_Y0(market, 0))
+    for c in (cone, widened):
+        hit["polar_" + elimination_outcome(market, market.gains, c, weight=market.space.prob,
+                                           mass="total")] += 1
+
+    with lp.observe(_search_finds_an_arbitrage):
+        _check_theorems(market, cone, info, claims, rng, hit, widened)
+    return hit
+
+
+def _check_theorems(market, cone, info, claims, rng, hit, widened):
     # the stored RN0 flag, known by construction or probed, is the definition
     assert cone.meta.contains_RN0 == contains_every_transfer(market, cone)
 
@@ -253,17 +280,6 @@ def check_instance(market, cone, info, claims, rng):
     for m, i, cert in singles + [(market.full_market, 0, na_global)]:
         best = interior_point_by_its_lp(m.n_atoms, [gains_basis(m, i)], None)
         assert holds_reference_optimum(None if cert.found else cert.dual_witness, best)
-
-    # every elimination of an interior point's equality rows (each agent's
-    # and the pooled market's measures, the polar elements of the cone and of
-    # the cone with the deterministic transfers) agrees with its program
-    full = market.full_market
-    for m, gens in [(market, [g]) for g in market.gains] + [(full, full.gains)]:
-        hit["agent_" + elimination_outcome(m, gens, None)] += 1
-    widened = cone_add(market, cone, make_Y0(market, 0))
-    for c in (cone, widened):
-        hit["polar_" + elimination_outcome(market, market.gains, c, weight=market.space.prob,
-                                           mass="total")] += 1
 
     nca = detect_NCA(market, cone)
     if nca.found:
@@ -463,4 +479,3 @@ def check_instance(market, cone, info, claims, rng):
     assert coop["selling"] >= Ext.of(0)
     assert coop["total"] >= Ext.of(0)
     assert rho_ym >= rho_N_minus(market, claims)
-    return hit

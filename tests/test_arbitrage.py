@@ -11,12 +11,13 @@ from collective_arb.arbitrage import (detect_NA_agent, detect_NA_global,
                                       polar_witness)
 from collective_arb.cones import cone_add, make_rays, make_span, make_Y0, make_zero
 from collective_arb.errors import InternalInvariantError, ValidationError
-from collective_arb.examples_builtin import example_document
+from collective_arb.examples_builtin import example_document, example_names
 from collective_arb.lp import EQ, LPBuilder, MAX, MIN
 from collective_arb.market import PayoffMatrix, build_market
 from collective_arb.model_io import parse_model
 from collective_arb.pricing import optimal_face_measures
 from collective_arb.randgen import random_cone, random_market, seeded_rng
+from collective_arb.report import analyze
 from collective_arb.verify import (verify_arbitrage_found, verify_measure_vector,
                                    verify_polar_witness,
                                    verify_single_market_witness)
@@ -199,6 +200,30 @@ def test_nca_toy_terminal_cone_fails(toy_market):
     r = detect_NCA(toy_market, make_Y0(toy_market, 1))
     assert r.found
     verify_arbitrage_found(toy_market, r, cone=make_Y0(toy_market, 1))
+
+
+def test_nca_takes_the_polar_witness_first():
+    """By the collective FTAP, tree72's strictly positive polar element
+    decides alone: detection solves that one interior point, whose first
+    row is agent 1's first orthogonality row, and no arbitrage search."""
+    model = parse_model(example_document("tree72"))
+    solved = []
+    with lp.observe(lambda program, outcome: solved.append(program)):
+        cert = detect_NCA(model.market, model.exchange)
+    assert not cert.found
+    assert [program.row_names[0] for program in solved] == ["orth0_0"]
+    assert not any(name.startswith("pos") for name in solved[0].row_names)
+
+
+@pytest.mark.parametrize("name", example_names())
+def test_every_arbitrage_search_of_an_analysis_finds_one(name):
+    """Each detection searches only without its strictly positive witness,
+    where the FTAP says an arbitrage exists, so no search is infeasible."""
+    solved = []
+    with lp.observe(lambda program, outcome: solved.append((program.row_names[-1:],
+                                                            outcome.status))):
+        analyze(parse_model(example_document(name)))
+    assert all(status == "optimal" for last, status in solved if last == ("gain",))
 
 
 def test_nca_zero_cone_reduces_to_componentwise_na(toy_market, tree_market):

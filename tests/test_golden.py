@@ -73,7 +73,7 @@ def test_grouping_tree_report_is_pinned_and_reads_pi_off_the_hedge():
     verified hedges of rho_Y and of rho_+(-g), so the analysis solves no
     shared-cash program.  Every agent trades one asset on the tree, so its
     market is complete: the interior points and the agents' prices are read
-    off exact eliminations, and 4 programs are left (15 before they were).
+    off exact eliminations, and 3 programs are left (15 before they were).
     The model is ``bench/trees.py``'s draw, made with
 
         python3 -c 'import json, random, sys; sys.path.insert(0, "bench"); import trees; print(json.dumps(trees.tree_doc(random.Random("grouping/2/5"), 2, 5, "differ", {"kind": "grouping", "t": 1, "groups": [[0, 1], [2, 3, 4]]}, clusters=[0, 0, 1, 1, 1]), indent=2))' > tests/golden/large/tree-T2N5-grouping.json
@@ -86,7 +86,7 @@ def test_grouping_tree_report_is_pinned_and_reads_pi_off_the_hedge():
         report = render_json(analyze(model))
     expected = GOLDEN / "large" / "tree-T2N5-grouping.report.json"
     assert report == expected.read_text(encoding="utf-8")
-    assert len(sink) == 4
+    assert len(sink) == 3
     assert not any(text.startswith("min: 1 m\n") for text in sink)
 
 

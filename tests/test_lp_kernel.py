@@ -227,12 +227,11 @@ def test_large_tree_report_is_pinned_and_its_integers_stay_small():
     point, the arbitrage search's answer and every agent's price, and the
     analysis solves 2 programs, rho_Y's and the canonical exchange, the
     largest with 99 rows.  With the eliminations read as below full rank,
-    it solves the 14 programs it solved before them: the interior points
-    (up to 65 rows), the agents' and the pooled market's searches and
-    prices as well.  Both reports match the golden byte for byte, and every
-    integer the kernel stores after a pivot (row entries, stamps, ``y`` and
-    its stamp) fits in 64 bits, since a row in lowest terms is as large as
-    its values, not as the basis determinant.  The model is
+    it solves 12 programs: the interior points (up to 65 rows) and the
+    agents' prices as well.  Both reports match the golden byte for byte,
+    and every integer the kernel stores after a pivot (row entries, stamps,
+    ``y`` and its stamp) fits in 64 bits, since a row in lowest terms is as
+    large as its values, not as the basis determinant.  The model is
     ``bench/trees.py``'s draw, made with
 
         python3 -c 'import json, random, sys; sys.path.insert(0, "bench"); import trees; print(json.dumps(trees.tree_doc(random.Random("x/4/3"), 4, 3, "shared", {"kind": "Y0", "t": 3}), indent=2))' > tests/golden/large/tree-T4N3-shared.json
@@ -247,7 +246,7 @@ def test_large_tree_report_is_pinned_and_its_integers_stay_small():
         stored = [tab.y_scale, *tab.y, *tab.scale, *(v for row in tab.rows for v in row.values())]
         widest = max(widest, *(v.bit_length() for v in stored))
 
-    for rank_below_n, programs in ((False, 2), (True, 14)):
+    for rank_below_n, programs in ((False, 2), (True, 12)):
         solved = []
         with contextlib.ExitStack() as stack:
             stack.enter_context(mock.patch.object(lp._RevisedSimplex, "pivot", spy))

@@ -169,6 +169,23 @@ def test_zero_cone_spec_parses():
     assert model.exchange.is_trivial()
 
 
+def test_ftap_section_depends_on_the_cone_not_on_how_it_is_written():
+    """The grouping into singletons, the zero cone and a one-part sum of
+    that grouping are one cone, cash groups ((0,), (1,)) and no generators,
+    and print one ftap section; no cash group holds two agents, so nothing
+    is normalized within one."""
+    grouping = {"kind": "grouping", "groups": [[0], [1]], "t": 1}
+    sections = []
+    for spec in (grouping, {"kind": "zero"}, {"kind": "sum", "parts": [grouping]}):
+        doc = example_document("tree72")
+        doc["exchange"] = spec
+        model = parse_model(doc)
+        assert model.exchange.meta.groups == ((0,), (1,)) and model.exchange.is_trivial()
+        sections.append(analyze(model, sections=["ftap"])["ftap"])
+    assert sections[0] == sections[1] == sections[2]
+    assert sections[0]["normalization"] == "none"
+
+
 def test_summary_table_row1_toy71():
     """One-period benchmark with deterministic transfers: no global
     arbitrage-freedom, collective no-arbitrage, measure vector present,

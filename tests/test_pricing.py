@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+from collective_arb import lp
 from collective_arb.cones import (cone_add, make_grouping, make_rays, make_span,
                                   make_Y0, make_zero)
 from collective_arb.errors import FairnessUnavailable, ValidationError
 from collective_arb.examples_builtin import example_document
 from collective_arb.ext import Ext
-from collective_arb.market import PayoffMatrix, build_market
+from collective_arb.market import PayoffMatrix, build_market, gains_basis
 from collective_arb.model_io import parse_model
 from collective_arb.pricing import (claim_vector, dual_rho_Y, fairness_allocation,
                                     pi_N_plus, pi_Y_minus, pi_Y_plus,
@@ -270,7 +271,6 @@ def test_fairness_unavailable_without_rn0(toy_market):
 
 
 def test_rho_under_measure_equals_expectation(tree_market, tree_claims):
-    from collective_arb import lp
 
     solves = []
     q = (F(1, 4), F(1, 4), F(0), F(0), F(1, 6), F(1, 3))
@@ -295,7 +295,6 @@ def test_rho_under_measure_matches_its_lp(q):
 
 
 def test_fairness_from_prices_solves_only_its_canonical_exchange(tree_market, tree_claims):
-    from collective_arb import lp
     from collective_arb.pricing import fairness_from_prices
 
     cone = make_Y0(tree_market, 1)
@@ -342,7 +341,6 @@ def test_price_compatibility_fair_prices_degenerate_dual(tree_market, tree_claim
     total = [F(0)] * 6
     for i in range(2):
         gains = verdict.witness["strategies"][i]
-        from collective_arb.market import gains_basis
         gens = gains_basis(tree_market, i)
         for w in range(6):
             k = sum(c * g.vector[w] for c, g in zip(gains, gens))
@@ -351,6 +349,29 @@ def test_price_compatibility_fair_prices_degenerate_dual(tree_market, tree_claim
             assert pos >= 0
             total[w] += pos
     assert sum(total) > 0
+
+
+def test_price_compatibility_rides_an_improving_ray():
+    """toy71's agents price with different measures, so with every terminal
+    transfer allowed (Y0(1)) the surplus program is unbounded at any quoted
+    prices: the witness is its point moved along the ray until the total
+    surplus reaches 1, every final position staying nonnegative."""
+    model = parse_model(example_document("toy71"))
+    market, g = model.market, model.claims
+    solved = []
+    with lp.observe(lambda program, outcome: solved.append((program.sense, outcome.status))):
+        verdict = price_compatibility(market, make_Y0(market, 1), g, ("0", "0"))
+    assert solved[0] == ("max", "unbounded")
+    assert not verdict.compatible and verdict.witness is not None
+    total = F(0)
+    for i in range(market.n_agents):
+        gens = gains_basis(market, i)
+        for w in range(market.n_atoms):
+            gain = sum(c * gen.vector[w] for c, gen in zip(verdict.witness["strategies"][i], gens))
+            position = gain + verdict.witness["exchange_rows"][i][w] - F(g.rows[i][w])
+            assert position >= 0
+            total += position
+    assert total >= 1
 
 
 def test_price_compatibility_witness_total_positive(tree_market, tree_claims):
